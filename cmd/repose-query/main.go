@@ -135,8 +135,8 @@ func main() {
 		fail(err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("top-%d by %v for trajectory %d (%d points) in %v (straggler ratio %.2f):\n",
-		*k, m, query.ID, len(query.Points), elapsed.Round(time.Microsecond), report.Imbalance())
+	fmt.Printf("top-%d by %v for trajectory %d (%d points) in %v (straggler ratio %.2f, %d exact distance computations):\n",
+		*k, m, query.ID, len(query.Points), elapsed.Round(time.Microsecond), report.Imbalance(), report.ExactComputations)
 	if *probeBudget > 0 {
 		fmt.Printf("probe budget %d: probed %d, pruned %d, skipped %d partitions\n",
 			*probeBudget, len(report.ProbedPartitions), len(report.PrunedPartitions), len(report.SkippedPartitions))

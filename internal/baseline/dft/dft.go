@@ -61,6 +61,7 @@ type Index struct {
 	tree  *rtree.Tree
 	dual  map[int32][]int32 // tid → indices into segs (the dual index)
 	rng   *rand.Rand
+	size  int // footprint, fixed at Build (the index is immutable)
 }
 
 // Build constructs the per-partition index.
@@ -95,6 +96,10 @@ func Build(cfg Config, part []*geo.Trajectory) (*Index, error) {
 		}
 	}
 	x.tree = rtree.BulkLoad(items, cfg.Fanout)
+	x.size = x.tree.SizeBytes() + len(x.segs)*(32+4) // segment copy + tid
+	for _, v := range x.dual {
+		x.size += 16 + len(v)*4
+	}
 	return x, nil
 }
 
@@ -191,11 +196,4 @@ func (x *Index) Len() int { return len(x.trajs) }
 
 // SizeBytes reports the index footprint: R-tree, segment copies, and
 // the dual index (but not the raw trajectories).
-func (x *Index) SizeBytes() int {
-	sz := x.tree.SizeBytes()
-	sz += len(x.segs) * (32 + 4) // segment copy + tid
-	for _, v := range x.dual {
-		sz += 16 + len(v)*4
-	}
-	return sz
-}
+func (x *Index) SizeBytes() int { return x.size }

@@ -70,6 +70,7 @@ type Index struct {
 	root  *tnode
 	nodes int
 	diam  float64 // partition MBR diagonal: initial threshold
+	size  int     // footprint, fixed at Build (the index is immutable)
 }
 
 // Build constructs the per-partition index.
@@ -119,6 +120,7 @@ func Build(cfg Config, part []*geo.Trajectory) (*Index, error) {
 		seqs[i] = e.seq
 	}
 	x.buildNode(x.root, tids, seqs, 0)
+	x.size = nodeBytes(x.root)
 	return x, nil
 }
 
@@ -336,16 +338,15 @@ func (x *Index) Len() int { return len(x.trajs) }
 func (x *Index) NumNodes() int { return x.nodes }
 
 // SizeBytes reports the index footprint excluding raw trajectories.
-func (x *Index) SizeBytes() int {
-	var walk func(n *tnode) int
-	walk = func(n *tnode) int {
-		sz := 32 + 24 + 24 + 8
-		sz += len(n.children) * 8
-		sz += len(n.tids) * 4
-		for _, c := range n.children {
-			sz += walk(c)
-		}
-		return sz
+func (x *Index) SizeBytes() int { return x.size }
+
+// nodeBytes sums the footprint of n's subtree.
+func nodeBytes(n *tnode) int {
+	sz := 32 + 24 + 24 + 8
+	sz += len(n.children) * 8
+	sz += len(n.tids) * 4
+	for _, c := range n.children {
+		sz += nodeBytes(c)
 	}
-	return walk(x.root)
+	return sz
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repose/internal/geo"
+	"repose/internal/rptrie"
 	"repose/internal/topk"
 )
 
@@ -26,11 +27,21 @@ type BatchReport struct {
 // Cancelling ctx stops in-flight partition scans and skips unstarted
 // tasks.
 func (c *Local) SearchBatch(ctx context.Context, queries [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
+	for {
+		parts := c.parts()
+		out, report, err := c.batchParts(ctx, parts, queries, k, opt)
+		if err != nil || !c.splitSince(parts) {
+			return out, report, err
+		}
+	}
+}
+
+// batchParts is SearchBatch over one snapshot of the partition slice.
+func (c *Local) batchParts(ctx context.Context, parts []LocalIndex, queries [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
 	report := BatchReport{PerQuery: make([]time.Duration, len(queries))}
 	if len(queries) == 0 {
 		return nil, report, nil
 	}
-	parts := c.parts()
 	sel, err := selectPartitions(opt.Partitions, len(parts))
 	if err != nil {
 		return nil, report, err
@@ -52,6 +63,21 @@ func (c *Local) SearchBatch(ctx context.Context, queries [][]geo.Point, k int, o
 	for qi := range done {
 		done[qi] = make([]time.Time, np)
 	}
+	refined := make([][]int64, nq)
+	for qi := range refined {
+		refined[qi] = make([]int64, np)
+	}
+	// One result heap per query, shared by its np partition tasks
+	// wherever the worker pool happens to run them (see searchLists).
+	shared := make([]*rptrie.SharedTopK, nq)
+	for qi := range shared {
+		shared[qi] = acquireShared(k)
+	}
+	defer func() {
+		for _, s := range shared {
+			releaseShared(s)
+		}
+	}()
 
 	type task struct{ qi, si int }
 	tasks := make(chan task)
@@ -67,8 +93,10 @@ func (c *Local) SearchBatch(ctx context.Context, queries [][]geo.Point, k int, o
 					continue
 				}
 				t0 := time.Now()
+				var stats rptrie.SearchStats
 				locals[tk.qi][tk.si], taskErrs[tk.qi][tk.si] =
-					searchOne(ctx, c.gpid(sel[tk.si]), parts[sel[tk.si]], queries[tk.qi], k, opt, nil)
+					searchOne(ctx, c.gpid(sel[tk.si]), parts[sel[tk.si]], queries[tk.qi], k, opt, &stats, shared[tk.qi])
+				refined[tk.qi][tk.si] = int64(stats.ExactComputations)
 				now := time.Now()
 				workDur[tk.qi][tk.si] = now.Sub(t0)
 				done[tk.qi][tk.si] = now
@@ -97,6 +125,9 @@ func (c *Local) SearchBatch(ctx context.Context, queries [][]geo.Point, k int, o
 	out := make([][]topk.Item, nq)
 	for qi := range out {
 		out[qi] = mergeDedup(k, locals[qi])
+		// A batched query loads its partitions like a single one: one
+		// wave per query for the load tracker.
+		c.recordLoads(sel, locals[qi], refined[qi], workDur[qi], out[qi])
 		var last time.Time
 		for si := 0; si < np; si++ {
 			report.TotalWork += workDur[qi][si]

@@ -61,9 +61,39 @@
 // not-owner rejection and retries on the current owner without a
 // failover strike. A split installs the new partition on every
 // eligible replica and registers it in the directory before pruning
-// the moved ids from the donor, so during the overlap window a
-// trajectory may be reported by both partitions but can never be
-// missed; the driver's merge dedups by id, keeping answers exact.
+// the moved ids from the donor, so a query planned after the
+// registration may see a trajectory reported by both partitions but
+// can never miss it — the driver's merge dedups by id — and a query
+// planned before it re-plans (splitSince), keeping answers exact.
+//
+// The top-k scatter departs from the paper's collect step in one
+// respect: partitions do not compute independent local top-k lists.
+// Every top-k query owns one rptrie.SharedTopK — a bounded heap of the
+// k best candidates any of its partition scans has refined so far —
+// and each scan prunes against that heap's k-th distance instead of
+// its own (rptrie/doc.go has the admissibility and tie argument). A
+// per-partition list therefore means "this partition's members that
+// can still be in the global top-k", ties with the running k-th
+// distance included: a subset of the partition's local top-k and a
+// superset of its share of the answer, so merging the lists by
+// (distance, id) yields the same answer, bit for bit, while the load
+// tracker's reward (list items that survive the merge), the refine
+// counts, and SearchReply.PartItems keep their meaning. Local creates
+// the heap per Search — the probe budget's survivor wave inherits the
+// head wave's — and per query of a SearchBatch; a worker creates one
+// per Worker.Search and per batched query, so it shares across the
+// partitions it owns and the wire protocol is unchanged (the driver
+// merges worker answers as before; a retried or hedged call starts a
+// fresh heap). Sharing is passive: a scan never waits for another, and
+// the scatter has no extra wave or barrier. Splits are why the heap
+// holds distinct ids: inside the install→prune window a moved
+// trajectory is offered from two partitions, and counting it twice
+// would tighten the threshold to the (k−1)-th distance. Splits are
+// also why every query method re-plans when the partition count grew
+// while it ran (splitSince): the source is pruned in place right
+// after the new partition is published, so a scatter planned before
+// could otherwise reach the source after the prune and miss the moved
+// ids altogether.
 //
 // Why probe budgets stay exact: QueryOptions.ProbeBudget scans the n
 // best-scoring partitions first (per-partition EWMA reward-per-cost,

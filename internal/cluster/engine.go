@@ -60,8 +60,8 @@ type Engine interface {
 	IndexSizeBytes() int
 	// PartitionIndexBytes reports each partition's index footprint,
 	// indexed by global partition id. The local engine reads live
-	// values (cached per generation); the remote engine reports the
-	// sizes workers declared at build time.
+	// values; the remote engine reports the sizes workers declared at
+	// build time.
 	PartitionIndexBytes() []int
 	// BuildTime returns the wall time of index construction.
 	BuildTime() time.Duration
@@ -229,15 +229,18 @@ func refinerFor(pi int, idx LocalIndex, spec rptrie.RefineSpec) (rptrie.Refiner,
 
 // searchOne answers one partition-local top-k query honoring ctx and
 // opt; gpid is the partition's global id (for the generation pin).
-// The rptrie layouts cancel mid-scan and fill stats (may be nil); the
-// baseline indexes only observe the context between partitions and
-// report no stats.
-func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k int, opt QueryOptions, stats *rptrie.SearchStats) ([]topk.Item, error) {
+// The rptrie layouts cancel mid-scan, fill stats (may be nil), and
+// prune against shared — the query's result heap across all of its
+// partition scans (may be nil) — returning only the partition's members
+// that can still be in the global top-k. The baseline indexes only
+// observe the context between partitions, report no stats, and return
+// their own top-k.
+func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k int, opt QueryOptions, stats *rptrie.SearchStats, shared *rptrie.SharedTopK) ([]topk.Item, error) {
 	ref, err := refinerFor(gpid, idx, opt.Refine)
 	if err != nil {
 		return nil, err
 	}
-	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Stats: stats, Refiner: ref}
+	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Stats: stats, Refiner: ref, Shared: shared}
 	switch t := idx.(type) {
 	case *rptrie.Trie:
 		return t.SearchContext(ctx, q, k, sopt)

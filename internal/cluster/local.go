@@ -31,22 +31,32 @@ type Local struct {
 	dir       *directory // online-mutation routing; nil on worker views
 	dataDir   string     // durable root; split clones install under it
 	loads     *loadTracker
-
-	// sizeMu guards sizes, the per-partition SizeBytes cache keyed by
-	// the generation it was computed at. The pointer trie's SizeBytes
-	// is a full structural walk, so memory accounting on the query
-	// path must not recompute it until a mutation actually changes the
-	// structure (every structural change bumps the generation;
-	// immutable baselines stay at generation 0 forever).
-	sizeMu sync.Mutex
-	sizes  []sizeCacheEntry
 }
 
-// sizeCacheEntry is one partition's cached footprint.
-type sizeCacheEntry struct {
-	gen   uint64
-	size  int
-	valid bool
+// sharedPool recycles the per-query result heaps that a query's
+// partition scans share (see rptrie.SharedTopK), keeping the engine
+// call's steady-state allocation count where it was. Package-level
+// because a worker serves every RPC through a fresh localView.
+var sharedPool = sync.Pool{New: func() any { return new(rptrie.SharedTopK) }}
+
+// acquireShared returns a shared result heap for one top-k query. A
+// non-positive k (the wire does not validate it) answers nothing and
+// shares nothing.
+func acquireShared(k int) *rptrie.SharedTopK {
+	if k <= 0 {
+		return nil
+	}
+	s := sharedPool.Get().(*rptrie.SharedTopK)
+	s.Reset(k)
+	return s
+}
+
+// releaseShared recycles s once every scan it was handed to has
+// returned — scatter and SearchBatch join their goroutines first.
+func releaseShared(s *rptrie.SharedTopK) {
+	if s != nil {
+		sharedPool.Put(s)
+	}
 }
 
 // parts snapshots the partition index slice; callers must use one
@@ -68,6 +78,18 @@ func (c *Local) setParts(parts []LocalIndex) {
 	} else {
 		c.loads.grow(len(parts))
 	}
+}
+
+// splitSince reports whether SplitPartition published a grown slice
+// after parts was snapshotted. A split prunes the moved ids from the
+// source partition in place right after publishing, so a query still
+// scanning the old snapshot may reach the source after the prune and
+// find the moved ids in no partition it knows; every query method
+// re-runs on the current slice when this reports true. The check is
+// sufficient because the prune follows the publish: a scan that saw
+// the pruned source finishes after the grown slice became visible.
+func (c *Local) splitSince(parts []LocalIndex) bool {
+	return len(c.parts()) != len(parts)
 }
 
 // gpid maps a local index slot to its global partition id.
@@ -113,9 +135,14 @@ type QueryReport struct {
 	CacheEligible bool
 	// IndexBytes is the per-partition index footprint at dispatch,
 	// indexed by global partition id (like Generations). The local
-	// engine reports live sizes cached per generation; the remote
-	// engine reports the sizes workers declared at build time.
+	// engine reports live sizes; the remote engine reports the sizes
+	// workers declared at build time.
 	IndexBytes []int
+	// ExactComputations is the number of exact (or refined) distance
+	// computations the top-k query cost, summed over its partition
+	// scans — the work cross-partition threshold sharing exists to
+	// prune. Radius queries leave it zero.
+	ExactComputations int64
 
 	// ProbedPartitions lists the global partition ids actually
 	// scanned when a probe budget shaped the query (nil on a plain
@@ -149,6 +176,14 @@ func (r *QueryReport) finish(start time.Time) {
 	}
 }
 
+// addRefined folds one wave's per-partition refine counts into
+// ExactComputations.
+func (r *QueryReport) addRefined(refined []int64) {
+	for _, n := range refined {
+		r.ExactComputations += n
+	}
+}
+
 // absorb folds a follow-up phase's timings into this report; the
 // phases ran sequentially, so walls add.
 func (r *QueryReport) absorb(o QueryReport) {
@@ -158,6 +193,7 @@ func (r *QueryReport) absorb(o QueryReport) {
 	if o.MaxPartition > r.MaxPartition {
 		r.MaxPartition = o.MaxPartition
 	}
+	r.ExactComputations += o.ExactComputations
 }
 
 // BuildLocal builds one index per partition in parallel. workers ≤ 0
@@ -264,15 +300,21 @@ func (c *Local) scatter(ctx context.Context, parts []LocalIndex, sel []int, what
 // searchLists runs one partition-local top-k scan per sel slot and
 // returns the unmerged result lists plus each slot's exact-distance
 // refinement count — the per-partition cost counter the load tracker
-// learns from and the v6 protocol ships back to the driver.
-func (c *Local) searchLists(ctx context.Context, parts []LocalIndex, sel []int, q []geo.Point, k int, opt QueryOptions) ([][]topk.Item, []int64, QueryReport, error) {
+// learns from and the v6 protocol ships back to the driver. Every scan
+// prunes against shared, the query's one result heap, so a slot's list
+// holds the partition's members that can still be in the global top-k
+// (ties with the k-th distance included), not its local top-k; merged,
+// the lists yield the same answer. Sharing is passive: no scan waits
+// for another.
+func (c *Local) searchLists(ctx context.Context, parts []LocalIndex, sel []int, q []geo.Point, k int, opt QueryOptions, shared *rptrie.SharedTopK) ([][]topk.Item, []int64, QueryReport, error) {
 	refined := make([]int64, len(sel))
 	locals, report, err := c.scatter(ctx, parts, sel, "search", func(si, pi int, idx LocalIndex) ([]topk.Item, error) {
 		var stats rptrie.SearchStats
-		items, err := searchOne(ctx, c.gpid(pi), idx, q, k, opt, &stats)
+		items, err := searchOne(ctx, c.gpid(pi), idx, q, k, opt, &stats, shared)
 		refined[si] = int64(stats.ExactComputations)
 		return items, err
 	})
+	report.addRefined(refined)
 	return locals, refined, report, err
 }
 
@@ -282,8 +324,18 @@ func (c *Local) searchLists(ctx context.Context, parts []LocalIndex, sel []int, 
 // tail it can prove irrelevant. When ctx is cancelled mid-query the
 // partition scans stop early and ctx's error is returned.
 func (c *Local) Search(ctx context.Context, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
+	for {
+		parts := c.parts()
+		items, report, err := c.searchParts(ctx, parts, q, k, opt)
+		if err != nil || !c.splitSince(parts) {
+			return items, report, err
+		}
+	}
+}
+
+// searchParts is Search over one snapshot of the partition slice.
+func (c *Local) searchParts(ctx context.Context, parts []LocalIndex, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
 	gens := c.Generations()
-	parts := c.parts()
 	sel, err := selectPartitions(opt.Partitions, len(parts))
 	if err != nil {
 		return nil, QueryReport{}, err
@@ -308,9 +360,13 @@ func (c *Local) Search(ctx context.Context, q []geo.Point, k int, opt QueryOptio
 // therefore bit-identical to a full scatter; best-effort mode skips
 // the unproven tail outright.
 func (c *Local) searchBudgeted(ctx context.Context, parts []LocalIndex, sel []int, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
+	// One heap for the whole query: the survivor wave starts from the
+	// k-th distance the head wave reached.
+	shared := acquireShared(k)
+	defer releaseShared(shared)
 	budget := opt.ProbeBudget
 	if budget <= 0 || budget >= len(sel) {
-		locals, refined, report, err := c.searchLists(ctx, parts, sel, q, k, opt)
+		locals, refined, report, err := c.searchLists(ctx, parts, sel, q, k, opt, shared)
 		if err != nil {
 			return nil, report, err
 		}
@@ -320,7 +376,7 @@ func (c *Local) searchBudgeted(ctx context.Context, parts []LocalIndex, sel []in
 	}
 	order := c.loads.order(sel)
 	head, tail := order[:budget], order[budget:]
-	locals, refined, report, err := c.searchLists(ctx, parts, head, q, k, opt)
+	locals, refined, report, err := c.searchLists(ctx, parts, head, q, k, opt, shared)
 	report.ProbedPartitions = c.gpidsOf(head)
 	if err != nil {
 		return nil, report, err
@@ -358,7 +414,7 @@ func (c *Local) searchBudgeted(ctx context.Context, parts []LocalIndex, sel []in
 	if len(survivors) == 0 {
 		return items, report, nil
 	}
-	locals2, refined2, rep2, err := c.searchLists(ctx, parts, survivors, q, k, opt)
+	locals2, refined2, rep2, err := c.searchLists(ctx, parts, survivors, q, k, opt, shared)
 	report.ProbedPartitions = append(report.ProbedPartitions, c.gpidsOf(survivors)...)
 	report.absorb(rep2)
 	if err != nil {
@@ -442,8 +498,18 @@ func (c *Local) SearchRadius(ctx context.Context, q []geo.Point, radius float64,
 	// top-k-only fields so they can neither alter execution nor leak
 	// into the eligibility accounting below.
 	opt.ProbeBudget, opt.BestEffort = 0, false
+	for {
+		parts := c.parts()
+		items, report, err := c.radiusParts(ctx, parts, q, radius, opt)
+		if err != nil || !c.splitSince(parts) {
+			return items, report, err
+		}
+	}
+}
+
+// radiusParts is SearchRadius over one snapshot of the partition slice.
+func (c *Local) radiusParts(ctx context.Context, parts []LocalIndex, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, QueryReport, error) {
 	gens := c.Generations()
-	parts := c.parts()
 	sel, err := selectPartitions(opt.Partitions, len(parts))
 	if err != nil {
 		return nil, QueryReport{}, err
@@ -501,31 +567,14 @@ func (c *Local) IndexSizeBytes() int {
 
 // PartitionIndexBytes reports each partition's live index footprint,
 // indexed like the partition slice (global partition ids on a full
-// engine). Results are cached per generation so repeated calls —
-// every query report carries the vector — do not re-walk unchanged
-// structures.
+// engine). Every query report carries the vector, which is why
+// LocalIndex.SizeBytes must be cheap: each index records its footprint
+// when its structure is built.
 func (c *Local) PartitionIndexBytes() []int {
 	parts := c.parts()
-	c.sizeMu.Lock()
-	defer c.sizeMu.Unlock()
-	if len(c.sizes) < len(parts) {
-		grown := make([]sizeCacheEntry, len(parts))
-		copy(grown, c.sizes)
-		c.sizes = grown
-	}
 	out := make([]int, len(parts))
 	for i, idx := range parts {
-		gen := uint64(0)
-		if m, ok := idx.(MutableIndex); ok {
-			gen = m.Generation()
-		}
-		if e := c.sizes[i]; e.valid && e.gen == gen {
-			out[i] = e.size
-			continue
-		}
-		sz := idx.SizeBytes()
-		c.sizes[i] = sizeCacheEntry{gen: gen, size: sz, valid: true}
-		out[i] = sz
+		out[i] = idx.SizeBytes()
 	}
 	return out
 }

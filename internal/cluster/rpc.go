@@ -682,7 +682,11 @@ func (w *Worker) Search(args *SearchArgs, reply *SearchReply) error {
 	for i := range sel {
 		sel[i] = i
 	}
-	locals, refined, rep, err := view.searchLists(ctx, parts, sel, args.Query, args.K, opt)
+	// The worker shares one result heap across the partitions it owns;
+	// the reply's per-partition lists keep their wire shape.
+	shared := acquireShared(args.K)
+	defer releaseShared(shared)
+	locals, refined, rep, err := view.searchLists(ctx, parts, sel, args.Query, args.K, opt, shared)
 	if err != nil {
 		return err
 	}
@@ -1322,7 +1326,27 @@ const cancelGrace = 500 * time.Millisecond
 // first and prunes the tail it can prove irrelevant (see
 // QueryOptions.ProbeBudget).
 func (r *Remote) Search(ctx context.Context, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
-	sel, err := selectPartitions(opt.Partitions, r.NumPartitions())
+	for {
+		n := r.NumPartitions()
+		items, report, err := r.searchOver(ctx, n, q, k, opt)
+		if err != nil || !r.splitSince(n) {
+			return items, report, err
+		}
+	}
+}
+
+// splitSince reports whether SplitPartition registered a new partition
+// after a query planned its scatter over n of them. The split prunes
+// the moved ids from the source right after registering, so a scatter
+// planned before may reach the source after the prune and find the
+// moved ids nowhere; every query method re-plans when this reports
+// true (the Remote half of Local.splitSince).
+func (r *Remote) splitSince(n int) bool { return r.NumPartitions() != n }
+
+// searchOver is Search planned over the first n partitions — the
+// partition count at dispatch.
+func (r *Remote) searchOver(ctx context.Context, n int, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
+	sel, err := selectPartitions(opt.Partitions, n)
 	if err != nil {
 		return nil, QueryReport{}, err
 	}
@@ -1350,6 +1374,7 @@ func (r *Remote) searchBudgeted(ctx context.Context, q []geo.Point, k int, opt Q
 			return nil, err
 		}
 		report.PartitionTimes = times
+		report.addRefined(refined)
 		items := mergeDedup(k, lists)
 		r.loads.recordWave(sel, lists, refined, times, items)
 		return items, nil
@@ -1359,6 +1384,7 @@ func (r *Remote) searchBudgeted(ctx context.Context, q []geo.Point, k int, opt Q
 	lists, times, refined, err := r.searchWave(ctx, q, k, opt, head)
 	report.ProbedPartitions = append([]int(nil), head...)
 	report.PartitionTimes = times
+	report.addRefined(refined)
 	if err != nil {
 		return nil, err
 	}
@@ -1399,6 +1425,7 @@ func (r *Remote) searchBudgeted(ctx context.Context, q []geo.Point, k int, opt Q
 	lists2, times2, refined2, err := r.searchWave(ctx, q, k, opt, survivors)
 	report.ProbedPartitions = append(report.ProbedPartitions, survivors...)
 	report.PartitionTimes = append(report.PartitionTimes, times2...)
+	report.addRefined(refined2)
 	if err != nil {
 		return nil, err
 	}
@@ -1499,7 +1526,18 @@ func (r *Remote) SearchRadius(ctx context.Context, q []geo.Point, radius float64
 	// top-k-only fields so they can neither alter execution nor leak
 	// into the eligibility accounting below.
 	opt.ProbeBudget, opt.BestEffort = 0, false
-	sel, err := selectPartitions(opt.Partitions, r.NumPartitions())
+	for {
+		n := r.NumPartitions()
+		items, report, err := r.radiusOver(ctx, n, q, radius, opt)
+		if err != nil || !r.splitSince(n) {
+			return items, report, err
+		}
+	}
+}
+
+// radiusOver is SearchRadius planned over the first n partitions.
+func (r *Remote) radiusOver(ctx context.Context, n int, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, QueryReport, error) {
+	sel, err := selectPartitions(opt.Partitions, n)
 	if err != nil {
 		return nil, QueryReport{}, err
 	}
@@ -1535,11 +1573,22 @@ func (r *Remote) SearchRadius(ctx context.Context, q []geo.Point, radius float64
 // SearchBatch routes the whole batch to one in-sync replica per
 // selected partition and merges the per-query local top-k lists.
 func (r *Remote) SearchBatch(ctx context.Context, qs [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
+	for {
+		n := r.NumPartitions()
+		out, report, err := r.batchOver(ctx, n, qs, k, opt)
+		if err != nil || !r.splitSince(n) {
+			return out, report, err
+		}
+	}
+}
+
+// batchOver is SearchBatch planned over the first n partitions.
+func (r *Remote) batchOver(ctx context.Context, n int, qs [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
 	report := BatchReport{PerQuery: make([]time.Duration, len(qs))}
 	if len(qs) == 0 {
 		return nil, report, nil
 	}
-	sel, err := selectPartitions(opt.Partitions, r.NumPartitions())
+	sel, err := selectPartitions(opt.Partitions, n)
 	if err != nil {
 		return nil, report, err
 	}

@@ -21,7 +21,9 @@ type LocalIndex interface {
 	Search(q []geo.Point, k int) []topk.Item
 	// Len returns the number of indexed trajectories.
 	Len() int
-	// SizeBytes estimates the index footprint, excluding raw data.
+	// SizeBytes estimates the index footprint, excluding raw data. It
+	// is read on every query (QueryReport.IndexBytes) and must not
+	// walk the structure.
 	SizeBytes() int
 }
 

@@ -272,6 +272,7 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 		return nil, fmt.Errorf("rptrie: %d trailing nodes", len(wt.Nodes)-pos)
 	}
 	st.root = root
+	st.bytes = nodeBytes(root)
 	t.cur.Store(st)
 	return t, nil
 }

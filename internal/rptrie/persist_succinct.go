@@ -205,6 +205,7 @@ func ReadSuccinct(r io.Reader) (*Succinct, error) {
 	} else if len(core.sparse) != 1 {
 		return nil, errors.New("rptrie: level-less index must have exactly one sparse root")
 	}
+	core.seal()
 	s := &Succinct{cfg: cfg}
 	s.cur.Store(&succState{gen: ws.Gen, core: core, trajs: trajs})
 	return s, nil

@@ -75,6 +75,7 @@ type trieState struct {
 	numNodes int // excluding the root
 	numLeafs int
 	maxDepth int
+	bytes    int    // core footprint (nodeBytes of root), recorded at construction
 	delta    *delta // pending mutations; nil once compacted
 }
 
@@ -182,6 +183,7 @@ func buildState(cfg Config, ds []*geo.Trajectory) (*trieState, error) {
 		}
 	}
 	b.finalize(b.st.root, nil, 0)
+	b.st.bytes = nodeBytes(b.st.root)
 	return b.st, nil
 }
 
@@ -421,22 +423,24 @@ func (t *Trie) Config() Config { return t.cfg }
 
 // SizeBytes estimates the in-memory footprint of the index structure
 // (nodes, metadata, leaf payloads, pending delta), excluding the raw
-// trajectories.
+// trajectories. The core's share is recorded when a state is built or
+// decoded, so the call is O(1) — every query report carries it.
 func (t *Trie) SizeBytes() int {
 	st := t.state()
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		// label + slice headers + meta ints.
-		sz := 8 + 24 + 24 + 3*8 + 8
-		sz += len(n.children) * 8 // child pointers
-		sz += len(n.hr) * 16
-		if n.leaf != nil {
-			sz += 8 + 8 + 16 + len(n.leaf.tids)*4
-		}
-		for _, c := range n.children {
-			sz += walk(c)
-		}
-		return sz
+	return st.bytes + st.delta.sizeBytes()
+}
+
+// nodeBytes estimates the footprint of n's subtree.
+func nodeBytes(n *node) int {
+	// label + slice headers + meta ints.
+	sz := 8 + 24 + 24 + 3*8 + 8
+	sz += len(n.children) * 8 // child pointers
+	sz += len(n.hr) * 16
+	if n.leaf != nil {
+		sz += 8 + 8 + 16 + len(n.leaf.tids)*4
 	}
-	return walk(st.root) + st.delta.sizeBytes()
+	for _, c := range n.children {
+		sz += nodeBytes(c)
+	}
+	return sz
 }

@@ -44,6 +44,14 @@ type SearchOptions struct {
 	// leaf refinement (nil keeps it). A subsequence refiner switches
 	// the traversal to the segment bounds; see Refiner.
 	Refiner Refiner
+
+	// Shared, when non-nil, is the query's cross-partition result
+	// bound: the scan prunes against the k-th distance over every scan
+	// sharing it and returns only candidates at or below that distance
+	// — the members that can still be in the global top-k rather than
+	// the index's own top-k (see SharedTopK). It must have been created
+	// or Reset with this call's k. Only the top-k entry points read it.
+	Shared *SharedTopK
 }
 
 // ctxCheckMask throttles context polling: deadlines are checked every
@@ -235,6 +243,7 @@ func (t *Trie) SearchAppendContext(ctx context.Context, dst []topk.Item, q []geo
 		ctxPoller:     ctxPoller{ctx: ctx},
 		noPivots:      opt.NoPivots,
 		refineWorkers: opt.RefineWorkers,
+		shared:        opt.Shared,
 	}
 	s.setDelta(st.delta)
 	s.setRefiner(opt.Refiner)
@@ -272,6 +281,7 @@ func (t *Trie) SearchContext(ctx context.Context, q []geo.Point, k int, opt Sear
 		ctxPoller:     ctxPoller{ctx: ctx},
 		noPivots:      opt.NoPivots,
 		refineWorkers: opt.RefineWorkers,
+		shared:        opt.Shared,
 	}
 	s.setDelta(st.delta)
 	s.setRefiner(opt.Refiner)
@@ -385,6 +395,52 @@ type searcher struct {
 	refiner       Refiner // nil: default whole-trajectory refinement
 	subseq        bool    // refiner scores segments: use LBoSub, no LBt/LBp
 	sc            *searchScratch
+
+	// shared is the query's cross-partition result heap; nil prunes
+	// against this scan's own results only.
+	shared *SharedTopK
+}
+
+// threshold is the scan's current pruning cut-off; see sharedCut.
+func (s *searcher) threshold(results *topk.Heap) float64 {
+	return sharedCut(results.Threshold(), s.shared)
+}
+
+// sharedCut tightens a scan's own k-th distance dk by the query's
+// shared result heap, if any: the shared cut sits strictly above the
+// global k-th distance, so candidates tying it survive every "≥"
+// prune and every early abandon.
+func sharedCut(dk float64, shared *SharedTopK) float64 {
+	if shared != nil {
+		if g := shared.cut.Load(); g < dk {
+			return g
+		}
+	}
+	return dk
+}
+
+// admit offers one scored candidate to a scan's result heap. With a
+// shared heap only candidates at or below the global k-th distance
+// pass, which also keeps an abandoned +Inf out while the scan's own
+// heap is not yet full — its effective threshold can then be finite all
+// the same. (Without one, PushItem's +Inf rejection only ever fires for
+// a refiner's "ineligible": a whole-trajectory kernel cannot abandon
+// under the +Inf threshold of a heap that is not full.)
+func admit(results *topk.Heap, shared *SharedTopK, it topk.Item) {
+	if shared == nil || shared.offer(it) {
+		results.PushItem(it)
+	}
+}
+
+// score computes one candidate's exact distance — or, with a refiner,
+// its refined distance and matched segment — early abandoning at
+// threshold, in the given scratch.
+func score(refiner Refiner, m dist.Measure, p dist.Params, q []geo.Point, tr *geo.Trajectory, threshold float64, ws *dist.Scratch) topk.Item {
+	if refiner != nil {
+		d, start, end := refiner.Refine(q, tr, threshold, ws)
+		return topk.Item{ID: tr.ID, Dist: d, Start: start, End: end}
+	}
+	return topk.Item{ID: tr.ID, Dist: dist.DistanceBoundedScratch(m, q, tr.Points, p, threshold, ws)}
 }
 
 // setRefiner attaches a query's refiner. A nil refiner keeps the
@@ -450,7 +506,7 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 			return dst, stats, s.err()
 		}
 		e := pq.pop()
-		dk := results.Threshold()
+		dk := s.threshold(results)
 		if e.lb >= dk {
 			// Every queued entry has lb ≥ e.lb ≥ dk, and lb
 			// lower-bounds the distance of every trajectory beneath
@@ -476,7 +532,7 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 // released back to the arena.
 func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, results *topk.Heap, dqp []float64, stats *SearchStats) {
 	sc := s.sc
-	dk := results.Threshold()
+	dk := s.threshold(results)
 	lbp := n.pivotLB(dqp)
 
 	if lv, ok := n.leafView(); ok {
@@ -525,7 +581,7 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 			}
 			lb = math.Max(cb.LBo(ce.n.meta()), clbp)
 		}
-		if lb < results.Threshold() {
+		if lb < dk {
 			pq.push(entry{lb: lb, n: ce.n, b: cb})
 			stats.EntriesPushed++
 			owned = owned || last
@@ -547,15 +603,14 @@ func (s *searcher) scanDelta(q []geo.Point, results *topk.Heap, stats *SearchSta
 			return s.err()
 		}
 		stats.ExactComputations++
-		if s.refiner != nil {
-			d, start, end := s.refiner.Refine(q, tr, results.Threshold(), &s.sc.ds)
-			results.PushItem(topk.Item{ID: tr.ID, Dist: d, Start: start, End: end})
-			continue
-		}
-		d := dist.DistanceBoundedScratch(s.cfg.Measure, q, tr.Points, s.cfg.Params, results.Threshold(), &s.sc.ds)
-		results.Push(tr.ID, d)
+		admit(results, s.shared, s.score(q, tr, s.threshold(results)))
 	}
 	return nil
+}
+
+// score is the searcher's sequential form of the package-level score.
+func (s *searcher) score(q []geo.Point, tr *geo.Trajectory, threshold float64) topk.Item {
+	return score(s.refiner, s.cfg.Measure, s.cfg.Params, q, tr, threshold, &s.sc.ds)
 }
 
 // refine computes exact distances for a leaf's members, with
@@ -575,15 +630,8 @@ func (s *searcher) refine(lv leafView, q []geo.Point, results *topk.Heap, stats 
 		if s.cancelled() {
 			return s.err()
 		}
-		tr := s.trajs[tid]
 		stats.ExactComputations++
-		if s.refiner != nil {
-			d, start, end := s.refiner.Refine(q, tr, results.Threshold(), &s.sc.ds)
-			results.PushItem(topk.Item{ID: int(tid), Dist: d, Start: start, End: end})
-			continue
-		}
-		d := dist.DistanceBoundedScratch(s.cfg.Measure, q, tr.Points, s.cfg.Params, results.Threshold(), &s.sc.ds)
-		results.Push(int(tid), d)
+		admit(results, s.shared, s.score(q, s.trajs[tid], s.threshold(results)))
 	}
 	return nil
 }
@@ -608,6 +656,7 @@ func (s *searcher) refineParallel(lv leafView, q []geo.Point, results *topk.Heap
 		tids:    lv.tids,
 		q:       q,
 		results: results,
+		shared:  s.shared,
 		wds:     sc.wds[:nw],
 	})
 	stats.ExactComputations += computed
@@ -625,13 +674,15 @@ type parallelRefine struct {
 	tids    []int32
 	q       []geo.Point
 	results *topk.Heap
+	shared  *SharedTopK // nil: no cross-partition bound
 	wds     []*dist.Scratch
 }
 
 // refineLeafParallel refines one leaf over parallelFor workers.
-// Workers read the shared pruning threshold from an atomic float64
+// Workers read the leaf's pruning threshold from an atomic float64
 // (stale reads are only ever too large, which keeps the early-abandon
-// admissible — see doc.go) and serialize heap pushes behind a mutex.
+// admissible — see doc.go), tighten it by the query's shared heap when
+// there is one, and serialize heap pushes behind a mutex.
 // It returns the number of exact computations performed and the
 // context error, if any.
 func refineLeafParallel(pr parallelRefine) (int, error) {
@@ -648,22 +699,10 @@ func refineLeafParallel(pr parallelRefine) (int, error) {
 				return
 			}
 		}
-		tr := pr.trajs[tid]
-		var it topk.Item
-		if pr.refiner != nil {
-			d, start, end := pr.refiner.Refine(pr.q, tr, thr.Load(), ws)
-			it = topk.Item{ID: int(tid), Dist: d, Start: start, End: end}
-		} else {
-			d := dist.DistanceBoundedScratch(pr.measure, pr.q, tr.Points, pr.params, thr.Load(), ws)
-			it = topk.Item{ID: int(tid), Dist: d}
-		}
+		it := score(pr.refiner, pr.measure, pr.params, pr.q, pr.trajs[tid], sharedCut(thr.Load(), pr.shared), ws)
 		computed.Add(1)
 		mu.Lock()
-		if pr.refiner != nil {
-			pr.results.PushItem(it)
-		} else {
-			pr.results.Push(it.ID, it.Dist)
-		}
+		admit(pr.results, pr.shared, it)
 		thr.Store(pr.results.Threshold())
 		mu.Unlock()
 	})

@@ -71,6 +71,7 @@ type succCore struct {
 
 	numNodes int
 	numLeafs int
+	bytes    int // footprint, recorded once by seal
 }
 
 type denseLevel struct {
@@ -248,7 +249,23 @@ func compressCore(cfg Config, st *trieState) (*succCore, error) {
 			core.blob = core.encodeSparse(core.blob, root)
 		}
 	}
+	core.seal()
 	return core, nil
+}
+
+// seal records the finished core's in-memory footprint, so SizeBytes
+// never walks the leaf array on the query path. Both constructors —
+// compressCore and the image decoder — call it last.
+func (c *succCore) seal() {
+	sz := len(c.blob) + len(c.alphabet)*8 + len(c.sparse)*8
+	for _, dl := range c.levels {
+		sz += dl.bc.SizeBytes() + dl.bt.SizeBytes()
+		sz += len(dl.meta)*12 + len(dl.hr)*4
+	}
+	for _, l := range c.leaves {
+		sz += 24 + len(l.tids)*4
+	}
+	c.bytes = sz
 }
 
 func (c *succCore) symbol(z uint64) int {
@@ -372,6 +389,7 @@ func (s *Succinct) SearchContext(ctx context.Context, q []geo.Point, k int, opt 
 		ctxPoller:     ctxPoller{ctx: ctx},
 		noPivots:      opt.NoPivots,
 		refineWorkers: opt.RefineWorkers,
+		shared:        opt.Shared,
 	}
 	sr.setDelta(st.delta)
 	sr.setRefiner(opt.Refiner)
@@ -534,16 +552,7 @@ func (s *Succinct) DenseLevels() int { return len(s.state().core.levels) }
 // excluding the raw trajectories.
 func (s *Succinct) SizeBytes() int {
 	st := s.state()
-	c := st.core
-	sz := len(c.blob) + len(c.alphabet)*8 + len(c.sparse)*8
-	for _, dl := range c.levels {
-		sz += dl.bc.SizeBytes() + dl.bt.SizeBytes()
-		sz += len(dl.meta)*12 + len(dl.hr)*4
-	}
-	for _, l := range c.leaves {
-		sz += 24 + len(l.tids)*4
-	}
-	return sz + st.delta.sizeBytes()
+	return st.core.bytes + st.delta.sizeBytes()
 }
 
 // denseRef navigates the bitmap tier.

@@ -139,6 +139,7 @@ func (x *Compressed) SearchContext(ctx context.Context, q []geo.Point, k int, op
 		ctxPoller:     ctxPoller{ctx: ctx},
 		noPivots:      opt.NoPivots,
 		refineWorkers: opt.RefineWorkers,
+		shared:        opt.Shared,
 	}
 	sr.setDelta(st.delta)
 	sr.setRefiner(opt.Refiner)

@@ -67,6 +67,17 @@ func (h *Heap) Threshold() float64 {
 	return h.items[0].Dist
 }
 
+// Contains reports whether an item with the given id is currently
+// held. It scans the k retained items.
+func (h *Heap) Contains(id int) bool {
+	for i := range h.items {
+		if h.items[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 // Push offers an item and reports whether it was retained. NaN
 // distances are rejected.
 func (h *Heap) Push(id int, dist float64) bool {

@@ -193,3 +193,13 @@ func TestResultsDoesNotMutate(t *testing.T) {
 		t.Error("threshold should still be +Inf with 2 of 3 items")
 	}
 }
+
+func TestContains(t *testing.T) {
+	h := New(2)
+	h.Push(7, 1)
+	h.Push(9, 2)
+	h.Push(3, 0.5) // evicts id 9
+	if !h.Contains(7) || !h.Contains(3) || h.Contains(9) || h.Contains(1) {
+		t.Fatalf("Contains disagrees with the held items %v", h.Results())
+	}
+}

@@ -69,8 +69,9 @@ const (
 type Result = topk.Item
 
 // QueryReport describes one distributed query's execution: wall time,
-// per-partition compute, and the straggler ratio (Imbalance).
-// Capture one with WithReport.
+// per-partition compute, the straggler ratio (Imbalance), and the
+// exact distance computations it cost (ExactComputations). Capture
+// one with WithReport.
 type QueryReport = cluster.QueryReport
 
 // BatchReport describes one batch execution: makespan, per-query
