@@ -528,6 +528,52 @@ func TestSharedTopKCountGate(t *testing.T) {
 	}
 }
 
+// TestChainWalkCountGate is the deterministic form of the queue-light
+// walk's claim: on the same T-drive 1/256 fixture under DTW — the
+// measure with one weak bound, whose walk is mostly single-child chains —
+// 8 partitions searched one by one (Workers: 1, no shared heap), at most
+// 0.40 of the trie nodes the searches descend through pay for a queue
+// round trip; the rest are links walked in place. The walk still reaches
+// the same leaves: leaves refined and exact distance computations are
+// the counts the queue-per-node walk produced on this fixture.
+func TestChainWalkCountGate(t *testing.T) {
+	tdrive, err := dataset.ByName("T-drive", 1.0/256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ds, parts, spec := sharedWorld(t, tdrive, dist.DTW, dataset.DefaultDelta("T-drive"), 8, 5)
+	c, err := BuildLocal(spec, parts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum rptrie.SearchStats
+	for _, q := range dataset.Queries(ds, 48, 1) {
+		for _, idx := range c.Indexes() {
+			var st rptrie.SearchStats
+			if _, err := idx.(*rptrie.Trie).SearchContext(ctx, q.Points, 10, rptrie.SearchOptions{Stats: &st}); err != nil {
+				t.Fatal(err)
+			}
+			sum.NodesExpanded += st.NodesExpanded
+			sum.ChainSteps += st.ChainSteps
+			sum.LeavesRefined += st.LeavesRefined
+			sum.ExactComputations += st.ExactComputations
+		}
+	}
+	descended := sum.NodesExpanded + sum.ChainSteps
+	t.Logf("%d nodes expanded of %d descended through (%.2f)", sum.NodesExpanded, descended, float64(sum.NodesExpanded)/float64(descended))
+	if float64(sum.NodesExpanded) > 0.40*float64(descended) {
+		t.Fatalf("%d of %d nodes went through the queue, want ≤ 0.40", sum.NodesExpanded, descended)
+	}
+	// Recorded on the commit before chains were walked in place, where
+	// the same loop expanded 332,924 nodes.
+	const leavesRefined, exactComputations = 25491, 26182
+	if sum.LeavesRefined != leavesRefined || sum.ExactComputations != exactComputations {
+		t.Fatalf("the walk refined %d leaves with %d exact computations, want %d and %d: the refinement order changed",
+			sum.LeavesRefined, sum.ExactComputations, leavesRefined, exactComputations)
+	}
+}
+
 // TestSearchBatchFeedsLoadTracker: a batched query loads its
 // partitions like a single one. Before the fix SearchBatch recorded
 // nothing, so micro-batched gateway traffic was invisible to

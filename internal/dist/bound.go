@@ -93,9 +93,13 @@ type cellEntry struct {
 // objects the traversal forks and releases. Cells repeat heavily
 // across sibling subtrees and across Extend/Clone chains, so each
 // distinct cell pays its O(|q|) rectangle-distance scan exactly once
-// per query; every revisit is a table hit. Reset recycles all backing
-// storage for the next query, which is what makes a pooled searcher
-// allocation-free in steady state.
+// per query; every revisit is a table hit. The memo is a flat
+// open-addressed hash table (see cellSlot) rather than a Go map: every
+// node visit goes through it. Like a map it is keyed by z alone, so
+// within one query a z-value must name one rectangle (see
+// Bounder.Extend). Reset recycles all backing storage for the next
+// query, which is what makes a pooled searcher allocation-free in
+// steady state.
 //
 // A QueryBounds and every PathBounder it owns are confined to one
 // goroutine.
@@ -105,7 +109,7 @@ type QueryBounds struct {
 	p Params
 	g *grid.Grid // nil: cells must be supplied via Extend
 
-	byZ   map[uint64]int32
+	table []cellSlot // open-addressed z → cells index; len 0 or a power of two
 	cells []cellEntry
 	dists []float64 // arena backing cellEntry.dists
 
@@ -113,6 +117,24 @@ type QueryBounds struct {
 
 	all  []*PathBounder // every bounder ever created, for recycling
 	free []*PathBounder // currently unused bounders
+}
+
+// cellSlot is one slot of the memo's hash table: a z-value and, +1 so
+// that the zero slot is empty, the index of its entry in cells.
+type cellSlot struct {
+	z   uint64
+	idx int32
+}
+
+// minCellTable is the memo table's first size; a power of two.
+const minCellTable = 64
+
+// slotOf is the home slot of z in a table of mask+1 slots: a
+// multiplicative (Fibonacci) hash folded to the high bits, which is
+// where the product mixes — z-values are Morton codes, and neighbouring
+// cells differ in the low bits only.
+func slotOf(z, mask uint64) uint64 {
+	return (z * 0x9e3779b97f4a7c15 >> 32) & mask
 }
 
 // NewQueryBounds returns query bound state for q under m on grid g.
@@ -128,11 +150,7 @@ func NewQueryBounds(m Measure, q []geo.Point, g *grid.Grid, p Params) *QueryBoun
 // QueryBounds is invalidated and recycled.
 func (qb *QueryBounds) Reset(m Measure, q []geo.Point, g *grid.Grid, p Params) {
 	qb.m, qb.q, qb.g, qb.p = m, q, g, p
-	if qb.byZ == nil {
-		qb.byZ = make(map[uint64]int32)
-	} else {
-		clear(qb.byZ)
-	}
+	clear(qb.table)
 	qb.cells = qb.cells[:0]
 	qb.dists = qb.dists[:0]
 	if m == ERP {
@@ -180,8 +198,19 @@ func (qb *QueryBounds) get(fill bool) *PathBounder {
 // When the caller already materialized the cell it passes it with
 // have=true; otherwise the grid reconstructs it by z.
 func (qb *QueryBounds) cell(z uint64, have bool, c grid.Cell) *cellEntry {
-	if i, ok := qb.byZ[z]; ok {
-		return &qb.cells[i]
+	// Linear probing; the table is never more than half full, so the
+	// scan ends at an empty slot.
+	if n := uint64(len(qb.table)); n > 0 {
+		mask := n - 1
+		for i := slotOf(z, mask); ; i = (i + 1) & mask {
+			sl := qb.table[i]
+			if sl.idx == 0 {
+				break
+			}
+			if sl.z == z {
+				return &qb.cells[sl.idx-1]
+			}
+		}
 	}
 	if !have {
 		c = qb.g.CellByZ(z)
@@ -207,9 +236,35 @@ func (qb *QueryBounds) cell(z uint64, have bool, c grid.Cell) *cellEntry {
 	case LCSS, EDR:
 		e.far = cmin > qb.p.Epsilon
 	}
-	qb.byZ[z] = int32(len(qb.cells))
 	qb.cells = append(qb.cells, e)
+	qb.memo(z)
 	return &qb.cells[len(qb.cells)-1]
+}
+
+// memo records that z's entry is the one just appended to cells,
+// doubling the table first when the insert would take it past half full.
+func (qb *QueryBounds) memo(z uint64) {
+	if 2*len(qb.cells) > len(qb.table) {
+		old := qb.table
+		qb.table = make([]cellSlot, max(minCellTable, 2*len(old)))
+		for _, sl := range old {
+			if sl.idx != 0 {
+				qb.place(sl)
+			}
+		}
+	}
+	qb.place(cellSlot{z: z, idx: int32(len(qb.cells))})
+}
+
+// place puts a slot known to be absent into the first free slot of its
+// probe sequence.
+func (qb *QueryBounds) place(sl cellSlot) {
+	mask := uint64(len(qb.table)) - 1
+	i := slotOf(sl.z, mask)
+	for qb.table[i].idx != 0 {
+		i = (i + 1) & mask
+	}
+	qb.table[i] = sl
 }
 
 // PathBounder is the incremental bound state of one root-to-node

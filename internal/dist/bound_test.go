@@ -225,3 +225,125 @@ func TestBounderZeroDepth(t *testing.T) {
 		}
 	}
 }
+
+// checkMemo looks z up (supplying c when the test materialized the
+// cell itself) and cross-checks the table against the test's own map:
+// a z seen before resolves to the entry it was given then, a new one
+// appends exactly one entry.
+func checkMemo(t *testing.T, qb *QueryBounds, seen map[uint64]int, z uint64, have bool, c grid.Cell) *cellEntry {
+	t.Helper()
+	e := qb.cell(z, have, c)
+	if idx, ok := seen[z]; ok {
+		if e != &qb.cells[idx] || len(qb.cells) != len(seen) {
+			t.Fatalf("z=%#x: revisit resolved to another entry than cells[%d] (%d entries for %d distinct cells)", z, idx, len(qb.cells), len(seen))
+		}
+		return e
+	}
+	seen[z] = len(qb.cells) - 1
+	if len(qb.cells) != len(seen) || e != &qb.cells[len(qb.cells)-1] {
+		t.Fatalf("z=%#x: first sight left %d entries for %d distinct cells", z, len(qb.cells), len(seen))
+	}
+	return e
+}
+
+// TestCellMemoTableGrowth is TestBounderAdmissibleQuick's walk with
+// every member trajectory of a query sharing one QueryBounds on a fine
+// grid, until the query has memoized more than 4,096 distinct cells and
+// the table has grown at least four times: LBo stays admissible at
+// every prefix, every lookup agrees with a map kept by the test, the
+// memoized distances are the cell's, and Reset empties the table while
+// keeping its storage.
+func TestCellMemoTableGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7AB1E))
+	g, err := grid.NewWithBits(boundRegion, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb := &QueryBounds{}
+	for _, m := range Measures() {
+		q := randomSeq(rng, 8)
+		kept := len(qb.table)
+		qb.Reset(m, q, g, testParams)
+		if len(qb.table) != kept || len(qb.cells) != 0 {
+			t.Fatalf("%v: Reset left a table of %d slots (was %d) and %d entries", m, len(qb.table), kept, len(qb.cells))
+		}
+		for i, sl := range qb.table {
+			if sl != (cellSlot{}) {
+				t.Fatalf("%v: Reset left slot %d = %+v", m, i, sl)
+			}
+		}
+		seen := map[uint64]int{}
+		growths, size := 0, len(qb.table)
+		for len(seen) <= 4096 {
+			// Long steps: most sample points land in a cell of their own.
+			tr := memberSeq(rng, 40)
+			for i := range tr {
+				tr[i].X = math.Mod(tr[i].X*7, 8)
+				tr[i].Y = math.Mod(tr[i].Y*7, 8)
+			}
+			exact := Distance(m, q, tr, testParams)
+			zs := refPath(g, tr)
+			b := qb.Root()
+			meta := NodeMeta{MinLen: len(tr), MaxLen: len(tr)}
+			for i, z := range zs {
+				e := checkMemo(t, qb, seen, z, false, grid.Cell{})
+				if want := g.CellByZ(z).Rect.DistPoint(q[len(q)-1]); e.dists[len(q)-1] != want {
+					t.Fatalf("%v: z=%#x memoized %v for the last query point, the cell is at %v", m, z, e.dists[len(q)-1], want)
+				}
+				b.ExtendZ(z)
+				meta.MaxDepthBelow = len(zs) - 1 - i
+				if lb := b.LBo(meta); lb > exact+1e-9 {
+					t.Fatalf("%v: depth %d/%d LBo %v > exact %v", m, i+1, len(zs), lb, exact)
+				}
+			}
+			b.Release()
+			if len(qb.table) != size {
+				growths, size = growths+1, len(qb.table)
+			}
+		}
+		if m == Measures()[0] && growths < 4 {
+			t.Fatalf("the table grew %d times over %d distinct cells, want ≥ 4", growths, len(seen))
+		}
+		if size&(size-1) != 0 || size < 2*len(seen) {
+			t.Fatalf("%v: %d slots for %d cells: not a power of two at load ≤ ½", m, size, len(seen))
+		}
+	}
+}
+
+// TestCellMemoCollidingZ feeds the memo z-values that agree in their
+// low bits — zero below bit 16, 32 and 44 — interleaved with revisits.
+// A table indexed by the low bits of z would put each family in one
+// slot; whatever the probe sequences look like, every lookup must still
+// agree with a map.
+func TestCellMemoCollidingZ(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xC011))
+	q := randomSeq(rng, 6)
+	qb := NewQueryBounds(Hausdorff, q, nil, testParams)
+	seen := map[uint64]int{}
+	var zs []uint64
+	for _, shift := range []uint{16, 32, 44} {
+		for i := uint64(1); i <= 700; i++ {
+			zs = append(zs, i<<shift)
+		}
+	}
+	rng.Shuffle(len(zs), func(i, j int) { zs[i], zs[j] = zs[j], zs[i] })
+	cellOf := func(z uint64) grid.Cell {
+		// Any rectangle will do as long as z names it uniquely.
+		x, y := float64(z%97), float64(z%89)
+		r := geo.Rect{Min: geo.Point{X: x, Y: y}, Max: geo.Point{X: x + 1, Y: y + 1}}
+		return grid.Cell{Z: z, Rect: r, Center: geo.Point{X: x + 0.5, Y: y + 0.5}}
+	}
+	for i, z := range zs {
+		c := cellOf(z)
+		if e := checkMemo(t, qb, seen, z, true, c); e.center != c.Center {
+			t.Fatalf("z=%#x resolved to the entry of the cell centred at %v", z, e.center)
+		}
+		back := zs[rng.Intn(i+1)]
+		if e := checkMemo(t, qb, seen, back, true, cellOf(back)); e.center != cellOf(back).Center {
+			t.Fatalf("revisit of z=%#x resolved to the entry of the cell centred at %v", back, e.center)
+		}
+	}
+	if len(seen) != len(zs) {
+		t.Fatalf("%d distinct z-values memoized as %d", len(zs), len(seen))
+	}
+}

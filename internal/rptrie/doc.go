@@ -56,9 +56,77 @@
 // bound-state arena (dist.QueryBounds), the DP rows of the exact
 // kernels (dist.Scratch), the best-first priority queue, and the
 // top-k heap. In steady state — once the pool has warmed to the
-// workload's high-water sizes — a top-k query on the pointer layout
-// performs no heap allocations (BenchmarkSearch/trie reports
-// 0 allocs/op).
+// workload's high-water sizes — a top-k query performs no heap
+// allocations on any layout (BenchmarkSearch/trie, /compressed and
+// /succinct report 0 allocs/op): the pointer layout's node handle is a
+// bare pointer, and the other two keep their node refs in arenas of
+// the scratch, so boxing one into the searcher's node interface never
+// allocates. When a query ends the scratch drops every node reference
+// it holds (queue slab, child buffer, ref arenas) over the range the
+// query used, so a pooled scratch never keeps the generation before a
+// Compact reachable (TestScratchDropsRetiredGeneration).
+//
+// # Chains are walked, not queued
+//
+// Algorithm 2 puts every node it reaches through one priority queue.
+// Most of them need no ordering. A node with no '$' payload and exactly
+// one child — a link — can only ever push that child back, and under a
+// weak bound almost every node is a link: on the benchmark's T-drive
+// 1/16 corpus a DTW query used to pop 37,923 nodes to push 41,288. So
+// expand, after extending a child's bound state and finding its bound
+// below the threshold, asks the child whether it is a link (searchNode's
+// only method, answered natively by each layout); if so it extends the
+// same PathBounder by the grandchild's z-value, re-evaluates the bound,
+// and repeats. It pushes the node where the walk stops — a branch or a
+// terminal node — or nothing at all once the bound reaches the
+// threshold.
+//
+// Why it is exact. A link has the same member set as its child: no
+// trajectory ends at it, and everything below it is below the child. So
+// every bound that is admissible for the child's entry is admissible
+// for the entry it replaces: LBo with the child's metadata (LBoSub
+// under a segment refiner), and LBp, because a link's pivot ranges
+// cover the same members — the walk evaluates LBp once at the head of
+// the chain and carries it down. Each term of those bounds only grows
+// along a path, so the replacing bound is never smaller, and the entry
+// stands in the queue where the last of the entries it replaces would
+// have. The threshold the walk compares against is the one expand
+// started with; it can only have tightened by the time the queued walk
+// would have reached the same node, so the in-place walk may evaluate a
+// few nodes the queued one would have discarded at a pop (3 % more on
+// the DTW pool, and more where bounds are strong: there most pushed
+// entries are never popped, and their chains are now walked eagerly),
+// never fewer, and prunes nothing the queued walk kept.
+//
+// The exception is a terminal node with one child — a reference
+// trajectory that is a strict prefix of another. Its member set is
+// larger than its child's, so it is not a link: the walk stops there
+// and the node is queued.
+//
+// The leaf bound stays lazy. LBt costs a whole reference-trajectory
+// distance, and most queued terminal nodes are never popped (a
+// Hausdorff query on that corpus pushes 2,769 entries and pops 1,251),
+// so it is paid where it always was: when the terminal node is popped
+// and expanded, which is also when its leaf entry is queued.
+//
+// What moves through the heap is a 16-byte item {lb, seq, slot}; the
+// payload — the node and its bound state, or the node alone for a leaf
+// entry, whose leafView is taken when it is popped — sits still in a
+// slab indexed by slot, with a free list so the slab stays as small as
+// the most entries ever queued at once. The heap is 4-ary and sifts a
+// hole rather than swapping. Order is (lb, seq) exactly as before, so
+// runs stay deterministic. A chain is at most as long as the trie is
+// deep, so the per-pop context poll still bounds cancellation latency;
+// the capped walk behind BoundContext counts links against boundBudget
+// like expansions and cuts a chain where the budget runs out (its
+// result is the queue minimum either way). SearchStats.NodesExpanded
+// keeps its meaning; links walked in place are counted in ChainSteps,
+// and their sum is the number of trie nodes the search descended
+// through. On the corpus above the walk refines the same leaves in the
+// same order with the same exact computations as before while a DTW
+// query's expansions fall from 37,923 to 9,201 and its pushes from
+// 41,288 to 13,718; internal/cluster's TestChainWalkCountGate pins both
+// halves on a 1/256 fixture.
 //
 // # Parallel leaf refinement and the atomic threshold
 //

@@ -95,9 +95,13 @@ func (p *ctxPoller) err() error {
 	return p.ctx.Err()
 }
 
-// SearchStats summarizes the work one query performed.
+// SearchStats summarizes the work one query performed. NodesExpanded +
+// ChainSteps is the number of trie nodes whose bound was evaluated and
+// that were then popped or walked: every node the search descended
+// through, whether or not it paid for a queue round trip.
 type SearchStats struct {
 	NodesExpanded     int // internal nodes popped and expanded
+	ChainSteps        int // single-child links walked in place, never queued
 	LeavesRefined     int // leaf entries popped and refined
 	ExactComputations int // full distance computations on trajectories
 	EntriesPushed     int // queue insertions
@@ -113,6 +117,10 @@ type searchNode interface {
 	appendChildren(dst []childEdge) []childEdge
 	// leafView returns the node's terminal payload, if any.
 	leafView() (lv leafView, ok bool)
+	// only returns the node's single child edge when the node is a
+	// link: no terminal payload and exactly one child, so its member
+	// set is that child's.
+	only() (ce childEdge, ok bool)
 	// meta returns the subtree metadata for LBo.
 	meta() dist.NodeMeta
 	// pivotLB returns the pivot lower bound LBp against the
@@ -142,6 +150,14 @@ func (p ptrNode) appendChildren(dst []childEdge) []childEdge {
 		dst = append(dst, childEdge{z: c.z, n: ptrNode{c}})
 	}
 	return dst
+}
+
+func (p ptrNode) only() (childEdge, bool) {
+	if p.n.leaf != nil || len(p.n.children) != 1 {
+		return childEdge{}, false
+	}
+	c := p.n.children[0]
+	return childEdge{z: c.z, n: ptrNode{c}}, true
 }
 
 func (p ptrNode) leafView() (leafView, bool) {
@@ -174,17 +190,21 @@ type searchScratch struct {
 	res      topk.Heap
 	pq       entryQueue
 	children []childEdge
+	childHW  int // longest children has been this query
 	dqp      []float64
 	items    []topk.Item     // range-walk accumulator
 	wds      []*dist.Scratch // per-worker DP rows for parallel refinement
 
-	// cmpRefs is the compressed layout's node-ref arena: refs are
-	// interface-boxed into entries, and boxing a pointer into the
-	// arena is allocation-free where boxing a multi-word value is
-	// not. Reset per query; at its high-water mark appends stop
-	// allocating. Growth may relocate the backing array — previously
-	// handed-out pointers stay valid (refs are immutable).
-	cmpRefs []cmpRef
+	// cmpRefs and denseRefs/sparseRefs are the compressed and the
+	// succinct layout's node-ref arenas: refs are interface-boxed into
+	// entries, and boxing a pointer into the arena is allocation-free
+	// where boxing a multi-word value is not. Emptied when a query
+	// ends; at its high-water mark appends stop allocating. Growth may
+	// relocate the backing array — previously handed-out pointers stay
+	// valid (refs are immutable).
+	cmpRefs    []cmpRef
+	denseRefs  []denseRef
+	sparseRefs []sparseRef
 }
 
 // scratchPool recycles searchScratch values. One pool per index (not
@@ -201,6 +221,27 @@ func (sp *scratchPool) get() *searchScratch {
 }
 
 func (sp *scratchPool) put(sc *searchScratch) { sp.p.Put(sc) }
+
+// dropRefs clears every buffer that holds trie-node references — the
+// queue slab, the child buffer, the layouts' ref arenas — over the range
+// the query used. The scratch outlives the query in its
+// index's pool, and run leaves unpopped entries behind as soon as the
+// queue minimum reaches the threshold: without this a steadily queried
+// index keeps the generation before a Compact reachable from its pool.
+func (sc *searchScratch) dropRefs() {
+	sc.pq.reset()
+	clear(sc.children[:sc.childHW])
+	sc.childHW = 0
+	sc.cmpRefs = emptied(sc.cmpRefs)
+	sc.denseRefs = emptied(sc.denseRefs)
+	sc.sparseRefs = emptied(sc.sparseRefs)
+}
+
+// emptied zeroes the elements of s and returns it at length 0.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
 
 // Search returns the top-k most similar trajectories to the query
 // point sequence q (Algorithm 2). Results order ascending by
@@ -292,17 +333,18 @@ func (t *Trie) SearchContext(ctx context.Context, q []geo.Point, k int, opt Sear
 	return res, err
 }
 
-// boundBudget caps the number of internal-node expansions a bound walk
-// performs before settling for the queue's current minimum. The walk
-// is a pruning aid, not an answer: a few dozen expansions already
-// separate a far partition from a contending one.
+// boundBudget caps the number of trie nodes a bound walk descends
+// through — expansions and chain links walked in place alike — before
+// settling for the queue's current minimum. The walk is a pruning aid,
+// not an answer: a few dozen nodes already separate a far partition
+// from a contending one.
 const boundBudget = 64
 
 // BoundContext returns an admissible lower bound on the distance from
 // q to every trajectory held by the index: no indexed trajectory is
 // closer to q than the returned value. +Inf means the index is empty.
-// The bound is cheap — a best-first descent capped at boundBudget node
-// expansions, no exact distance computations — and deliberately loose;
+// The bound is cheap — a best-first descent capped at boundBudget
+// nodes, no exact distance computations — and deliberately loose;
 // its only promise is admissibility, which the driver's probe-budget
 // pruning relies on (a partition whose bound already exceeds the
 // current k-th distance cannot contribute to the final top-k).
@@ -342,6 +384,7 @@ func (t *Trie) LiveIDs() []int {
 // current minimum. Tombstoned members can only make the bound looser,
 // never tighter, so deletions preserve admissibility.
 func (s *searcher) bound(root searchNode, q []geo.Point) (float64, error) {
+	defer s.sc.dropRefs() // the caller's root ref included
 	if len(q) == 0 {
 		return 0, nil
 	}
@@ -355,6 +398,13 @@ func (s *searcher) bound(root searchNode, q []geo.Point) (float64, error) {
 		return 0, err
 	}
 	var stats SearchStats
+	return s.boundWalk(root, q, &stats)
+}
+
+// boundWalk is bound past its early returns, reporting what the walk
+// spent. A chain is cut where the budget runs out and the link reached
+// is queued like any node, so the budget is a hard ceiling.
+func (s *searcher) boundWalk(root searchNode, q []geo.Point, stats *SearchStats) (float64, error) {
 	sc := s.sc
 	sc.res.Reset(1)
 	var dqp []float64
@@ -363,21 +413,23 @@ func (s *searcher) bound(root searchNode, q []geo.Point) (float64, error) {
 		dqp = sc.dqp
 	}
 	pq := &sc.pq
-	pq.reset()
 	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params)
-	s.expand(root, sc.qb.Root(), pq, &sc.res, dqp, &stats)
+	s.chainBudget = boundBudget
+	s.expand(root, sc.qb.Root(), pq, &sc.res, dqp, stats)
 	for pq.len() > 0 {
 		if s.cancelled() {
 			return 0, s.err()
 		}
-		e := pq.pop()
-		if e.isLeaf || stats.NodesExpanded >= boundBudget {
-			// e.lb is the queue minimum: admissible for everything
-			// still queued, and a leaf's lb lower-bounds its members.
-			return e.lb, nil
+		lb, e := pq.pop()
+		spent := stats.NodesExpanded + stats.ChainSteps
+		if e.b == nil || spent >= boundBudget {
+			// lb is the queue minimum: admissible for everything still
+			// queued, and a leaf's lb lower-bounds its members.
+			return lb, nil
 		}
 		stats.NodesExpanded++
-		s.expand(e.n, e.b, pq, &sc.res, dqp, &stats)
+		s.chainBudget = boundBudget - spent - 1
+		s.expand(e.n, e.b, pq, &sc.res, dqp, stats)
 	}
 	// Queue drained without reaching a leaf: nothing is indexed.
 	return math.Inf(1), nil
@@ -399,6 +451,11 @@ type searcher struct {
 	// shared is the query's cross-partition result heap; nil prunes
 	// against this scan's own results only.
 	shared *SharedTopK
+
+	// chainBudget is how many more links expand may walk in place; a
+	// top-k search never runs out, a bound walk counts them against
+	// boundBudget.
+	chainBudget int
 }
 
 // threshold is the scan's current pruning cut-off; see sharedCut.
@@ -470,6 +527,7 @@ func (s *searcher) setDelta(d *delta) {
 // dst (nil allocates a fresh result slice — the only steady-state
 // allocation of the non-append entry points).
 func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) ([]topk.Item, SearchStats, error) {
+	defer s.sc.dropRefs() // the caller's root ref included
 	var stats SearchStats
 	if k <= 0 || len(q) == 0 || (len(s.trajs) == 0 && len(s.adds) == 0) {
 		return dst, stats, nil
@@ -497,25 +555,26 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 	}
 
 	pq := &sc.pq
-	pq.reset()
 	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params)
+	s.chainBudget = math.MaxInt
 	s.expand(root, sc.qb.Root(), pq, results, dqp, &stats)
 
 	for pq.len() > 0 {
 		if s.cancelled() {
 			return dst, stats, s.err()
 		}
-		e := pq.pop()
+		lb, e := pq.pop()
 		dk := s.threshold(results)
-		if e.lb >= dk {
-			// Every queued entry has lb ≥ e.lb ≥ dk, and lb
+		if lb >= dk {
+			// Every queued entry has a bound ≥ lb ≥ dk, and the bound
 			// lower-bounds the distance of every trajectory beneath
 			// it, so nothing better remains (Step 2 of Section IV-A).
 			break
 		}
-		if e.isLeaf {
+		if e.b == nil {
 			stats.LeavesRefined++
-			if err := s.refine(e.lv, q, results, &stats); err != nil {
+			lv, _ := e.n.leafView()
+			if err := s.refine(lv, q, results, &stats); err != nil {
 				return dst, stats, err
 			}
 			continue
@@ -527,9 +586,13 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 }
 
 // expand pushes n's leaf entry (if any) and child entries whose
-// bounds do not already exceed the current threshold. It consumes the
-// bound state b: either a child entry takes ownership of it or it is
-// released back to the arena.
+// bounds do not already exceed the current threshold. A child that is a
+// link — no payload, one child — is not pushed: its bound state is
+// extended down the chain in place and the node where the walk stops is
+// pushed instead, or nothing once the bound reaches the threshold (see
+// "Chains are walked, not queued" in doc.go). expand consumes the bound
+// state b: either a child entry takes ownership of it or it is released
+// back to the arena.
 func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, results *topk.Heap, dqp []float64, stats *SearchStats) {
 	sc := s.sc
 	dk := s.threshold(results)
@@ -551,13 +614,16 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 			lb = math.Max(lb, b.LBo(n.meta()))
 		}
 		if lb < dk {
-			pq.push(entry{lb: lb, lv: lv, isLeaf: true})
+			pq.push(lb, entry{n: n})
 			stats.EntriesPushed++
 		}
 	}
 
 	children := n.appendChildren(sc.children[:0])
 	sc.children = children
+	if len(children) > sc.childHW {
+		sc.childHW = len(children)
+	}
 	owned := false // whether a pushed child entry took ownership of b
 	for i, ce := range children {
 		var cb *dist.PathBounder
@@ -571,18 +637,26 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 		}
 		cb.ExtendZ(ce.z)
 
-		var lb float64
-		if s.subseq {
-			lb = cb.LBoSub(ce.n.meta())
-		} else {
-			clbp := ce.n.pivotLB(dqp)
-			if clbp < lbp {
-				clbp = lbp
+		// Every node of a chain has the child's member set, so the
+		// child's pivot bound holds down the whole walk.
+		cn, clbp := ce.n, lbp
+		if !s.subseq {
+			clbp = math.Max(lbp, cn.pivotLB(dqp))
+		}
+		lb := s.nodeLB(cn, cb, clbp)
+		for lb < dk && s.chainBudget > 0 {
+			next, ok := cn.only()
+			if !ok {
+				break
 			}
-			lb = math.Max(cb.LBo(ce.n.meta()), clbp)
+			s.chainBudget--
+			stats.ChainSteps++
+			cn = next.n
+			cb.ExtendZ(next.z)
+			lb = s.nodeLB(cn, cb, clbp)
 		}
 		if lb < dk {
-			pq.push(entry{lb: lb, n: ce.n, b: cb})
+			pq.push(lb, entry{n: cn, b: cb})
 			stats.EntriesPushed++
 			owned = owned || last
 		} else if !last {
@@ -592,6 +666,16 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 	if !owned {
 		b.Release()
 	}
+}
+
+// nodeLB is the bound of a queued node: the one-side bound of its path
+// — the segment form under a subsequence refiner, which admits no
+// pivot bound — raised to the pivot bound lbp.
+func (s *searcher) nodeLB(n searchNode, b *dist.PathBounder, lbp float64) float64 {
+	if s.subseq {
+		return b.LBoSub(n.meta())
+	}
+	return math.Max(b.LBo(n.meta()), lbp)
 }
 
 // scanDelta refines every pending insert exactly, threshold-cut like
@@ -769,74 +853,105 @@ type atomicFloat64 struct{ bits atomic.Uint64 }
 func (a *atomicFloat64) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 func (a *atomicFloat64) Load() float64   { return math.Float64frombits(a.bits.Load()) }
 
-// entry is one element of the best-first priority queue: either an
-// internal node with its bound state, or a leaf awaiting refinement.
+// entry is the payload of one queued element: a trie node with the
+// bound state of its root path, or — b nil — a terminal node whose
+// payload awaits refinement (its leafView is taken when it is popped).
 type entry struct {
-	lb     float64
-	n      searchNode
-	b      *dist.PathBounder // nil for leaf entries
-	lv     leafView
-	isLeaf bool
-	seq    int32 // FIFO tie-break for determinism
+	n searchNode
+	b *dist.PathBounder
 }
 
-// entryQueue is a hand-rolled min-heap over entries ordered by
-// (lb, seq). container/heap would box every entry through its
-// interface{} surface — an allocation per push on the hot path.
-type entryQueue struct {
-	items []entry
-	seq   int32
+// queueItem is what the heap orders and moves: 16 bytes, while the
+// payload it stands for stays where it is in the slab.
+type queueItem struct {
+	lb   float64
+	seq  uint32 // FIFO tie-break for determinism
+	slot uint32 // index of the payload in the slab
 }
 
-func (q *entryQueue) reset() {
-	q.items = q.items[:0]
-	q.seq = 0
-}
-
-func (q *entryQueue) len() int { return len(q.items) }
-
-func (q *entryQueue) before(a, b entry) bool {
+func (a queueItem) before(b queueItem) bool {
 	if a.lb != b.lb {
 		return a.lb < b.lb
 	}
 	return a.seq < b.seq
 }
 
-func (q *entryQueue) push(e entry) {
-	e.seq = q.seq
-	q.seq++
-	q.items = append(q.items, e)
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.before(q.items[i], q.items[parent]) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
+// entryQueue is the best-first priority queue: a hand-rolled 4-ary
+// min-heap of queueItems ordered by (lb, seq) over a slab of payloads
+// that never move (see "Chains are walked, not queued" in doc.go).
+// container/heap would box every item through its interface{} surface —
+// an allocation per push on the hot path.
+type entryQueue struct {
+	heap []queueItem
+	slab []entry  // payloads; len is the query's high-water mark
+	free []uint32 // slab slots vacated by pop
+	seq  uint32
 }
 
-func (q *entryQueue) pop() entry {
-	top := q.items[0]
-	n := len(q.items) - 1
-	q.items[0] = q.items[n]
-	q.items[n] = entry{} // release references held by the vacated slot
-	q.items = q.items[:n]
-	i := 0
-	for {
-		best := i
-		if l := 2*i + 1; l < n && q.before(q.items[l], q.items[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && q.before(q.items[r], q.items[best]) {
-			best = r
-		}
-		if best == i {
+// reset empties the queue and drops every node and bounder reference
+// the slab holds — popped slots included, pop does not clear them — so
+// a pooled scratch pins nothing of the index it last searched.
+func (q *entryQueue) reset() {
+	q.heap, q.slab, q.free = q.heap[:0], emptied(q.slab), q.free[:0]
+	q.seq = 0
+}
+
+func (q *entryQueue) len() int { return len(q.heap) }
+
+func (q *entryQueue) push(lb float64, e entry) {
+	var slot uint32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = e
+	} else {
+		slot = uint32(len(q.slab))
+		q.slab = append(q.slab, e)
+	}
+	it := queueItem{lb: lb, seq: q.seq, slot: slot}
+	q.seq++
+	q.heap = append(q.heap, it)
+	h := q.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !it.before(h[parent]) {
 			break
 		}
-		q.items[i], q.items[best] = q.items[best], q.items[i]
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = it
+}
+
+func (q *entryQueue) pop() (float64, entry) {
+	h := q.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	q.heap = h[:n]
+	// Sift the hole left by the root down to where last belongs.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(h[best]) {
+				best = j
+			}
+		}
+		if !h[best].before(last) {
+			break
+		}
+		h[i] = h[best]
 		i = best
 	}
-	return top
+	if n > 0 {
+		h[i] = last
+	}
+	q.free = append(q.free, top.slot)
+	return top.lb, q.slab[top.slot]
 }

@@ -358,7 +358,7 @@ func (s *Succinct) SearchWithStats(q []geo.Point, k int) ([]topk.Item, SearchSta
 	defer s.pool.put(sc)
 	sr := searcher{cfg: s.cfg, trajs: st.trajs, sc: sc}
 	sr.setDelta(st.delta)
-	res, stats, _ := sr.run(st.core.rootRef(), q, k, nil)
+	res, stats, _ := sr.run(st.core.rootRef(sc), q, k, nil)
 	return res, stats
 }
 
@@ -370,7 +370,7 @@ func (s *Succinct) SearchAppend(dst []topk.Item, q []geo.Point, k int) []topk.It
 	defer s.pool.put(sc)
 	sr := searcher{cfg: s.cfg, trajs: st.trajs, sc: sc}
 	sr.setDelta(st.delta)
-	out, _, _ := sr.run(st.core.rootRef(), q, k, dst)
+	out, _, _ := sr.run(st.core.rootRef(sc), q, k, dst)
 	return out
 }
 
@@ -393,7 +393,7 @@ func (s *Succinct) SearchContext(ctx context.Context, q []geo.Point, k int, opt 
 	}
 	sr.setDelta(st.delta)
 	sr.setRefiner(opt.Refiner)
-	res, stats, err := sr.run(st.core.rootRef(), q, k, nil)
+	res, stats, err := sr.run(st.core.rootRef(sc), q, k, nil)
 	if opt.Stats != nil {
 		*opt.Stats = stats
 	}
@@ -416,7 +416,7 @@ func (s *Succinct) BoundContext(ctx context.Context, q []geo.Point, opt SearchOp
 	}
 	sr.setDelta(st.delta)
 	sr.setRefiner(opt.Refiner)
-	return sr.bound(st.core.rootRef(), q)
+	return sr.bound(st.core.rootRef(sc), q)
 }
 
 // LiveIDs returns the ids of every live trajectory, unordered; see
@@ -426,11 +426,11 @@ func (s *Succinct) LiveIDs() []int {
 	return liveIDsOf(st.trajs, st.delta)
 }
 
-func (c *succCore) rootRef() searchNode {
+func (c *succCore) rootRef(sc *searchScratch) searchNode {
 	if len(c.levels) > 0 {
-		return denseRef{c: c, level: 0, idx: 0}
+		return sc.newDenseRef(c, 0, 0)
 	}
-	return sparseRef{c: c, off: 0}
+	return sc.newSparseRef(c, 0)
 }
 
 // Generation returns the snapshot's generation counter; see
@@ -555,14 +555,38 @@ func (s *Succinct) SizeBytes() int {
 	return st.core.bytes + st.delta.sizeBytes()
 }
 
-// denseRef navigates the bitmap tier.
+// denseRef navigates the bitmap tier. Like cmpRef, the succinct
+// layout's refs live in arenas of the query scratch and reach the
+// searcher as pointers: boxing a pointer into a searchNode is free,
+// boxing the struct would be an allocation per node visited.
 type denseRef struct {
 	c     *succCore
+	sc    *searchScratch // arena owner for child refs
 	level int32
 	idx   int32
 }
 
-func (r denseRef) appendChildren(dst []childEdge) []childEdge {
+func (sc *searchScratch) newDenseRef(c *succCore, level, idx int32) *denseRef {
+	sc.denseRefs = append(sc.denseRefs, denseRef{c: c, sc: sc, level: level, idx: idx})
+	return &sc.denseRefs[len(sc.denseRefs)-1]
+}
+
+func (sc *searchScratch) newSparseRef(c *succCore, off int) *sparseRef {
+	sc.sparseRefs = append(sc.sparseRefs, sparseRef{c: c, sc: sc, off: off})
+	return &sc.sparseRefs[len(sc.sparseRefs)-1]
+}
+
+// child returns the ref of the node behind the rank-th set bit of the
+// level's child bitmap: the next bitmap level, or the sparse tier below
+// the last one.
+func (r *denseRef) child(rank int) searchNode {
+	if int(r.level)+1 < len(r.c.levels) {
+		return r.sc.newDenseRef(r.c, r.level+1, int32(rank))
+	}
+	return r.sc.newSparseRef(r.c, r.c.sparse[rank])
+}
+
+func (r *denseRef) appendChildren(dst []childEdge) []childEdge {
 	c := r.c
 	dl := c.levels[r.level]
 	a := len(c.alphabet)
@@ -571,17 +595,27 @@ func (r denseRef) appendChildren(dst []childEdge) []childEdge {
 	r1 := dl.bc.Rank1(base + a)
 	for rank := r0; rank < r1; rank++ {
 		pos := dl.bc.Select1(rank)
-		z := c.alphabet[pos-base]
-		if int(r.level)+1 < len(c.levels) {
-			dst = append(dst, childEdge{z: z, n: denseRef{c: c, level: r.level + 1, idx: int32(rank)}})
-		} else {
-			dst = append(dst, childEdge{z: z, n: sparseRef{c: c, off: c.sparse[rank]}})
-		}
+		dst = append(dst, childEdge{z: c.alphabet[pos-base], n: r.child(rank)})
 	}
 	return dst
 }
 
-func (r denseRef) leafView() (leafView, bool) {
+func (r *denseRef) only() (childEdge, bool) {
+	c := r.c
+	dl := c.levels[r.level]
+	if dl.bt.Get(int(r.idx)) {
+		return childEdge{}, false // terminal
+	}
+	a := len(c.alphabet)
+	base := int(r.idx) * a
+	rank := dl.bc.Rank1(base)
+	if dl.bc.Rank1(base+a)-rank != 1 {
+		return childEdge{}, false
+	}
+	return childEdge{z: c.alphabet[dl.bc.Select1(rank)-base], n: r.child(rank)}, true
+}
+
+func (r *denseRef) leafView() (leafView, bool) {
 	dl := r.c.levels[r.level]
 	if !dl.bt.Get(int(r.idx)) {
 		return leafView{}, false
@@ -590,7 +624,7 @@ func (r denseRef) leafView() (leafView, bool) {
 	return leafView{tids: l.tids, dmax: l.dmax, minLen: int(l.minLen), maxLen: int(l.maxLen)}, true
 }
 
-func (r denseRef) meta() dist.NodeMeta {
+func (r *denseRef) meta() dist.NodeMeta {
 	m := r.c.levels[r.level].meta[r.idx]
 	return dist.NodeMeta{MinLen: int(m.minLen), MaxLen: int(m.maxLen), MaxDepthBelow: int(m.maxDepth)}
 }
@@ -598,7 +632,7 @@ func (r denseRef) meta() dist.NodeMeta {
 // pivotLB evaluates LBp directly over the packed float32 ranges —
 // materializing a []pivot.Range per visited node would put an
 // allocation on the traversal hot path.
-func (r denseRef) pivotLB(dqp []float64) float64 {
+func (r *denseRef) pivotLB(dqp []float64) float64 {
 	c := r.c
 	if c.np == 0 || dqp == nil {
 		return 0
@@ -620,12 +654,13 @@ func (r denseRef) pivotLB(dqp []float64) float64 {
 // offset in c.blob.
 type sparseRef struct {
 	c   *succCore
+	sc  *searchScratch // arena owner for child refs
 	off int
 }
 
 // decodeHeader parses the fixed part of a record and returns the
 // parsed fields along with the offset of the child list.
-func (r sparseRef) decodeHeader() (flags byte, meta dist.NodeMeta, hrOff int, leafIdx int, childrenOff int) {
+func (r *sparseRef) decodeHeader() (flags byte, meta dist.NodeMeta, hrOff int, leafIdx int, childrenOff int) {
 	b := r.c.blob
 	p := r.off
 	flags = b[p]
@@ -650,7 +685,7 @@ func (r sparseRef) decodeHeader() (flags byte, meta dist.NodeMeta, hrOff int, le
 	return flags, meta, hrOff, leafIdx, p
 }
 
-func (r sparseRef) appendChildren(dst []childEdge) []childEdge {
+func (r *sparseRef) appendChildren(dst []childEdge) []childEdge {
 	b := r.c.blob
 	_, _, _, _, p := r.decodeHeader()
 	count, n := binary.Uvarint(b[p:])
@@ -660,13 +695,30 @@ func (r sparseRef) appendChildren(dst []childEdge) []childEdge {
 		p += n
 		recLen, n := binary.Uvarint(b[p:])
 		p += n
-		dst = append(dst, childEdge{z: z, n: sparseRef{c: r.c, off: p}})
+		dst = append(dst, childEdge{z: z, n: r.sc.newSparseRef(r.c, p)})
 		p += int(recLen)
 	}
 	return dst
 }
 
-func (r sparseRef) leafView() (leafView, bool) {
+func (r *sparseRef) only() (childEdge, bool) {
+	b := r.c.blob
+	_, _, _, leafIdx, p := r.decodeHeader()
+	if leafIdx >= 0 {
+		return childEdge{}, false // terminal
+	}
+	count, n := binary.Uvarint(b[p:])
+	if count != 1 {
+		return childEdge{}, false
+	}
+	p += n
+	z, n := binary.Uvarint(b[p:])
+	p += n
+	_, n = binary.Uvarint(b[p:]) // record length
+	return childEdge{z: z, n: r.sc.newSparseRef(r.c, p+n)}, true
+}
+
+func (r *sparseRef) leafView() (leafView, bool) {
 	_, _, _, leafIdx, _ := r.decodeHeader()
 	if leafIdx < 0 {
 		return leafView{}, false
@@ -675,14 +727,14 @@ func (r sparseRef) leafView() (leafView, bool) {
 	return leafView{tids: l.tids, dmax: l.dmax, minLen: int(l.minLen), maxLen: int(l.maxLen)}, true
 }
 
-func (r sparseRef) meta() dist.NodeMeta {
+func (r *sparseRef) meta() dist.NodeMeta {
 	_, meta, _, _, _ := r.decodeHeader()
 	return meta
 }
 
 // pivotLB evaluates LBp by decoding the record's float32 ranges in
 // place; see denseRef.pivotLB.
-func (r sparseRef) pivotLB(dqp []float64) float64 {
+func (r *sparseRef) pivotLB(dqp []float64) float64 {
 	if r.c.np == 0 || dqp == nil {
 		return 0
 	}

@@ -28,9 +28,9 @@ func (sc *searchScratch) newCmpRef(c *cmpCore, v int32) *cmpRef {
 	return &sc.cmpRefs[len(sc.cmpRefs)-1]
 }
 
-// rootRef resets the arena and returns the root's searchNode.
+// rootRef returns the root's searchNode. The arena is empty between
+// queries: dropRefs clears it when a search ends.
 func (c *cmpCore) rootRef(sc *searchScratch) searchNode {
-	sc.cmpRefs = sc.cmpRefs[:0]
 	return sc.newCmpRef(c, 0)
 }
 
@@ -43,6 +43,19 @@ func (r *cmpRef) appendChildren(dst []childEdge) []childEdge {
 		dst = append(dst, childEdge{z: z, n: r.sc.newCmpRef(c, int32(u))})
 	}
 	return dst
+}
+
+func (r *cmpRef) only() (childEdge, bool) {
+	c, v := r.c, int(r.v)
+	if c.lo.Get(v) || c.hi.Get(v) {
+		return childEdge{}, false // terminal
+	}
+	first, count := c.childrenRange(v)
+	if count != 1 {
+		return childEdge{}, false
+	}
+	z := c.alphabet.get(int(c.labels.get(first - 1)))
+	return childEdge{z: z, n: r.sc.newCmpRef(c, int32(first))}, true
 }
 
 func (r *cmpRef) leafView() (leafView, bool) {

@@ -270,6 +270,28 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps a request body: 1 MiB of JSON is about 40k points,
+// far beyond any trajectory the index holds, and without a cap one
+// client can make the decoder buffer whatever it cares to send.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes. On failure it answers 413 (body over the cap) or 400
+// and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // clientKey identifies a client for rate limiting: the X-Client-ID
 // header when present, else the remote address's host part.
 func clientKey(r *http.Request) string {
@@ -323,8 +345,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.m.searchRequests.Add(1)
 
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.K == 0 {
@@ -374,8 +395,7 @@ func (s *Server) handleRadius(w http.ResponseWriter, r *http.Request) {
 	s.m.radiusRequests.Add(1)
 
 	var req radiusRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Radius < 0 {

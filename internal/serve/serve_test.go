@@ -722,6 +722,43 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: /search and /radius read at most maxBodyBytes of
+// request body. A body over the cap is refused with 413 without being
+// buffered, one just under it still answers.
+func TestRequestBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, newFakeBackend(), bareConfig())
+	// Valid JSON of exactly n bytes. The padding leads: the decoder
+	// stops reading at the end of the first value.
+	body := func(n int) []byte {
+		doc := `{"points":[[1,2],[3,4]],"k":1,"radius":1}`
+		return append(bytes.Repeat([]byte(" "), n-len(doc)), doc...)
+	}
+	for _, path := range []string{"/search", "/radius"} {
+		for _, tc := range []struct {
+			size, want int
+		}{
+			{maxBodyBytes - 1, http.StatusOK},
+			{maxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+			{2 * maxBodyBytes, http.StatusRequestEntityTooLarge},
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body(tc.size)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e errorJSON
+			if tc.want != http.StatusOK {
+				if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+					t.Errorf("%s with %d bytes: error body: %v", path, tc.size, err)
+				}
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want || (tc.want != http.StatusOK && e.Error == "") {
+				t.Errorf("%s with %d bytes: %d %q, want %d", path, tc.size, resp.StatusCode, e.Error, tc.want)
+			}
+		}
+	}
+}
+
 // TestMetricsEndpoint sanity-checks the /metrics document shape.
 func TestMetricsEndpoint(t *testing.T) {
 	be := newFakeBackend()
