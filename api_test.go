@@ -102,17 +102,14 @@ func TestLocalRemoteParity(t *testing.T) {
 		t.Errorf("batch reports: %+v, %+v", lrep, rrep)
 	}
 
-	// Remote succinct indexes surface the same typed radius error as
-	// local ones.
-	sucOpts := Options{Partitions: 4, Succinct: true}
+	// Remote succinct indexes answer range queries like every layout.
+	sucOpts := Options{Partitions: 4, Layout: LayoutSuccinct}
 	sucRemote, err := BuildRemote(ds, sucOpts, startTestWorkers(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sucRemote.Close()
-	if _, err := sucRemote.SearchRadius(ctx, ds[0], 1); !errors.Is(err, ErrSuccinctUnsupported) {
-		t.Errorf("remote succinct radius: %v", err)
-	}
+	assertRadiusMatchesOracle(t, "remote succinct", sucRemote, ds, ds[0], 0.4)
 }
 
 // TestCancellationBothBackends: a context whose deadline has passed

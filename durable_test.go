@@ -16,7 +16,6 @@ func TestDurableBuildReopen(t *testing.T) {
 	ds := testData(t, 140)
 	ctx := context.Background()
 	for _, layout := range []Layout{LayoutPointer, LayoutSuccinct, LayoutCompressed} {
-		hasRadius := layout != LayoutSuccinct
 		t.Run(fmt.Sprintf("layout=%v", layout), func(t *testing.T) {
 			dir := t.TempDir()
 			idx, err := Build(ds, Options{Partitions: 3}, WithDurableDir(dir), WithLayout(layout))
@@ -40,11 +39,9 @@ func TestDurableBuildReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantStats := idx.Stats()
-			var wantRadius []Result
-			if hasRadius {
-				if wantRadius, err = idx.SearchRadius(ctx, probe, 0.5); err != nil {
-					t.Fatal(err)
-				}
+			wantRadius, err := idx.SearchRadius(ctx, probe, 0.5)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := idx.Close(); err != nil {
 				t.Fatal(err)
@@ -65,14 +62,12 @@ func TestDurableBuildReopen(t *testing.T) {
 			if st := re.Stats(); st.Trajectories != wantStats.Trajectories {
 				t.Fatalf("recovered Stats.Trajectories = %d, want %d", st.Trajectories, wantStats.Trajectories)
 			}
-			if hasRadius {
-				gr, err := re.SearchRadius(ctx, probe, 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gr, wantRadius) {
-					t.Fatalf("recovered radius search differs:\n got %v\nwant %v", gr, wantRadius)
-				}
+			gr, err := re.SearchRadius(ctx, probe, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gr, wantRadius) {
+				t.Fatalf("recovered radius search differs:\n got %v\nwant %v", gr, wantRadius)
 			}
 
 			// The recovered index keeps journaling: insert, reopen

@@ -147,9 +147,9 @@ func (c *Local) batchParts(ctx context.Context, parts []LocalIndex, queries [][]
 // Indexes exposes the partition indexes (read-only use).
 func (c *Local) Indexes() []LocalIndex { return c.parts() }
 
-// RadiusSearcher is the optional range-query capability of a local
-// index. rptrie.Trie implements it; the baselines and the succinct
-// layout do not.
+// RadiusSearcher is the optional range-query capability of a baseline
+// index (an rptrie.Index answers range queries through
+// SearchRadiusContext).
 type RadiusSearcher interface {
 	SearchRadius(q []geo.Point, radius float64) []topk.Item
 }

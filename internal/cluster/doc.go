@@ -14,6 +14,18 @@
 // per-query ids and deadlines so the driver can abort straggler
 // workers remotely.
 //
+// A partition holds a LocalIndex — Search, Len, SizeBytes: the least
+// any index offers, the baselines included. A REPOSE partition is
+// always an rptrie.Index (one of the three layouts, or an
+// rptrie.Durable around one), the one interface behind which this
+// package reaches cancellation, bounds, range search, refiners,
+// mutation and snapshot images without knowing which layout it holds:
+// each dispatch site asserts idx.(rptrie.Index) once and treats
+// everything else as a baseline. Only "is this partition on disk"
+// (closeDurable, destroyDurable, RecoveredPartitions) still asks for
+// *rptrie.Durable, because that is a question about the partition, not
+// about its layout.
+//
 // The paper inherits fault tolerance from Spark's RDD lineage; this
 // engine replicates instead (IndexSpec.Replicas): each partition is
 // built on several distinct workers, queries are routed to one

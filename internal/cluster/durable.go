@@ -45,9 +45,8 @@ func parsePartDir(name string) (int, bool) {
 // whatever the partition's subdirectory held. Non-REPOSE indexes
 // (baselines) pass through unchanged — they have no persistence.
 func wrapDurablePartition(dataDir string, pid int, idx LocalIndex) (LocalIndex, error) {
-	switch idx.(type) {
-	case *rptrie.Trie, *rptrie.Succinct, *rptrie.Compressed:
-	default:
+	_, durable := idx.(*rptrie.Durable)
+	if _, ok := idx.(rptrie.Index); !ok || durable {
 		return idx, nil
 	}
 	d, err := rptrie.WrapDurable(filepath.Join(dataDir, partDirName(pid)), idx, rptrie.DurableOptions{})

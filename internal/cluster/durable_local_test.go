@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repose/internal/dataset"
@@ -14,7 +13,6 @@ import (
 	"repose/internal/leakcheck"
 	"repose/internal/rptrie"
 	"repose/internal/storage"
-	"repose/internal/topk"
 )
 
 // TestLocalDurableBuildOpen: the local engine's disk-backed mode, all
@@ -30,7 +28,6 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 			dir := t.TempDir()
 			ds, parts, spec := testWorld(t, 150, 3)
 			spec.Layout = layout
-			hasRadius := layout != rptrie.LayoutSuccinct
 			ctx := context.Background()
 
 			eng, err := BuildLocalDurable(spec, parts, 4, dir)
@@ -53,12 +50,9 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantRad []topk.Item
-			if hasRadius {
-				wantRad, _, err = eng.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
+			wantRad, _, err := eng.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
 			wantLen := eng.Len()
 			if err := eng.Close(); err != nil {
@@ -82,20 +76,11 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertBitIdentical(t, "recovered local search", 9, got, want)
-			if !hasRadius {
-				// The succinct layout has no range search; the durable
-				// wrapper must surface that, naming the partition.
-				if _, _, err := re.SearchRadius(ctx, q.Points, 0.8, QueryOptions{}); err == nil ||
-					!strings.Contains(err.Error(), "radius") {
-					t.Fatalf("succinct durable radius search: %v, want an unsupported diagnostic", err)
-				}
-			} else {
-				gotRad, _, err := re.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, "recovered local radius", 9, gotRad, wantRad)
+			gotRad, _, err := re.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertBitIdentical(t, "recovered local radius", 9, gotRad, wantRad)
 
 			// The rebuilt routing directory still targets existing ids:
 			// an upsert of a build-time trajectory must not duplicate

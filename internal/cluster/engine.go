@@ -142,25 +142,6 @@ type MutateOptions struct {
 // QueryOptions.MinGens guarantees the query observes those mutations.
 type Gens map[int]uint64
 
-// MutableIndex is the optional online-maintenance capability of a
-// partition index. All rptrie layouts implement it; the baselines do
-// not — mutating them fails with ErrImmutable.
-type MutableIndex interface {
-	Insert(trs ...*geo.Trajectory) error
-	Delete(ids ...int) int
-	Upsert(trs ...*geo.Trajectory) error
-	Compact() error
-	Generation() uint64
-	DeltaLen() int
-}
-
-var (
-	_ MutableIndex = (*rptrie.Trie)(nil)
-	_ MutableIndex = (*rptrie.Succinct)(nil)
-	_ MutableIndex = (*rptrie.Compressed)(nil)
-	_ MutableIndex = (*rptrie.Durable)(nil)
-)
-
 // ErrImmutable reports a mutation routed to a partition whose index
 // type has no online-update support.
 var ErrImmutable = errors.New("cluster: partition index does not support online updates")
@@ -175,15 +156,15 @@ const autoCompactFloor = 32
 
 // maybeCompact applies the MutateOptions.AutoCompact policy to one
 // partition index after a mutation.
-func maybeCompact(m MutableIndex, li LocalIndex, frac float64) error {
+func maybeCompact(x rptrie.Index, frac float64) error {
 	if frac <= 0 {
 		return nil
 	}
-	dl := m.DeltaLen()
-	if dl < autoCompactFloor || float64(dl) <= frac*float64(li.Len()) {
+	dl := x.DeltaLen()
+	if dl < autoCompactFloor || float64(dl) <= frac*float64(x.Len()) {
 		return nil
 	}
-	return m.Compact()
+	return x.Compact()
 }
 
 // selectPartitions resolves a partition subset against the engine's
@@ -213,88 +194,76 @@ func selectPartitions(subset []int, n int) ([]int, error) {
 
 // refinerFor builds opt's refiner for one partition from that
 // partition's own index configuration (measure and parameters), or nil
-// for the zero spec. Indexes that cannot report a configuration — the
-// baselines — cannot host refined queries.
+// for the zero spec. Only rptrie-backed partitions can host refined
+// queries; the baselines cannot.
 func refinerFor(pi int, idx LocalIndex, spec rptrie.RefineSpec) (rptrie.Refiner, error) {
 	if spec.IsZero() {
 		return nil, nil
 	}
-	c, ok := idx.(interface{ Config() rptrie.Config })
+	x, ok := idx.(rptrie.Index)
 	if !ok {
 		return nil, fmt.Errorf("cluster: partition %d index (%T) does not support refined queries", pi, idx)
 	}
-	cfg := c.Config()
+	cfg := x.Config()
 	return rptrie.NewRefiner(cfg.Measure, cfg.Params, spec), nil
+}
+
+// searchOptions translates opt into partition gpid's rptrie options.
+func searchOptions(gpid int, idx LocalIndex, opt QueryOptions) (rptrie.SearchOptions, error) {
+	ref, err := refinerFor(gpid, idx, opt.Refine)
+	return rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Refiner: ref}, err
 }
 
 // searchOne answers one partition-local top-k query honoring ctx and
 // opt; gpid is the partition's global id (for the generation pin).
-// The rptrie layouts cancel mid-scan, fill stats (may be nil), and
-// prune against shared — the query's result heap across all of its
+// An rptrie.Index cancels mid-scan, fills stats (may be nil), and
+// prunes against shared — the query's result heap across all of its
 // partition scans (may be nil) — returning only the partition's members
 // that can still be in the global top-k. The baseline indexes only
 // observe the context between partitions, report no stats, and return
 // their own top-k.
 func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k int, opt QueryOptions, stats *rptrie.SearchStats, shared *rptrie.SharedTopK) ([]topk.Item, error) {
-	ref, err := refinerFor(gpid, idx, opt.Refine)
+	sopt, err := searchOptions(gpid, idx, opt)
 	if err != nil {
 		return nil, err
 	}
-	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Stats: stats, Refiner: ref, Shared: shared}
-	switch t := idx.(type) {
-	case *rptrie.Trie:
-		return t.SearchContext(ctx, q, k, sopt)
-	case *rptrie.Succinct:
-		return t.SearchContext(ctx, q, k, sopt)
-	case *rptrie.Compressed:
-		return t.SearchContext(ctx, q, k, sopt)
-	case *rptrie.Durable:
-		return t.SearchContext(ctx, q, k, sopt)
-	default:
-		// Baselines are immutable: generation pins are vacuous.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return idx.Search(q, k), nil
+	if x, ok := idx.(rptrie.Index); ok {
+		sopt.Stats, sopt.Shared = stats, shared
+		return x.SearchContext(ctx, q, k, sopt)
 	}
+	// Baselines are immutable: generation pins are vacuous.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return idx.Search(q, k), nil
 }
 
 // boundOne returns an admissible lower bound on the best distance any
 // trajectory in the partition could achieve for q — the probe
-// budget's pruning test. The rptrie layouts run a bounded best-first
-// walk (BoundContext); indexes without one (the baselines) return 0,
-// which never prunes.
+// budget's pruning test. An rptrie.Index runs a bounded best-first
+// walk (BoundContext); the baselines return 0, which never prunes.
 func boundOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, opt QueryOptions) (float64, error) {
-	b, ok := idx.(interface {
-		BoundContext(ctx context.Context, q []geo.Point, opt rptrie.SearchOptions) (float64, error)
-	})
+	x, ok := idx.(rptrie.Index)
 	if !ok {
 		return 0, nil
 	}
-	ref, err := refinerFor(gpid, idx, opt.Refine)
+	sopt, err := searchOptions(gpid, idx, opt)
 	if err != nil {
 		return 0, err
 	}
-	return b.BoundContext(ctx, q, rptrie.SearchOptions{NoPivots: opt.NoPivots, MinGen: opt.minGen(gpid), Refiner: ref})
+	return x.BoundContext(ctx, q, sopt)
 }
 
 // radiusOne answers one partition-local range query. Indexes without
-// range support (the baselines and the succinct layout) are rejected,
-// naming the partition so mixed-index failures are diagnosable.
+// range support (some baselines) are rejected, naming the partition so
+// mixed-index failures are diagnosable.
 func radiusOne(ctx context.Context, pi, gpid int, idx LocalIndex, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, error) {
-	ref, err := refinerFor(gpid, idx, opt.Refine)
+	sopt, err := searchOptions(gpid, idx, opt)
 	if err != nil {
 		return nil, err
 	}
-	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Refiner: ref}
-	if t, ok := idx.(*rptrie.Trie); ok {
-		return t.SearchRadiusContext(ctx, q, radius, sopt)
-	}
-	if c, ok := idx.(*rptrie.Compressed); ok {
-		return c.SearchRadiusContext(ctx, q, radius, sopt)
-	}
-	if d, ok := idx.(*rptrie.Durable); ok && d.Layout() != rptrie.LayoutSuccinct {
-		return d.SearchRadiusContext(ctx, q, radius, sopt)
+	if x, ok := idx.(rptrie.Index); ok {
+		return x.SearchRadiusContext(ctx, q, radius, sopt)
 	}
 	if rs, ok := idx.(RadiusSearcher); ok {
 		if err := ctx.Err(); err != nil {

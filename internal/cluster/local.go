@@ -482,7 +482,7 @@ func (c *Local) Generations() []uint64 {
 	parts := c.parts()
 	gens := make([]uint64, len(parts))
 	for i, idx := range parts {
-		if m, ok := idx.(MutableIndex); ok {
+		if m, ok := idx.(rptrie.Index); ok {
 			gens[i] = m.Generation()
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repose/internal/geo"
 	"repose/internal/grid"
 	"repose/internal/partition"
+	"repose/internal/rptrie"
 )
 
 // Online mutations route through a driver-side directory: the driver
@@ -208,14 +209,15 @@ func sortedKeys[V any](m map[int]V) []int {
 	return out
 }
 
-// mutable resolves partition pi's index as a MutableIndex.
-func (c *Local) mutable(pi int) (MutableIndex, LocalIndex, error) {
+// mutable resolves partition pi's index as an rptrie.Index — the only
+// kind that supports online updates.
+func (c *Local) mutable(pi int) (rptrie.Index, error) {
 	idx := c.parts()[pi]
-	m, ok := idx.(MutableIndex)
+	x, ok := idx.(rptrie.Index)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pi, idx)
+		return nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pi, idx)
 	}
-	return m, idx, nil
+	return x, nil
 }
 
 // Insert implements Engine.
@@ -230,14 +232,14 @@ func (c *Local) Insert(ctx context.Context, trs []*geo.Trajectory, opt MutateOpt
 		return nil, ErrImmutable
 	}
 	return c.dir.insert(trs, func(pid int, trs []*geo.Trajectory) (uint64, error) {
-		m, li, err := c.mutable(pid)
+		m, err := c.mutable(pid)
 		if err != nil {
 			return 0, err
 		}
 		if err := m.Insert(trs...); err != nil {
 			return 0, err
 		}
-		if err := maybeCompact(m, li, opt.AutoCompact); err != nil {
+		if err := maybeCompact(m, opt.AutoCompact); err != nil {
 			return 0, err
 		}
 		return m.Generation(), nil
@@ -256,12 +258,12 @@ func (c *Local) Delete(ctx context.Context, ids []int, opt MutateOptions) (int, 
 		return 0, nil, ErrImmutable
 	}
 	return c.dir.delete(ids, c.NumPartitions(), func(pid int, ids []int) (int, uint64, error) {
-		m, li, err := c.mutable(pid)
+		m, err := c.mutable(pid)
 		if err != nil {
 			return 0, 0, err
 		}
 		n := m.Delete(ids...)
-		if err := maybeCompact(m, li, opt.AutoCompact); err != nil {
+		if err := maybeCompact(m, opt.AutoCompact); err != nil {
 			return 0, 0, err
 		}
 		return n, m.Generation(), nil
@@ -280,14 +282,14 @@ func (c *Local) Upsert(ctx context.Context, trs []*geo.Trajectory, opt MutateOpt
 		return nil, ErrImmutable
 	}
 	return c.dir.upsert(trs, func(pid int, trs []*geo.Trajectory, _ int) (uint64, error) {
-		m, li, err := c.mutable(pid)
+		m, err := c.mutable(pid)
 		if err != nil {
 			return 0, err
 		}
 		if err := m.Upsert(trs...); err != nil {
 			return 0, err
 		}
-		if err := maybeCompact(m, li, opt.AutoCompact); err != nil {
+		if err := maybeCompact(m, opt.AutoCompact); err != nil {
 			return 0, err
 		}
 		return m.Generation(), nil
@@ -305,7 +307,7 @@ func (c *Local) Compact(ctx context.Context, partitions []int) (Gens, error) {
 		if err := ctx.Err(); err != nil {
 			return gens, fmt.Errorf("cluster: compact: %w", err)
 		}
-		m, _, err := c.mutable(pid)
+		m, err := c.mutable(pid)
 		if err != nil {
 			return gens, err
 		}

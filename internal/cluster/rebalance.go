@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+
+	"repose/internal/rptrie"
 )
 
 // Online rebalancing: migrating a hot partition's replica to an
@@ -351,7 +353,7 @@ func (c *Local) SplitPartition(ctx context.Context, pid int) (int, error) {
 		_ = c.dir.rebuildRouterLocked(n)
 		return 0, fmt.Errorf("cluster: split partition %d: %w", pid, err)
 	}
-	mm, ok := clone.(MutableIndex)
+	mm, ok := clone.(rptrie.Index)
 	if !ok {
 		_ = c.dir.rebuildRouterLocked(n)
 		return 0, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, clone)
@@ -391,7 +393,7 @@ func (c *Local) SplitPartition(ctx context.Context, pid int) (int, error) {
 	grown[newPid] = idx
 	c.setParts(grown)
 
-	m, _, err := c.mutable(pid)
+	m, err := c.mutable(pid)
 	if err != nil {
 		return newPid, err
 	}

@@ -86,14 +86,6 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 	for _, tr := range ds {
 		byID[tr.ID] = tr
 	}
-	layouts := []struct {
-		name string
-		mod  func(*IndexSpec)
-	}{
-		{"pointer", func(s *IndexSpec) {}},
-		{"succinct", func(s *IndexSpec) { s.Succinct = true }},
-		{"compressed", func(s *IndexSpec) { s.Layout = rptrie.LayoutCompressed }},
-	}
 	modes := []rptrie.RefineSpec{
 		{Sub: true},
 		{Sub: true, MinSeg: 3, MaxSeg: 8},
@@ -102,17 +94,10 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 	}
 	queries := dataset.Queries(ds, 4, 13)
 	ctx := context.Background()
-	for _, lay := range layouts {
+	for _, lay := range radiusLayouts {
 		sp := spec
-		lay.mod(&sp)
-		local, err := BuildLocal(sp, parts, 4)
-		if err != nil {
-			t.Fatalf("%s: BuildLocal: %v", lay.name, err)
-		}
-		remote, err := BuildRemote(sp, parts, startWorkers(t, 3))
-		if err != nil {
-			t.Fatalf("%s: BuildRemote: %v", lay.name, err)
-		}
+		sp.Layout = lay.layout
+		local, remote := enginePair(t, sp, parts, 3, lay.durable)
 		engines := []struct {
 			name string
 			e    Engine
@@ -134,9 +119,6 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 					if !rep.CacheEligible {
 						t.Fatalf("%s q%d: full-scatter refined search must stay cache-eligible", label, qi)
 					}
-					if sp.Succinct {
-						continue // no radius walk on the succinct layout
-					}
 					radius := 0.8
 					wantR := oracle.RadiusRefined(sp.Measure, sp.Params, ds, q.Points, radius, osp)
 					gotR, _, err := eng.e.SearchRadius(ctx, q.Points, radius, QueryOptions{Refine: rs})
@@ -147,7 +129,6 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 				}
 			}
 		}
-		remote.Close()
 	}
 }
 

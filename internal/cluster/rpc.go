@@ -513,7 +513,7 @@ func (w *Worker) Build(args *BuildArgs, reply *BuildReply) error {
 	spec := args.Spec
 	w.mu.Lock()
 	if w.forceLayout != nil && spec.Algorithm == REPOSE {
-		spec.Layout, spec.Succinct = *w.forceLayout, false
+		spec.Layout = *w.forceLayout
 	}
 	w.mu.Unlock()
 	idx, err := spec.BuildLocal(args.Trajectories)
@@ -776,18 +776,18 @@ func (w *Worker) SearchBatch(args *SearchBatchArgs, reply *SearchBatchReply) err
 }
 
 // ownedMutable resolves one owned partition's index as mutable.
-func (w *Worker) ownedMutable(pid int) (MutableIndex, LocalIndex, error) {
+func (w *Worker) ownedMutable(pid int) (rptrie.Index, error) {
 	w.mu.Lock()
 	idx := w.indexes[pid]
 	w.mu.Unlock()
 	if idx == nil {
-		return nil, nil, fmt.Errorf("cluster: worker "+notOwnerMsg+" %d", pid)
+		return nil, fmt.Errorf("cluster: worker "+notOwnerMsg+" %d", pid)
 	}
-	m, ok := idx.(MutableIndex)
+	x, ok := idx.(rptrie.Index)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, idx)
+		return nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, idx)
 	}
-	return m, idx, nil
+	return x, nil
 }
 
 // Insert applies pending inserts (or, with Replace, upserts) to one
@@ -796,7 +796,7 @@ func (w *Worker) Insert(args *InsertArgs, reply *InsertReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	m, li, err := w.ownedMutable(args.PartitionID)
+	m, err := w.ownedMutable(args.PartitionID)
 	if err != nil {
 		return err
 	}
@@ -808,11 +808,11 @@ func (w *Worker) Insert(args *InsertArgs, reply *InsertReply) error {
 	if err != nil {
 		return err
 	}
-	if err := maybeCompact(m, li, args.AutoCompact); err != nil {
+	if err := maybeCompact(m, args.AutoCompact); err != nil {
 		return err
 	}
 	reply.Gen = m.Generation()
-	reply.Len = li.Len()
+	reply.Len = m.Len()
 	return nil
 }
 
@@ -821,16 +821,16 @@ func (w *Worker) Delete(args *DeleteArgs, reply *DeleteReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	m, li, err := w.ownedMutable(args.PartitionID)
+	m, err := w.ownedMutable(args.PartitionID)
 	if err != nil {
 		return err
 	}
 	reply.Removed = m.Delete(args.IDs...)
-	if err := maybeCompact(m, li, args.AutoCompact); err != nil {
+	if err := maybeCompact(m, args.AutoCompact); err != nil {
 		return err
 	}
 	reply.Gen = m.Generation()
-	reply.Len = li.Len()
+	reply.Len = m.Len()
 	return nil
 }
 
@@ -856,7 +856,7 @@ func (w *Worker) Compact(args *CompactArgs, reply *CompactReply) error {
 	sort.Ints(pids)
 	reply.Gens = make(map[int]uint64, len(pids))
 	for _, pid := range pids {
-		m, _, err := w.ownedMutable(pid)
+		m, err := w.ownedMutable(pid)
 		if err != nil {
 			return err
 		}
@@ -903,7 +903,7 @@ func (w *Worker) Status(args *StatusArgs, reply *StatusReply) error {
 	reply.Lens = make(map[int]int, len(w.indexes))
 	for pid, idx := range w.indexes {
 		gen := uint64(0)
-		if m, ok := idx.(MutableIndex); ok {
+		if m, ok := idx.(rptrie.Index); ok {
 			gen = m.Generation()
 		}
 		reply.Gens[pid] = gen
@@ -941,61 +941,28 @@ func (w *Worker) Snapshot(args *SnapshotArgs, reply *SnapshotReply) error {
 // errNoSnapshot reports an index type without a serialized form.
 var errNoSnapshot = errors.New("cluster: index does not support snapshots")
 
-// encodeIndex serializes an rptrie-layout index (pending delta folded
-// in) with its layout and generation — the payload of Snapshot and
-// the first half of a clone.
+// encodeIndex serializes an rptrie.Index (pending delta folded in) with
+// its layout and generation — the payload of Snapshot and the first
+// half of a clone.
 func encodeIndex(idx LocalIndex) ([]byte, rptrie.Layout, uint64, error) {
-	var buf bytes.Buffer
-	switch t := idx.(type) {
-	case *rptrie.Trie:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), rptrie.LayoutPointer, t.Generation(), nil
-	case *rptrie.Succinct:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), rptrie.LayoutSuccinct, t.Generation(), nil
-	case *rptrie.Compressed:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), rptrie.LayoutCompressed, t.Generation(), nil
-	case *rptrie.Durable:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), t.Layout(), t.Generation(), nil
-	default:
+	x, ok := idx.(rptrie.Index)
+	if !ok {
 		return nil, 0, 0, fmt.Errorf("%w (%T)", errNoSnapshot, idx)
 	}
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
+		return nil, 0, 0, err
+	}
+	return buf.Bytes(), x.Layout(), x.Generation(), nil
 }
 
 // decodeIndex materializes an encodeIndex/Snapshot image.
 func decodeIndex(layout rptrie.Layout, data []byte) (LocalIndex, uint64, error) {
-	switch layout {
-	case rptrie.LayoutSuccinct:
-		s, err := rptrie.ReadSuccinct(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, err
-		}
-		return s, s.Generation(), nil
-	case rptrie.LayoutCompressed:
-		c, err := rptrie.ReadCompressed(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, err
-		}
-		return c, c.Generation(), nil
-	case rptrie.LayoutPointer:
-		t, err := rptrie.ReadTrie(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, err
-		}
-		return t, t.Generation(), nil
-	default:
-		return nil, 0, fmt.Errorf("cluster: restore of unknown layout %v", layout)
+	x, err := rptrie.ReadIndex(layout, bytes.NewReader(data))
+	if err != nil {
+		return nil, 0, err
 	}
+	return x, x.Generation(), nil
 }
 
 // cloneLocalIndex deep-copies an index through a Save/Read round trip,
@@ -1049,8 +1016,8 @@ func (w *Worker) Restore(args *RestoreArgs, reply *RestoreReply) error {
 // liveIDs lists an index's live trajectory ids, nil when the index
 // cannot enumerate them (baselines).
 func liveIDs(idx LocalIndex) []int {
-	if l, ok := idx.(interface{ LiveIDs() []int }); ok {
-		return l.LiveIDs()
+	if x, ok := idx.(rptrie.Index); ok {
+		return x.LiveIDs()
 	}
 	return nil
 }
@@ -1081,7 +1048,7 @@ func (w *Worker) Split(args *SplitArgs, reply *SplitReply) error {
 	if err != nil {
 		return err
 	}
-	m, ok := clone.(MutableIndex)
+	m, ok := clone.(rptrie.Index)
 	if !ok {
 		return fmt.Errorf("%w (partition %d, %T)", ErrImmutable, args.PartitionID, clone)
 	}
@@ -1115,7 +1082,7 @@ func (w *Worker) Split(args *SplitArgs, reply *SplitReply) error {
 	}
 	w.indexes[args.NewPartitionID] = clone
 	w.mu.Unlock()
-	if mm, ok := clone.(MutableIndex); ok {
+	if mm, ok := clone.(rptrie.Index); ok {
 		reply.Gen = mm.Generation()
 	}
 	reply.Len = clone.Len()

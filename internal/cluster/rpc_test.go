@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"net/rpc"
 	"strings"
 	"testing"
@@ -10,6 +12,8 @@ import (
 
 	"repose/internal/dataset"
 	"repose/internal/geo"
+	"repose/internal/oracle"
+	"repose/internal/rptrie"
 )
 
 func TestHandshake(t *testing.T) {
@@ -72,29 +76,85 @@ func remotePair(t *testing.T, n, nparts, nworkers int) ([]*geo.Trajectory, *Loca
 	return ds, local, remote
 }
 
+// radiusLayouts is the layout axis of the radius and refined matrices:
+// every rptrie layout, and the succinct one wrapped in rptrie.Durable on
+// both engines.
+var radiusLayouts = []struct {
+	name    string
+	layout  rptrie.Layout
+	durable bool
+}{
+	{"pointer", rptrie.LayoutPointer, false},
+	{"succinct", rptrie.LayoutSuccinct, false},
+	{"compressed", rptrie.LayoutCompressed, false},
+	{"durable-succinct", rptrie.LayoutSuccinct, true},
+}
+
+// enginePair builds spec in-process and on nworkers TCP workers, every
+// partition disk-backed when durable is set.
+func enginePair(t *testing.T, spec IndexSpec, parts [][]*geo.Trajectory, nworkers int, durable bool) (*Local, *Remote) {
+	t.Helper()
+	if !durable {
+		local, err := BuildLocal(spec, parts, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := BuildRemote(spec, parts, startWorkers(t, nworkers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { remote.Close() })
+		return local, remote
+	}
+	local, err := BuildLocalDurable(spec, parts, 4, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	addrs := make([]string, nworkers)
+	for i := range addrs {
+		w, err := NewDurableWorker(t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close(); w.CloseData() })
+		go Serve(ln, w)
+		addrs[i] = ln.Addr().String()
+	}
+	remote, err := BuildRemote(spec, parts, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close() })
+	return local, remote
+}
+
 func TestRemoteRadiusMatchesLocal(t *testing.T) {
-	ds, local, remote := remotePair(t, 250, 6, 3)
+	ds, parts, spec := testWorld(t, 250, 6)
 	ctx := context.Background()
-	for _, q := range dataset.Queries(ds, 3, 21) {
-		for _, radius := range []float64{0.2, 0.6} {
-			want, _, err := local.SearchRadius(ctx, q.Points, radius, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, rep, err := remote.SearchRadius(ctx, q.Points, radius, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("radius %g: len %d want %d", radius, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("radius %g rank %d: %+v want %+v", radius, i, got[i], want[i])
+	for _, lay := range radiusLayouts {
+		spec.Layout = lay.layout
+		local, remote := enginePair(t, spec, parts, 3, lay.durable)
+		for _, q := range dataset.Queries(ds, 3, 21) {
+			for _, radius := range []float64{0.2, 0.6} {
+				want := oracle.Radius(spec.Measure, spec.Params, ds, q.Points, radius)
+				got, _, err := local.SearchRadius(ctx, q.Points, radius, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if len(rep.PartitionTimes) != 6 {
-				t.Errorf("report partitions = %d", len(rep.PartitionTimes))
+				assertBitIdentical(t, fmt.Sprintf("%s local radius %g", lay.name, radius), 21, got, want)
+				got, rep, err := remote.SearchRadius(ctx, q.Points, radius, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, fmt.Sprintf("%s remote radius %g", lay.name, radius), 21, got, want)
+				if len(rep.PartitionTimes) != 6 {
+					t.Errorf("%s: report partitions = %d", lay.name, len(rep.PartitionTimes))
+				}
 			}
 		}
 	}

@@ -14,8 +14,11 @@ import (
 	"repose/internal/topk"
 )
 
-// LocalIndex is a per-partition index. The three rptrie layouts and
-// the three baselines all satisfy it.
+// LocalIndex is a per-partition index: the least every partition
+// offers, baselines included. REPOSE partitions are an rptrie.Index
+// (any layout, or a Durable wrapping one), which adds cancellation,
+// bounds, range search, mutation and images; the engines reach that
+// surface with one assertion and treat everything else as a baseline.
 type LocalIndex interface {
 	// Search answers a partition-local top-k query.
 	Search(q []geo.Point, k int) []topk.Item
@@ -28,10 +31,7 @@ type LocalIndex interface {
 }
 
 var (
-	_ LocalIndex = (*rptrie.Trie)(nil)
-	_ LocalIndex = (*rptrie.Succinct)(nil)
-	_ LocalIndex = (*rptrie.Compressed)(nil)
-	_ LocalIndex = (*rptrie.Durable)(nil)
+	_ LocalIndex = rptrie.Index(nil)
 	_ LocalIndex = (*ls.Index)(nil)
 	_ LocalIndex = (*dft.Index)(nil)
 	_ LocalIndex = (*dita.Index)(nil)
@@ -84,12 +84,7 @@ type IndexSpec struct {
 	Optimize bool // z-value re-arrangement (order-independent measures)
 	// Layout selects the per-partition layout the worker installs:
 	// pointer, succinct (two-tier), or compressed (trit-array).
-	Layout rptrie.Layout
-	// Succinct is the pre-Layout form of requesting the succinct
-	// layout; honored when Layout is left at its zero value.
-	//
-	// Deprecated: set Layout instead.
-	Succinct   bool
+	Layout     rptrie.Layout
 	DisableLBt bool
 	DisableLBp bool
 
@@ -117,15 +112,6 @@ type IndexSpec struct {
 	Seed int64
 }
 
-// layout resolves the requested rptrie layout, honoring the deprecated
-// Succinct flag.
-func (s IndexSpec) layout() rptrie.Layout {
-	if s.Layout == rptrie.LayoutPointer && s.Succinct {
-		return rptrie.LayoutSuccinct
-	}
-	return s.Layout
-}
-
 // BuildLocal constructs the partition-local index the spec describes.
 func (s IndexSpec) BuildLocal(part []*geo.Trajectory) (LocalIndex, error) {
 	switch s.Algorithm {
@@ -143,17 +129,7 @@ func (s IndexSpec) BuildLocal(part []*geo.Trajectory) (LocalIndex, error) {
 			DisableLBt: s.DisableLBt,
 			DisableLBp: s.DisableLBp,
 		}
-		trie, err := rptrie.Build(cfg, part)
-		if err != nil {
-			return nil, err
-		}
-		switch s.layout() {
-		case rptrie.LayoutSuccinct:
-			return rptrie.Compress(trie)
-		case rptrie.LayoutCompressed:
-			return rptrie.CompressTST(trie)
-		}
-		return trie, nil
+		return rptrie.BuildLayout(cfg, part, s.Layout)
 	case LS:
 		return ls.Build(s.Measure, s.Params, part), nil
 	case DFT:

@@ -322,7 +322,7 @@ func TestBoundOnChains(t *testing.T) {
 			st := w.idxs["pointer"].(*Trie).state()
 			s := searcher{cfg: w.cfg, trajs: st.trajs, sc: &searchScratch{qb: &dist.QueryBounds{}}}
 			var stats SearchStats
-			lb, err := s.boundWalk(ptrNode{st.root}, q, &stats)
+			lb, err := s.boundWalk(st.core.rootRef(nil), q, &stats)
 			spent := stats.NodesExpanded + stats.ChainSteps
 			if err != nil || lb > nearest || spent > boundBudget {
 				t.Fatalf("seed=%d measure=%v q[%d]: bound %v (err %v, nearest %v) after %d expansions + %d chain steps, budget %d",
@@ -341,68 +341,75 @@ func TestBoundOnChains(t *testing.T) {
 // TestScratchDropsRetiredGeneration: a search scratch that outlives its
 // query — as every pooled one does — must not keep the searched trie
 // reachable. The test owns the scratch (a sync.Pool would be emptied by
-// the collections it needs), runs a search that ends with entries still
-// queued, drops the index, and requires the old trie to be collected
-// while the scratch is held: every childless node of the pointer layout
-// (a stranded entry pins its node's subtree, not the root above it), the
-// core of the compressed one.
+// the collections it needs), runs a query that leaves node refs behind —
+// a top-k search that ends with entries still queued, or a range walk,
+// which parks every visited node's children in the scratch — drops the
+// index, and requires the old trie to be collected while the scratch is
+// held: every childless node of the pointer layout (a stranded entry
+// pins its node's subtree, not the root above it), the core of the
+// compressed one.
 func TestScratchDropsRetiredGeneration(t *testing.T) {
 	for _, layout := range []string{"pointer", "compressed"} {
 		t.Run(layout, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			ds := randomDataset(rng, 200)
-			cfg := scratchConfig(t, dist.Hausdorff, ds)
-			sc := &searchScratch{qb: &dist.QueryBounds{}}
-			var pinned atomic.Int64
+			for _, mode := range []string{"topk", "radius"} {
+				t.Run(mode, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(7))
+					ds := randomDataset(rng, 200)
+					cfg := scratchConfig(t, dist.Hausdorff, ds)
+					sc := &searchScratch{qb: &dist.QueryBounds{}}
+					var pinned atomic.Int64
 
-			// Build, search and drop inside a call, so no local of this
-			// frame keeps the index alive.
-			func() {
-				idx := buildDyn(t, layout, cfg, ds)
-				var root searchNode
-				var trajs map[int32]*geo.Trajectory
-				switch x := idx.(type) {
-				case *Trie:
-					st := x.state()
-					root, trajs = ptrNode{st.root}, st.trajs
-					var watch func(n *node)
-					watch = func(n *node) {
-						if len(n.children) == 0 {
+					// Build, search and drop inside a call, so no local of
+					// this frame keeps the index alive.
+					func() {
+						st := buildDyn(t, layout, cfg, ds).(interface{ state() *state }).state()
+						switch c := st.core.(type) {
+						case *trieState:
+							var watch func(n *node)
+							watch = func(n *node) {
+								if len(n.children) == 0 {
+									pinned.Add(1)
+									runtime.SetFinalizer(n, func(*node) { pinned.Add(-1) })
+								}
+								for _, c := range n.children {
+									watch(c)
+								}
+							}
+							watch(c.root)
+						case *cmpCore:
 							pinned.Add(1)
-							runtime.SetFinalizer(n, func(*node) { pinned.Add(-1) })
+							runtime.SetFinalizer(c, func(*cmpCore) { pinned.Add(-1) })
 						}
-						for _, c := range n.children {
-							watch(c)
+						if mode == "radius" {
+							hits, err := searchRadius(nil, cfg, st, sc, ds[0].Points, 1, SearchOptions{})
+							if err != nil || len(hits) == 0 || len(hits) == len(ds) {
+								t.Fatalf("range search: %d hits of %d, %v", len(hits), len(ds), err)
+							}
+							return
 						}
-					}
-					watch(st.root)
-				case *Compressed:
-					st := x.state()
-					root, trajs = st.core.rootRef(sc), st.trajs
-					pinned.Add(1)
-					runtime.SetFinalizer(st.core, func(*cmpCore) { pinned.Add(-1) })
-				}
-				s := searcher{cfg: cfg, trajs: trajs, sc: sc}
-				res, stats, err := s.run(root, ds[0].Points, 1, nil)
-				if err != nil || len(res) != 1 {
-					t.Fatalf("search: %v, %v", res, err)
-				}
-				// Popped = expanded + refined + the entry run stopped at.
-				if stats.EntriesPushed <= stats.NodesExpanded+stats.LeavesRefined+1 {
-					t.Fatalf("the search drained its queue (%+v): nothing was left to pin", stats)
-				}
-			}()
+						s := searcher{cfg: cfg, trajs: st.trajs, sc: sc}
+						res, stats, err := s.run(st.core.rootRef(sc), ds[0].Points, 1, nil)
+						if err != nil || len(res) != 1 {
+							t.Fatalf("search: %v, %v", res, err)
+						}
+						// Popped = expanded + refined + the entry run stopped at.
+						if stats.EntriesPushed <= stats.NodesExpanded+stats.LeavesRefined+1 {
+							t.Fatalf("the search drained its queue (%+v): nothing was left to pin", stats)
+						}
+					}()
 
-			// Finalizers run on their own goroutine after the collection
-			// that found the object unreachable.
-			for i := 0; pinned.Load() > 0; i++ {
-				if i == 50 {
-					t.Fatalf("%d objects of the dropped index are still reachable from the search scratch", pinned.Load())
-				}
-				runtime.GC()
-				time.Sleep(10 * time.Millisecond)
+					// Finalizers run on their own goroutine after the
+					// collection that found the object unreachable.
+					for i := 0; pinned.Load() > 0; i++ {
+						if i == 50 {
+							t.Fatalf("%d objects of the dropped index are still reachable from the search scratch", pinned.Load())
+						}
+						runtime.GC()
+						time.Sleep(10 * time.Millisecond)
+					}
+					runtime.KeepAlive(sc)
+				})
 			}
-			runtime.KeepAlive(sc)
 		})
 	}
 }

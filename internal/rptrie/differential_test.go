@@ -92,8 +92,8 @@ func runDifferentialCase(t *testing.T, layout string, m dist.Measure, p dist.Par
 		q := randomDataset(rng, 1)[0]
 		k := 1 + rng.Intn(12)
 		diffAssertTopK(t, ctx, m, p, mirror, q.Points, k, idx.Search(q.Points, k))
-		// Range queries: the pointer and compressed layouts support
-		// them (Succinct does not), and both must match the oracle.
+		// Range queries: every layout answers them through the shared
+		// handle, and all must match the oracle.
 		if rs, ok := idx.(interface {
 			SearchRadius(q []geo.Point, radius float64) []topk.Item
 		}); ok && rng.Intn(4) == 0 {

@@ -19,7 +19,7 @@
 // lazily decoded byte sequences for the sparse lower levels
 // (Section III-B). Tries persist via Save/ReadTrie so a restarted
 // worker skips the construction cost; range search (SearchRadius) is
-// provided as an extension beyond the paper.
+// provided on every layout as an extension beyond the paper.
 //
 // # The compressed trit-array layout (tSTAT)
 //
@@ -199,9 +199,47 @@
 // 153.9 (Hausdorff) and from 2,091 to 1,221 (DTW); internal/cluster's
 // TestSharedTopKCountGate pins a ≥ 30 % cut on a 1/256 fixture.
 //
+// # One handle, three cores
+//
+// A layout is only an encoding of the node structure. Everything else
+// about an index — the configuration, the writer mutex, the atomically
+// swapped state (generation, core, trajectories, delta overlay), the
+// scratch pool, and the whole query, mutation and snapshot surface —
+// lives once in the unexported index handle (index.go). A layout
+// contributes a core: rootRef (the root as a searchNode, boxed without
+// allocating), coreBytes and counts, plus an encode function from a
+// freshly built pointer trie (*trieState, itself the pointer layout's
+// core) to that core. Trie, Succinct and Compressed are named structs
+// embedding the handle; they add their image format (Save/Read*) and
+// layout-only accessors, nothing else. Index is the exported form of
+// the surface, which Durable satisfies too.
+//
+// install(ts, gen) encodes and publishes: Build, the conversions and
+// ReadTrie/ReadCompressed end in it. compacted() builds the current
+// state with the delta folded into a freshly encoded core at the same
+// generation and never publishes it. The three Saves and
+// Compress/CompressTST work from it, so saving or converting an index
+// with pending mutations moves neither its generation nor its delta
+// (TestCompactedIsPure); Compact is the one caller that publishes the
+// result, as the next generation.
+//
+// The range walk (range.go) is one depth-first recursion over
+// searchNode under a fixed threshold. A node's children are appended to
+// the scratch's child buffer above its ancestors', read by position (a
+// nested visit may grow and move the buffer), and popped on the way
+// out; the last child inherits the parent's PathBounder, the others
+// fork it. The walk therefore parks node refs in the scratch — in the
+// child buffer and, for the succinct and compressed layouts, the ref
+// arenas — and must end in dropRefs like run and bound do, or the
+// pooled scratch would keep a compacted-away generation reachable
+// (TestScratchDropsRetiredGeneration, radius variant).
+//
+// Durable wraps an index and delegates every method explicitly. It does
+// not embed the handle: a promoted mutator would bypass the journal.
+//
 // # Online updates: generations, deltas, and compaction
 //
-// Both layouts support Insert, Delete, and Upsert through an
+// The handle supports Insert, Delete, and Upsert through an
 // epoch/generation scheme (dynamic.go). The structural core built at
 // construction time is immutable; mutations accumulate in a small
 // immutable delta overlay — an append buffer of pending inserts plus
@@ -213,10 +251,11 @@
 // byte-identical to the static one (BenchmarkSearch/trie stays
 // 0 allocs/op). Compact rebuilds the core over the live set — core
 // minus tombstones plus pending inserts — re-running the ordinary
-// build (including z-value re-arrangement), and swaps the compacted
-// state in as the next generation; SearchOptions.MinGen lets a caller
-// pin a query to a generation floor (ErrStale below it), which the
-// cluster layer uses for read-your-writes.
+// build (including z-value re-arrangement), re-encodes it, and swaps
+// the compacted state in as the next generation;
+// SearchOptions.MinGen lets a caller pin a query to a generation floor
+// (ErrStale below it), which the cluster layer uses for
+// read-your-writes.
 //
 // # Refined query modes and segment admissibility
 //
@@ -280,6 +319,6 @@
 // scan of the append buffer, run before the best-first loop so the
 // threshold it establishes tightens trie pruning rather than
 // weakening it. Correctness across random mutation interleavings is
-// pinned to the brute-force oracle for all six measures and both
-// layouts in differential_test.go.
+// pinned to the brute-force oracle for all six measures and every
+// layout in differential_test.go.
 package rptrie

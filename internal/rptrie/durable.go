@@ -14,10 +14,9 @@ import (
 	"repose/internal/topk"
 )
 
-// Durable is the disk-backed third backing mode, alongside the
-// pointer and succinct layouts: it wraps either of them and journals
-// every mutation through internal/storage so the partition recovers
-// to its exact pre-crash generation after kill -9.
+// Durable is the disk-backed backing mode: it wraps an index of any
+// layout and journals every mutation through internal/storage so the
+// partition recovers to its exact pre-crash generation after kill -9.
 //
 // Protocol (the WAL-before-acknowledge discipline, see storage's
 // package doc): a mutation applies to the in-memory index, appends
@@ -34,41 +33,26 @@ import (
 // back when no later mutation has applied, and every subsequent
 // mutation fails with the original error. Queries keep answering
 // from memory.
+//
+// Every method delegates explicitly. Embedding the wrapped handle would
+// promote its mutators past the journal: a method added to the handle
+// later would silently skip the WAL.
 type Durable struct {
 	mu              sync.Mutex
-	inner           innerIndex
+	inner           layoutIndex
 	store           *storage.Store
 	dir             string
-	layout          Layout
 	noCkptOnCompact bool
 	broken          error
 }
 
-// innerIndex is the layout surface Durable wraps; *Trie, *Succinct,
-// and *Compressed all satisfy it.
-type innerIndex interface {
-	Insert(trs ...*geo.Trajectory) error
-	Delete(ids ...int) int
-	Upsert(trs ...*geo.Trajectory) error
-	Compact() error
-	Generation() uint64
-	DeltaLen() int
-	Len() int
-	SizeBytes() int
-	Config() Config
-	Search(q []geo.Point, k int) []topk.Item
-	SearchAppend(dst []topk.Item, q []geo.Point, k int) []topk.Item
-	SearchContext(ctx context.Context, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error)
-	BoundContext(ctx context.Context, q []geo.Point, opt SearchOptions) (float64, error)
-	LiveIDs() []int
-	Save(w io.Writer) error
+// layoutIndex is what Durable wraps: an Index that embeds the handle
+// (*Trie, *Succinct or *Compressed), whose state pointer is the snapshot
+// a failed mutation rolls back to.
+type layoutIndex interface {
+	Index
+	handle() *index
 }
-
-var (
-	_ innerIndex = (*Trie)(nil)
-	_ innerIndex = (*Succinct)(nil)
-	_ innerIndex = (*Compressed)(nil)
-)
 
 // ErrNoDurable reports a directory holding no recoverable index —
 // never created, wiped, or its creation crashed before the initial
@@ -86,14 +70,6 @@ const (
 	recDelete  = byte(2)
 	recUpsert  = byte(3)
 	recCompact = byte(4)
-)
-
-// Checkpoint image layout bytes (first byte of the image, ahead of
-// the layout's own Save encoding).
-const (
-	imageTrie       = byte(0)
-	imageSuccinct   = byte(1)
-	imageCompressed = byte(2)
 )
 
 // walPayload is the gob body of one WAL record. Gen is the
@@ -123,11 +99,6 @@ type DurableOptions struct {
 	// Layout selects which layout BuildDurable installs the built
 	// index in. The zero value is the pointer layout.
 	Layout Layout
-	// Succinct is the pre-Layout form of requesting LayoutSuccinct;
-	// honored when Layout is left at its zero value.
-	//
-	// Deprecated: set Layout instead.
-	Succinct bool
 	// NoCheckpointOnCompact disables the automatic checkpoint after
 	// Compact (the WAL then carries compaction as a replayed record).
 	NoCheckpointOnCompact bool
@@ -137,39 +108,16 @@ func (o DurableOptions) storage() storage.Options {
 	return storage.Options{VFS: o.VFS, PageSize: o.PageSize, PoolFrames: o.PoolFrames}
 }
 
-// layoutOf resolves the requested layout, honoring the deprecated
-// Succinct flag.
-func (o DurableOptions) layoutOf() Layout {
-	if o.Layout == LayoutPointer && o.Succinct {
-		return LayoutSuccinct
-	}
-	return o.Layout
-}
-
 // BuildDurable builds an index over ds (like Build, then converted to
 // the requested layout like Compress or CompressTST) and installs it
 // durably at dir, wiping whatever the directory held. It returns only
 // after the initial checkpoint is on disk.
 func BuildDurable(dir string, cfg Config, ds []*geo.Trajectory, o DurableOptions) (*Durable, error) {
-	t, err := Build(cfg, ds)
+	idx, err := BuildLayout(cfg, ds, o.Layout)
 	if err != nil {
 		return nil, err
 	}
-	switch o.layoutOf() {
-	case LayoutSuccinct:
-		s, err := Compress(t)
-		if err != nil {
-			return nil, err
-		}
-		return WrapDurable(dir, s, o)
-	case LayoutCompressed:
-		c, err := CompressTST(t)
-		if err != nil {
-			return nil, err
-		}
-		return WrapDurable(dir, c, o)
-	}
-	return WrapDurable(dir, t, o)
+	return WrapDurable(dir, idx, o)
 }
 
 // WrapDurable installs a pre-built index (a *Trie, *Succinct, or
@@ -177,9 +125,9 @@ func BuildDurable(dir string, cfg Config, ds []*geo.Trajectory, o DurableOptions
 // index at dir, wiping whatever the directory held. It returns only
 // after the initial checkpoint is on disk.
 func WrapDurable(dir string, idx any, o DurableOptions) (*Durable, error) {
-	inner, layout, err := asInner(idx)
-	if err != nil {
-		return nil, err
+	inner, ok := idx.(layoutIndex)
+	if !ok {
+		return nil, fmt.Errorf("rptrie: cannot make a %T durable", idx)
 	}
 	if err := storage.Destroy(dir, o.VFS); err != nil {
 		return nil, err
@@ -188,26 +136,12 @@ func WrapDurable(dir string, idx any, o DurableOptions) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{inner: inner, store: st, dir: dir, layout: layout, noCkptOnCompact: o.NoCheckpointOnCompact}
+	d := &Durable{inner: inner, store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}
 	if err := d.Checkpoint(); err != nil {
 		st.Close()
 		return nil, err
 	}
 	return d, nil
-}
-
-// asInner narrows idx to the layouts Durable can wrap.
-func asInner(idx any) (innerIndex, Layout, error) {
-	switch v := idx.(type) {
-	case *Trie:
-		return v, LayoutPointer, nil
-	case *Succinct:
-		return v, LayoutSuccinct, nil
-	case *Compressed:
-		return v, LayoutCompressed, nil
-	default:
-		return nil, 0, fmt.Errorf("rptrie: cannot make a %T durable", idx)
-	}
 }
 
 // OpenDurable recovers the durable index at dir: it loads the newest
@@ -244,43 +178,25 @@ func recoverIndex(st *storage.Store, dir string, o DurableOptions) (*Durable, er
 	if len(image) == 0 {
 		return nil, fmt.Errorf("%w: %s: empty checkpoint image", ErrNoDurable, dir)
 	}
-	var inner innerIndex
-	layout := LayoutPointer
-	switch image[0] {
-	case imageTrie:
-		t, err := ReadTrie(bytes.NewReader(image[1:]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
-		}
-		inner = t
-	case imageSuccinct:
-		s, err := ReadSuccinct(bytes.NewReader(image[1:]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
-		}
-		inner, layout = s, LayoutSuccinct
-	case imageCompressed:
-		c, err := ReadCompressed(bytes.NewReader(image[1:]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
-		}
-		inner, layout = c, LayoutCompressed
-	default:
-		return nil, fmt.Errorf("%w: %s: unknown image layout %d", ErrNoDurable, dir, image[0])
+	// The image's leading byte is its Layout.
+	idx, err := ReadIndex(Layout(image[0]), bytes.NewReader(image[1:]))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
 	}
+	inner := idx.(layoutIndex) // ReadIndex returns nothing else
 	if err := st.Replay(func(rec storage.WALRecord) error {
 		return applyRecord(inner, rec)
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
 	}
-	return &Durable{inner: inner, store: st, dir: dir, layout: layout, noCkptOnCompact: o.NoCheckpointOnCompact}, nil
+	return &Durable{inner: inner, store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}, nil
 }
 
 // applyRecord re-applies one logged mutation during recovery. The
 // staging code is deterministic, so the replayed generation must
 // match the recorded one exactly; a mismatch means the image and log
 // diverged and the state cannot be trusted.
-func applyRecord(inner innerIndex, rec storage.WALRecord) error {
+func applyRecord(inner Index, rec storage.WALRecord) error {
 	payload := rec.Payload
 	if len(payload) > 0 && payload[0] <= walVersion {
 		// Versioned record (see walVersion): strip the prefix. Bytes
@@ -323,38 +239,12 @@ func applyRecord(inner innerIndex, rec storage.WALRecord) error {
 	return nil
 }
 
-// snapshotOf captures the inner layout's current immutable state, so
-// a mutation whose logging fails can be rolled back.
-func snapshotOf(inner innerIndex) any {
-	switch v := inner.(type) {
-	case *Trie:
-		return v.cur.Load()
-	case *Succinct:
-		return v.cur.Load()
-	case *Compressed:
-		return v.cur.Load()
-	}
-	return nil
-}
-
-// restoreSnapshot rolls the inner layout back to a snapshotOf result.
-func restoreSnapshot(inner innerIndex, snap any) {
-	switch v := inner.(type) {
-	case *Trie:
-		v.cur.Store(snap.(*trieState))
-	case *Succinct:
-		v.cur.Store(snap.(*succState))
-	case *Compressed:
-		v.cur.Store(snap.(*cmpState))
-	}
-}
-
 // logMutation journals one applied mutation and returns its LSN. The
 // caller holds d.mu and has already applied the mutation; prev is the
 // pre-mutation state for rollback. On failure the handle is poisoned
 // and the mutation rolled back (no later mutation can have applied —
 // d.mu is held from apply through append).
-func (d *Durable) logMutation(typ byte, p walPayload, prev any) (uint64, error) {
+func (d *Durable) logMutation(typ byte, p walPayload, prev *state) (uint64, error) {
 	var buf bytes.Buffer
 	buf.WriteByte(walVersion)
 	err := gob.NewEncoder(&buf).Encode(&p)
@@ -363,7 +253,7 @@ func (d *Durable) logMutation(typ byte, p walPayload, prev any) (uint64, error) 
 		lsn, err = d.store.Append(typ, buf.Bytes())
 	}
 	if err != nil {
-		restoreSnapshot(d.inner, prev)
+		d.inner.handle().cur.Store(prev)
 		d.broken = fmt.Errorf("%w: %v", ErrDurability, err)
 		return 0, d.broken
 	}
@@ -375,11 +265,11 @@ func (d *Durable) logMutation(typ byte, p walPayload, prev any) (uint64, error) 
 // fsyncs. genAfter is the generation this mutation produced: if the
 // sync fails and no later mutation has applied, the mutation is
 // rolled back; either way the handle is poisoned.
-func (d *Durable) ackSync(lsn uint64, genAfter uint64, prev any) error {
+func (d *Durable) ackSync(lsn uint64, genAfter uint64, prev *state) error {
 	if err := d.store.Sync(lsn); err != nil {
 		d.mu.Lock()
 		if d.inner.Generation() == genAfter {
-			restoreSnapshot(d.inner, prev)
+			d.inner.handle().cur.Store(prev)
 		}
 		if d.broken == nil {
 			d.broken = fmt.Errorf("%w: %v", ErrDurability, err)
@@ -391,29 +281,43 @@ func (d *Durable) ackSync(lsn uint64, genAfter uint64, prev any) error {
 	return nil
 }
 
+// mutate runs one journalled mutation: under d.mu it applies the
+// mutation to the wrapped index and appends the WAL record carrying the
+// generation it produced, then — without the lock — makes the record
+// durable. An apply that leaves the generation where it was (a delete
+// of unknown ids, a compaction of an empty delta) touches no log and
+// reports applied false.
+func (d *Durable) mutate(typ byte, p walPayload, apply func() error) (applied bool, err error) {
+	d.mu.Lock()
+	if d.broken != nil {
+		d.mu.Unlock()
+		return false, d.broken
+	}
+	prev := d.inner.handle().state()
+	if err := apply(); err != nil {
+		d.mu.Unlock()
+		return false, err
+	}
+	if p.Gen = d.inner.Generation(); p.Gen == prev.gen {
+		d.mu.Unlock()
+		return false, nil
+	}
+	lsn, err := d.logMutation(typ, p, prev)
+	d.mu.Unlock()
+	if err != nil {
+		return false, err
+	}
+	return true, d.ackSync(lsn, p.Gen, prev)
+}
+
 // Insert adds trajectories durably; see Trie.Insert. It returns only
 // after the mutation's WAL record is fsynced.
 func (d *Durable) Insert(trs ...*geo.Trajectory) error {
 	if len(trs) == 0 {
 		return nil
 	}
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return d.broken
-	}
-	prev := snapshotOf(d.inner)
-	if err := d.inner.Insert(trs...); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recInsert, walPayload{Trs: trs, Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return d.ackSync(lsn, gen, prev)
+	_, err := d.mutate(recInsert, walPayload{Trs: trs}, func() error { return d.inner.Insert(trs...) })
+	return err
 }
 
 // Delete removes ids durably, returning how many were live; see
@@ -422,27 +326,11 @@ func (d *Durable) Insert(trs ...*geo.Trajectory) error {
 // and 0 is returned — the caller never gets an acknowledgement the
 // log cannot honor.
 func (d *Durable) Delete(ids ...int) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return 0
-	}
-	prev := snapshotOf(d.inner)
-	n := d.inner.Delete(ids...)
-	if n == 0 {
-		d.mu.Unlock()
-		return 0
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recDelete, walPayload{IDs: ids, Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return 0
-	}
-	if d.ackSync(lsn, gen, prev) != nil {
+	n := 0
+	if _, err := d.mutate(recDelete, walPayload{IDs: ids}, func() error {
+		n = d.inner.Delete(ids...)
+		return nil
+	}); err != nil {
 		return 0
 	}
 	return n
@@ -453,23 +341,8 @@ func (d *Durable) Upsert(trs ...*geo.Trajectory) error {
 	if len(trs) == 0 {
 		return nil
 	}
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return d.broken
-	}
-	prev := snapshotOf(d.inner)
-	if err := d.inner.Upsert(trs...); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recUpsert, walPayload{Trs: trs, Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return d.ackSync(lsn, gen, prev)
+	_, err := d.mutate(recUpsert, walPayload{Trs: trs}, func() error { return d.inner.Upsert(trs...) })
+	return err
 }
 
 // Compact folds the pending delta into a rebuilt core, journals the
@@ -477,31 +350,9 @@ func (d *Durable) Upsert(trs ...*geo.Trajectory) error {
 // already produced everything the image needs. A no-op on an empty
 // delta.
 func (d *Durable) Compact() error {
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return d.broken
-	}
-	if d.inner.DeltaLen() == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	prev := snapshotOf(d.inner)
-	if err := d.inner.Compact(); err != nil {
-		d.mu.Unlock()
+	applied, err := d.mutate(recCompact, walPayload{}, d.inner.Compact)
+	if err != nil || !applied || d.noCkptOnCompact {
 		return err
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recCompact, walPayload{Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := d.ackSync(lsn, gen, prev); err != nil {
-		return err
-	}
-	if d.noCkptOnCompact {
-		return nil
 	}
 	return d.Checkpoint()
 }
@@ -516,14 +367,7 @@ func (d *Durable) Checkpoint() error {
 		return d.broken
 	}
 	var buf bytes.Buffer
-	layout := imageTrie
-	switch d.layout {
-	case LayoutSuccinct:
-		layout = imageSuccinct
-	case LayoutCompressed:
-		layout = imageCompressed
-	}
-	buf.WriteByte(layout)
+	buf.WriteByte(byte(d.inner.Layout()))
 	if err := d.inner.Save(&buf); err != nil {
 		return err
 	}
@@ -562,12 +406,7 @@ func (d *Durable) Err() error {
 func (d *Durable) Dir() string { return d.dir }
 
 // Layout reports the wrapped layout.
-func (d *Durable) Layout() Layout { return d.layout }
-
-// IsSuccinct reports whether the wrapped layout is the succinct one.
-//
-// Deprecated: use Layout.
-func (d *Durable) IsSuccinct() bool { return d.layout == LayoutSuccinct }
+func (d *Durable) Layout() Layout { return d.inner.Layout() }
 
 // Generation returns the current snapshot's generation.
 func (d *Durable) Generation() uint64 { return d.inner.Generation() }
@@ -605,17 +444,9 @@ func (d *Durable) BoundContext(ctx context.Context, q []geo.Point, opt SearchOpt
 	return d.inner.BoundContext(ctx, q, opt)
 }
 
-// SearchRadiusContext answers a range query when the wrapped layout
-// supports one (the pointer and compressed layouts; succinct does
-// not).
+// SearchRadiusContext answers a range query on the wrapped index.
 func (d *Durable) SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error) {
-	switch v := d.inner.(type) {
-	case *Trie:
-		return v.SearchRadiusContext(ctx, q, radius, opt)
-	case *Compressed:
-		return v.SearchRadiusContext(ctx, q, radius, opt)
-	}
-	return nil, errors.New("rptrie: durable succinct index does not support radius search")
+	return d.inner.SearchRadiusContext(ctx, q, radius, opt)
 }
 
 // Save serializes the wrapped index in its layout's wire format
@@ -623,25 +454,5 @@ func (d *Durable) SearchRadiusContext(ctx context.Context, q []geo.Point, radius
 // — the cluster snapshot path.
 func (d *Durable) Save(w io.Writer) error { return d.inner.Save(w) }
 
-// LiveIDs returns the ids of every live trajectory, unordered — the
-// input for rebuilding a driver's routing directory after recovery and
-// for computing a split's keep set.
+// LiveIDs returns the ids of every live trajectory, unordered.
 func (d *Durable) LiveIDs() []int { return d.inner.LiveIDs() }
-
-func liveIDsOf(core map[int32]*geo.Trajectory, dl *delta) []int {
-	out := make([]int, 0, len(core))
-	for tid := range core {
-		if dl != nil {
-			if _, dead := dl.dels[tid]; dead {
-				continue
-			}
-		}
-		out = append(out, int(tid))
-	}
-	if dl != nil {
-		for _, tr := range dl.adds {
-			out = append(out, tr.ID)
-		}
-	}
-	return out
-}

@@ -10,7 +10,7 @@ import (
 
 // Online index maintenance (the generation/compaction scheme).
 //
-// Both layouts keep their structural core immutable and absorb
+// Every layout keeps its structural core immutable and absorbs
 // mutations into a small side overlay, the delta: pending inserts in
 // an append buffer and pending deletes in a tombstone set. Every
 // mutation builds a fresh immutable state (shallow core copy, staged
@@ -25,7 +25,7 @@ import (
 // Staging shares everything a mutation leaves untouched: inserts
 // append to the adds buffer in place (readers hold a fixed-length
 // slice header, so writes past their length are invisible; writers
-// serialize on the index mutex and always extend the newest state)
+// serialize on the handle's mutex and always extend the newest state)
 // and share the tombstone set, so a pure insert stream stages in
 // O(batch) with no copying. Only deletes clone — the tombstone set
 // when adding a stone, the adds buffer when unstaging a pending
@@ -239,108 +239,4 @@ func (d *delta) merged(core map[int32]*geo.Trajectory) []*geo.Trajectory {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// withDelta derives the next generation from st with nd as overlay.
-func (st *trieState) withDelta(nd *delta) *trieState {
-	ns := *st
-	ns.delta = nd
-	ns.gen = st.gen + 1
-	return &ns
-}
-
-// compactedState folds st's delta into a freshly built core. It is a
-// pure function of st: callers decide whether the result becomes the
-// index's next generation.
-func compactedState(cfg Config, st *trieState) (*trieState, error) {
-	if st.delta.empty() {
-		return st, nil
-	}
-	ns, err := buildState(cfg, st.delta.merged(st.trajs))
-	if err != nil {
-		return nil, err
-	}
-	ns.gen = st.gen
-	return ns, nil
-}
-
-// Generation returns the snapshot's generation counter. It increases
-// by one per applied mutation batch and per compaction.
-func (t *Trie) Generation() uint64 { return t.state().gen }
-
-// DeltaLen returns the number of pending (uncompacted) mutations.
-func (t *Trie) DeltaLen() int { return t.state().delta.size() }
-
-// Insert adds trajectories to the live index as pending inserts,
-// visible to every query issued after it returns. It fails — without
-// applying anything — on an empty trajectory or an id that is already
-// live.
-func (t *Trie) Insert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	nd, err := stageInsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	t.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Delete removes the given ids from the live index, returning how many
-// were actually live. Queries issued after it returns never see them.
-func (t *Trie) Delete(ids ...int) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	nd, n := stageDelete(st.delta, st.trajs, ids)
-	if n == 0 {
-		return 0
-	}
-	t.cur.Store(st.withDelta(nd))
-	return n
-}
-
-// Upsert inserts trajectories, replacing any live trajectory sharing
-// an id. The replacement is atomic per snapshot: no query observes the
-// old and new version of an id together, or neither.
-func (t *Trie) Upsert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	nd, err := stageUpsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	t.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Compact folds the pending delta into a rebuilt core, restoring the
-// fully indexed (zero-overlay) read path. A no-op when the delta is
-// empty. In-flight queries keep their snapshot; queries issued after
-// it returns see the compacted generation.
-func (t *Trie) Compact() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	if st.delta.empty() {
-		return nil
-	}
-	ns, err := compactedState(t.cfg, st)
-	if err != nil {
-		return err
-	}
-	ns.gen = st.gen + 1
-	t.cur.Store(ns)
-	return nil
 }

@@ -265,31 +265,27 @@ func TestRadiusUnderMutation(t *testing.T) {
 	}
 	p := dist.Params{Epsilon: 0.5, Gap: geo.Point{}}
 	ds := randomDataset(rng, 60)
-	tr, err := Build(Config{Measure: dist.Hausdorff, Params: p, Grid: g}, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror := oracle.NewSet(ds)
-
-	apply := func(adds []*geo.Trajectory, dels []int) {
-		if err := tr.Insert(adds...); err != nil {
+	adds, dels := randomFresh(rng, 1000, 10), []int{3, 7, 21}
+	q := randomDataset(rng, 1)[0]
+	for _, name := range radiusIndexes {
+		idx := buildSurface(t, name, Config{Measure: dist.Hausdorff, Params: p, Grid: g}, ds)
+		mirror := oracle.NewSet(ds)
+		if err := idx.Insert(adds...); err != nil {
 			t.Fatal(err)
 		}
 		mirror.Insert(adds...)
-		tr.Delete(dels...)
+		idx.Delete(dels...)
 		mirror.Delete(dels...)
-	}
-	apply(randomFresh(rng, 1000, 10), []int{3, 7, 21})
-	q := randomDataset(rng, 1)[0]
-	for _, radius := range []float64{0.3, 1.5, 4} {
-		got := tr.SearchRadius(q.Points, radius)
-		want := mirror.Radius(dist.Hausdorff, p, q.Points, radius)
-		if len(got) != len(want) {
-			t.Fatalf("radius %g: %d hits, want %d", radius, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].ID != want[i].ID || !close9(got[i].Dist, want[i].Dist) {
-				t.Fatalf("radius %g rank %d: %+v want %+v", radius, i, got[i], want[i])
+		for _, radius := range []float64{0.3, 1.5, 4} {
+			got := radiusOf(t, idx, q.Points, radius)
+			want := mirror.Radius(dist.Hausdorff, p, q.Points, radius)
+			if len(got) != len(want) {
+				t.Fatalf("%s radius %g: %d hits, want %d", name, radius, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || !close9(got[i].Dist, want[i].Dist) {
+					t.Fatalf("%s radius %g rank %d: %+v want %+v", name, radius, i, got[i], want[i])
+				}
 			}
 		}
 	}

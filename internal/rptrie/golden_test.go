@@ -203,7 +203,7 @@ func TestGoldenCompressedImage(t *testing.T) {
 			t.Fatalf("fixture traversal %+v, fresh %+v", gotStats, wantStats)
 		}
 	}
-	// Range queries decode from the same fixture (Succinct cannot).
+	// Range queries decode from the same fixture.
 	gotR, err := back.SearchRadiusContext(nil, q.Points, 2.5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func validate(t *testing.T, tr *Trie) {
 		}
 		return minLen, maxLen, depth
 	}
-	walk(tr.state().root, nil)
+	walk(tr.state().core.(*trieState).root, nil)
 	if len(seen) != len(tr.state().trajs) {
 		t.Fatalf("leaves hold %d distinct tids, index has %d", len(seen), len(tr.state().trajs))
 	}

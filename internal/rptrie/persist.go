@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repose/internal/dist"
 	"repose/internal/geo"
@@ -141,20 +140,18 @@ type wireTrie struct {
 // source's generation, so replicas restored from a peer's snapshot
 // stay generation-aligned with it (cluster failover relies on this).
 func (t *Trie) Save(w io.Writer) error {
-	st := t.state()
-	if !st.delta.empty() {
-		var err error
-		if st, err = compactedState(t.cfg, st); err != nil {
-			return err
-		}
+	st, err := t.compacted()
+	if err != nil {
+		return err
 	}
+	ts := st.core.(*trieState)
 	wt := wireTrie{
 		Magic:    wireMagic,
 		Gen:      st.gen,
 		Config:   wireConfigOf(t.cfg),
-		NumNodes: st.numNodes,
-		NumLeafs: st.numLeafs,
-		MaxDepth: st.maxDepth,
+		NumNodes: ts.numNodes,
+		NumLeafs: ts.numLeafs,
+		MaxDepth: ts.maxDepth,
 	}
 	var flatten func(n *node)
 	flatten = func(n *node) {
@@ -178,16 +175,12 @@ func (t *Trie) Save(w io.Writer) error {
 			flatten(c)
 		}
 	}
-	flatten(st.root)
-	wt.Trajs = make([]*geo.Trajectory, 0, len(st.trajs))
-	for _, tr := range st.trajs {
-		wt.Trajs = append(wt.Trajs, tr)
-	}
-	// Sorted so the image is a deterministic function of the indexed
-	// state (map iteration order is not): replicas saving the same
-	// state emit identical bytes, and the golden fixtures can pin the
-	// encoding exactly.
-	sort.Slice(wt.Trajs, func(i, j int) bool { return wt.Trajs[i].ID < wt.Trajs[j].ID })
+	flatten(ts.root)
+	// Sorted by id so the image is a deterministic function of the
+	// indexed state (map iteration order is not): replicas saving the
+	// same state emit identical bytes, and the golden fixtures can pin
+	// the encoding exactly.
+	wt.Trajs = st.delta.merged(st.trajs)
 	if err := writeWireVersion(w); err != nil {
 		return err
 	}
@@ -214,13 +207,11 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 		return nil, err
 	}
 	st := &trieState{
-		gen:      wt.Gen,
 		trajs:    make(map[int32]*geo.Trajectory, len(wt.Trajs)),
 		numNodes: wt.NumNodes,
 		numLeafs: wt.NumLeafs,
 		maxDepth: wt.MaxDepth,
 	}
-	t := &Trie{cfg: cfg}
 	for _, tr := range wt.Trajs {
 		if tr != nil && !tr.ValidTimes() {
 			return nil, fmt.Errorf("rptrie: trajectory %d has invalid timestamps", tr.ID)
@@ -273,6 +264,9 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 	}
 	st.root = root
 	st.bytes = nodeBytes(root)
-	t.cur.Store(st)
+	t := &Trie{index{cfg: cfg, encode: pointerCore}}
+	if err := t.install(st, wt.Gen); err != nil {
+		return nil, err
+	}
 	return t, nil
 }

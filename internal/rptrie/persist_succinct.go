@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repose/internal/bits"
 	"repose/internal/geo"
@@ -61,19 +60,11 @@ type wireSuccinct struct {
 // index always starts fully compacted — at the source's generation,
 // keeping restored replicas generation-aligned with their donor.
 func (s *Succinct) Save(w io.Writer) error {
-	st := s.state()
-	core := st.core
-	trajs := st.trajs
-	if !st.delta.empty() {
-		ts, err := buildState(s.cfg, st.delta.merged(st.trajs))
-		if err != nil {
-			return err
-		}
-		if core, err = compressCore(s.cfg, ts); err != nil {
-			return err
-		}
-		trajs = ts.trajs
+	st, err := s.compacted()
+	if err != nil {
+		return err
 	}
+	core := st.core.(*succCore)
 	ws := wireSuccinct{
 		Magic:    wireSuccMagic,
 		Config:   wireConfigOf(s.cfg),
@@ -97,12 +88,8 @@ func (s *Succinct) Save(w io.Writer) error {
 	for _, l := range core.leaves {
 		ws.Leaves = append(ws.Leaves, wireSuccLeaf{Tids: l.tids, Dmax: l.dmax, MinLen: l.minLen, MaxLen: l.maxLen})
 	}
-	ws.Trajs = make([]*geo.Trajectory, 0, len(trajs))
-	for _, tr := range trajs {
-		ws.Trajs = append(ws.Trajs, tr)
-	}
 	// Deterministic image bytes for identical state (see persist.go).
-	sort.Slice(ws.Trajs, func(i, j int) bool { return ws.Trajs[i].ID < ws.Trajs[j].ID })
+	ws.Trajs = st.delta.merged(st.trajs)
 	if err := writeWireVersion(w); err != nil {
 		return err
 	}
@@ -206,7 +193,7 @@ func ReadSuccinct(r io.Reader) (*Succinct, error) {
 		return nil, errors.New("rptrie: level-less index must have exactly one sparse root")
 	}
 	core.seal()
-	s := &Succinct{cfg: cfg}
-	s.cur.Store(&succState{gen: ws.Gen, core: core, trajs: trajs})
+	s := &Succinct{index{cfg: cfg, encode: succinctCore}}
+	s.cur.Store(&state{gen: ws.Gen, core: core, trajs: trajs})
 	return s, nil
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repose/internal/geo"
 )
@@ -197,19 +196,11 @@ func decodeCoords(planes []byte, trajs []*geo.Trajectory, set func(*geo.Point, f
 // identical state, format-version byte up front). ReadCompressed is
 // the inverse.
 func (x *Compressed) Save(w io.Writer) error {
-	st := x.state()
-	core := st.core
-	trajs := st.trajs
-	if !st.delta.empty() {
-		ts, err := buildState(x.cfg, st.delta.merged(st.trajs))
-		if err != nil {
-			return err
-		}
-		if core, err = compressTSTCore(x.cfg, ts); err != nil {
-			return err
-		}
-		trajs = ts.trajs
+	st, err := x.compacted()
+	if err != nil {
+		return err
 	}
+	core := st.core.(*cmpCore)
 	wc := wireCompressed{
 		Magic:    wireTSTMagic,
 		Config:   wireConfigOf(x.cfg),
@@ -217,12 +208,8 @@ func (x *Compressed) Save(w io.Writer) error {
 		NumNodes: core.numNodes,
 		NumLeafs: core.numLeafs,
 	}
-	ordered := make([]*geo.Trajectory, 0, len(trajs))
-	for _, tr := range trajs {
-		ordered = append(ordered, tr)
-	}
 	// Deterministic image bytes for identical state (see persist.go).
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	ordered := st.delta.merged(st.trajs)
 	wc.TrajIDs = make([]int64, len(ordered))
 	wc.TrajLens = make([]int32, len(ordered))
 	for i, tr := range ordered {
@@ -302,15 +289,13 @@ func ReadCompressed(r io.Reader) (*Compressed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rptrie: rebuilding core: %w", err)
 	}
-	core, err := compressTSTCore(cfg, ts)
-	if err != nil {
+	x := &Compressed{index{cfg: cfg, encode: tstCore}}
+	if err := x.install(ts, wc.Gen); err != nil {
 		return nil, fmt.Errorf("rptrie: re-encoding core: %w", err)
 	}
-	if core.numNodes != wc.NumNodes || core.numLeafs != wc.NumLeafs {
+	if nodes, leaves := x.NumNodes(), x.NumLeaves(); nodes != wc.NumNodes || leaves != wc.NumLeafs {
 		return nil, fmt.Errorf("rptrie: rebuilt core has %d nodes, %d leaves; image recorded %d, %d",
-			core.numNodes, core.numLeafs, wc.NumNodes, wc.NumLeafs)
+			nodes, leaves, wc.NumNodes, wc.NumLeafs)
 	}
-	x := &Compressed{cfg: cfg}
-	x.cur.Store(&cmpState{gen: wc.Gen, core: core, trajs: ts.trajs})
 	return x, nil
 }

@@ -7,65 +7,34 @@ import (
 
 	"repose/internal/dist"
 	"repose/internal/geo"
-	"repose/internal/pivot"
 	"repose/internal/topk"
 )
 
-// SearchRadius returns every indexed trajectory within distance
-// radius of q, ascending by (distance, id). It reuses the top-k
-// machinery with a fixed threshold instead of a shrinking dk — the
-// range-query primitive DITA builds its top-k on, provided here as an
-// extension (the paper's Section IX mentions range search only via
-// DITA).
-func (t *Trie) SearchRadius(q []geo.Point, radius float64) []topk.Item {
-	out, _ := t.SearchRadiusContext(nil, q, radius, SearchOptions{})
-	return out
-}
-
-// SearchRadiusContext is SearchRadius honoring per-query options and
-// cancellation: the walk polls ctx periodically and aborts with its
-// error once it is cancelled or past its deadline. A nil ctx disables
-// cancellation.
-func (t *Trie) SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error) {
-	st := t.state()
-	if opt.MinGen > st.gen {
-		return nil, ErrStale
-	}
+// searchRadius answers one range query over snapshot st with working
+// set sc: the body of index.SearchRadiusContext.
+func searchRadius(ctx context.Context, cfg Config, st *state, sc *searchScratch, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error) {
 	if len(q) == 0 || st.live() == 0 || radius < 0 {
 		return nil, nil
 	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	rq := rangeQuery{
-		cfg: t.cfg, trajs: st.trajs,
-		ctxPoller: ctxPoller{ctx: ctx}, sc: sc, q: q, radius: radius,
-		workers: opt.RefineWorkers,
-	}
-	if d := st.delta; d != nil && len(d.dels) > 0 {
-		rq.dels = d.dels
-	}
-	rq.setRefiner(opt.Refiner)
+	// The walk parks node refs in sc.children and the layout arenas.
+	defer sc.dropRefs()
+	rq := rangeQuery{searcher: newSearcher(ctx, cfg, st, sc, opt), q: q, radius: radius}
 	if err := rq.err(); err != nil {
 		return nil, err
 	}
-	if t.cfg.Pivots != nil && !t.cfg.DisableLBp && !opt.NoPivots && !rq.subseq {
-		sc.dqp = pivot.AppendDistances(sc.dqp[:0], q, t.cfg.Pivots, t.cfg.Measure, t.cfg.Params, &sc.ds)
-		rq.dqp = sc.dqp
-	}
-	sc.qb.Reset(t.cfg.Measure, q, t.cfg.Grid, t.cfg.Params)
+	rq.dqp = rq.queryPivots(q)
+	sc.qb.Reset(cfg.Measure, q, cfg.Grid, cfg.Params)
 	sc.items = sc.items[:0]
 	// Pending inserts sit outside the trie: scan them exactly.
-	if d := st.delta; d != nil {
-		for _, tr := range d.adds {
-			if rq.cancelled() {
-				return nil, rq.err()
-			}
-			if it, ok := rq.refineOne(tr, &sc.ds); ok {
-				sc.items = append(sc.items, it)
-			}
+	for _, tr := range rq.adds {
+		if rq.cancelled() {
+			return nil, rq.err()
+		}
+		if it, ok := rq.refineOne(tr, &sc.ds); ok {
+			sc.items = append(sc.items, it)
 		}
 	}
-	if err := rq.walk(st.root, sc.qb.Root()); err != nil {
+	if err := rq.walk(st.core.rootRef(sc), sc.qb.Root()); err != nil {
 		return nil, err
 	}
 	topk.SortItems(sc.items)
@@ -76,102 +45,79 @@ func (t *Trie) SearchRadiusContext(ctx context.Context, q []geo.Point, radius fl
 	return append([]topk.Item(nil), sc.items...), nil
 }
 
-// rangeQuery carries one range query's state through the recursive
-// walk; hits accumulate in the pooled sc.items.
+// rangeQuery carries one range query through the recursive walk: the
+// searcher's per-query context (snapshot, overlay, refiner, scratch,
+// cancellation) under a fixed threshold. Hits accumulate in the pooled
+// sc.items.
 type rangeQuery struct {
-	ctxPoller
-	cfg     Config
-	trajs   map[int32]*geo.Trajectory
-	dels    map[int32]struct{} // tombstones filtered at refinement
-	sc      *searchScratch
-	q       []geo.Point
-	radius  float64
-	dqp     []float64
-	workers int
-	refiner Refiner // nil: default whole-trajectory refinement
-	subseq  bool    // refiner scores segments: use LBoSub, no LBt/LBp
-}
-
-// setRefiner attaches the query's refiner; see searcher.setRefiner.
-func (rq *rangeQuery) setRefiner(r Refiner) {
-	rq.refiner = r
-	rq.subseq = r != nil && r.Subsequence()
+	searcher
+	q      []geo.Point
+	radius float64
+	dqp    []float64
 }
 
 // refineOne scores one candidate against the fixed radius and reports
 // whether it is a hit. The returned item is fully populated (matched
 // segment included when a subsequence refiner is active).
 func (rq *rangeQuery) refineOne(tr *geo.Trajectory, s *dist.Scratch) (topk.Item, bool) {
-	if rq.refiner != nil {
-		d, start, end := rq.refiner.Refine(rq.q, tr, rq.radius, s)
-		if d <= rq.radius && !math.IsInf(d, 1) {
-			return topk.Item{ID: tr.ID, Dist: d, Start: start, End: end}, true
-		}
-		return topk.Item{}, false
-	}
-	d := dist.DistanceBoundedScratch(rq.cfg.Measure, rq.q, tr.Points, rq.cfg.Params, rq.radius, s)
-	if d <= rq.radius && !math.IsInf(d, 1) {
-		return topk.Item{ID: tr.ID, Dist: d}, true
-	}
-	return topk.Item{}, false
+	it := score(rq.refiner, rq.cfg.Measure, rq.cfg.Params, rq.q, tr, rq.radius, s)
+	return it, it.Dist <= rq.radius && !math.IsInf(it.Dist, 1)
 }
 
 // walk prunes subtrees whose bound exceeds radius and refines
 // surviving leaves. Depth-first: unlike top-k, range search gains
 // nothing from best-first ordering because the threshold is fixed.
 // walk consumes b: the last child takes ownership of it, so the
-// caller must not reuse (only Release) it afterwards.
-func (rq *rangeQuery) walk(n *node, b *dist.PathBounder) error {
+// caller must not reuse (only Release) it afterwards. A node's children
+// sit on sc.children above its ancestors' for the duration of its
+// visit; a nested visit may grow and move the stack, so edges are read
+// by position.
+func (rq *rangeQuery) walk(n searchNode, b *dist.PathBounder) error {
 	if rq.cancelled() {
 		return rq.err()
 	}
-	if rq.dqp != nil && n.hr != nil && pivot.LowerBound(rq.dqp, n.hr) > rq.radius {
+	if n.pivotLB(rq.dqp) > rq.radius {
 		return nil
 	}
-	if n.leaf != nil {
+	sc := rq.sc
+	if lv, ok := n.leafView(); ok {
 		lb := 0.0
+		meta := dist.NodeMeta{MinLen: lv.minLen, MaxLen: lv.maxLen}
 		if rq.subseq {
-			lb = b.LBoSub(dist.NodeMeta{MinLen: n.leaf.minLen, MaxLen: n.leaf.maxLen})
+			lb = b.LBoSub(meta)
 		} else if !rq.cfg.DisableLBt {
-			lb = b.LBtBounded(dist.LeafMeta{
-				NodeMeta: dist.NodeMeta{MinLen: n.leaf.minLen, MaxLen: n.leaf.maxLen},
-				Dmax:     n.leaf.dmax,
-			}, rq.radius, &rq.sc.ds)
+			lb = b.LBtBounded(dist.LeafMeta{NodeMeta: meta, Dmax: lv.dmax}, rq.radius, &sc.ds)
 		}
 		if lb <= rq.radius {
-			if err := rq.refineLeaf(n.leaf.tids); err != nil {
+			if err := rq.refineLeaf(lv.tids); err != nil {
 				return err
 			}
 		}
 	}
-	for i, c := range n.children {
-		var cb *dist.PathBounder
-		last := i == len(n.children)-1
-		if last {
-			cb = b
-		} else {
+	base := len(sc.children)
+	sc.children = n.appendChildren(sc.children)
+	end := len(sc.children)
+	if end > sc.childHW {
+		sc.childHW = end
+	}
+	var err error
+	for i := base; i < end && err == nil; i++ {
+		ce := sc.children[i]
+		cb := b
+		last := i == end-1
+		if !last {
 			cb = b.Fork()
 		}
-		cb.ExtendZ(c.z)
-		if rq.childLB(cb, nodeMeta(c)) > rq.radius {
-			if !last {
-				cb.Release()
-			}
-			continue
+		cb.ExtendZ(ce.z)
+		if rq.childLB(cb, ce.n.meta()) <= rq.radius {
+			err = rq.walk(ce.n, cb)
 		}
-		err := rq.walk(c, cb)
 		if !last {
 			cb.Release()
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
-}
-
-func nodeMeta(n *node) dist.NodeMeta {
-	return dist.NodeMeta{MinLen: n.minLen, MaxLen: n.maxLen, MaxDepthBelow: n.maxDepthBelow}
+	sc.children = sc.children[:base]
+	return err
 }
 
 // childLB is the subtree pruning bound of the walk: the segment bound
@@ -186,8 +132,8 @@ func (rq *rangeQuery) childLB(b *dist.PathBounder, meta dist.NodeMeta) float64 {
 // refineLeaf refines one surviving leaf's members, parallel when
 // configured and the leaf is fat enough.
 func (rq *rangeQuery) refineLeaf(tids []int32) error {
-	if rq.workers > 1 && len(tids) >= minParallelLeaf {
-		return rq.refineParallel(tids)
+	if rq.refineWorkers > 1 && len(tids) >= minParallelLeaf {
+		return rq.refineFatLeaf(tids)
 	}
 	for _, tid := range tids {
 		if rq.dels != nil {
@@ -205,16 +151,16 @@ func (rq *rangeQuery) refineLeaf(tids []int32) error {
 	return nil
 }
 
-// refineParallel fans one fat leaf's exact computations over
+// refineFatLeaf fans one fat leaf's exact computations over
 // parallelFor workers, the range-search counterpart of the top-k
 // path's refineLeafParallel. The threshold is the fixed radius, so
 // workers need no shared threshold at all: each appends its in-range
 // hits behind a mutex, and the final (distance, id) sort makes the
 // result order independent of worker interleaving — output stays
 // bit-identical to the sequential walk.
-func (rq *rangeQuery) refineParallel(tids []int32) error {
+func (rq *rangeQuery) refineFatLeaf(tids []int32) error {
 	sc := rq.sc
-	nw := clampWorkers(rq.workers, len(tids))
+	nw := clampWorkers(rq.refineWorkers, len(tids))
 	for len(sc.wds) < nw {
 		sc.wds = append(sc.wds, new(dist.Scratch))
 	}

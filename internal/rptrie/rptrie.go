@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repose/internal/dist"
 	"repose/internal/geo"
@@ -62,55 +60,30 @@ type leafData struct {
 	maxLen int
 }
 
-// trieState is one immutable generation of the index: the compacted
-// core (trie structure plus the trajectories it covers) and the delta
-// overlay of mutations applied since the last compaction. Queries load
-// exactly one state through an atomic pointer and never observe a
-// half-applied mutation; writers build a fresh state and swap it in
-// (see dynamic.go).
+// trieState is one freshly built (or decoded) pointer trie with the
+// trajectories it covers — what buildState produces and every layout's
+// encode consumes. It is also the pointer layout's core.
 type trieState struct {
-	gen      uint64
 	root     *node
 	trajs    map[int32]*geo.Trajectory
 	numNodes int // excluding the root
 	numLeafs int
 	maxDepth int
-	bytes    int    // core footprint (nodeBytes of root), recorded at construction
-	delta    *delta // pending mutations; nil once compacted
+	bytes    int // footprint (nodeBytes of root), recorded at construction
 }
 
-// live returns the number of live trajectories: core members minus
-// tombstones plus pending inserts.
-func (st *trieState) live() int {
-	n := len(st.trajs)
-	if st.delta != nil {
-		n += len(st.delta.adds) - len(st.delta.dels)
-	}
-	return n
-}
+func (ts *trieState) rootRef(*searchScratch) searchNode { return ptrNode{ts.root} }
+func (ts *trieState) coreBytes() int                    { return ts.bytes }
+func (ts *trieState) counts() (nodes, leaves int)       { return ts.numNodes, ts.numLeafs }
 
-// trajectory resolves id against the state: pending inserts shadow the
-// core, tombstones hide it.
-func (st *trieState) trajectory(tid int32) *geo.Trajectory {
-	if tr, hit := st.delta.get(tid); hit {
-		return tr
-	}
-	return st.trajs[tid]
-}
+// Trie is the built index in the pointer layout, together with the
+// trajectories it covers (the paper's RpTraj pairing of data and
+// index). The whole query/mutation surface is the shared handle's; see
+// index.
+type Trie struct{ index }
 
-// Trie is the built index together with the trajectories it covers
-// (the paper's RpTraj pairing of data and index). It is a stable
-// handle over an atomically swapped immutable state, so concurrent
-// readers are always snapshot-isolated from Insert/Delete/Compact.
-type Trie struct {
-	cfg  Config
-	mu   sync.Mutex // serializes writers (Insert/Delete/Upsert/Compact)
-	cur  atomic.Pointer[trieState]
-	pool scratchPool // recycled per-query search state
-}
-
-// state returns the current immutable snapshot.
-func (t *Trie) state() *trieState { return t.cur.Load() }
+// Layout reports the pointer layout.
+func (*Trie) Layout() Layout { return LayoutPointer }
 
 // Build constructs an RP-Trie over ds. Trajectories must be non-empty
 // and have unique ids.
@@ -124,17 +97,19 @@ func Build(cfg Config, ds []*geo.Trajectory) (*Trie, error) {
 	if !cfg.Measure.IsMetric() {
 		cfg.Pivots = nil
 	}
-	st, err := buildState(cfg, ds)
+	ts, err := buildState(cfg, ds)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trie{cfg: cfg}
-	t.cur.Store(st)
+	t := &Trie{index{cfg: cfg, encode: pointerCore}}
+	if err := t.install(ts, 0); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
-// buildState constructs one compacted generation from scratch — the
-// shared core of Build and Compact. cfg must already be normalized
+// buildState constructs one pointer trie from scratch — the shared
+// core of Build, Compact and compacted. cfg must already be normalized
 // (non-nil grid, pivots cleared for non-metric measures), which Build
 // guarantees before the trie's first state and Config immutability
 // guarantees for every later compaction.
@@ -399,36 +374,8 @@ func (b *stateBuilder) finalize(n *node, path []uint64, depth int) {
 	}
 }
 
-// NumNodes returns the number of trie nodes, excluding the root (the
-// count Fig. 7 reports). Pending inserts are not counted until the
-// next compaction folds them in.
-func (t *Trie) NumNodes() int { return t.state().numNodes }
-
-// NumLeaves returns the number of terminal nodes.
-func (t *Trie) NumLeaves() int { return t.state().numLeafs }
-
 // MaxDepth returns the deepest node's depth.
-func (t *Trie) MaxDepth() int { return t.state().maxDepth }
-
-// Len returns the number of live indexed trajectories, including
-// pending inserts and excluding pending deletes.
-func (t *Trie) Len() int { return t.state().live() }
-
-// Trajectory returns the live indexed trajectory with the given id, or
-// nil when the id is unknown or tombstoned.
-func (t *Trie) Trajectory(id int) *geo.Trajectory { return t.state().trajectory(int32(id)) }
-
-// Config returns the configuration the trie was built with.
-func (t *Trie) Config() Config { return t.cfg }
-
-// SizeBytes estimates the in-memory footprint of the index structure
-// (nodes, metadata, leaf payloads, pending delta), excluding the raw
-// trajectories. The core's share is recorded when a state is built or
-// decoded, so the call is O(1) — every query report carries it.
-func (t *Trie) SizeBytes() int {
-	st := t.state()
-	return st.bytes + st.delta.sizeBytes()
-}
+func (t *Trie) MaxDepth() int { return t.state().core.(*trieState).maxDepth }
 
 // nodeBytes estimates the footprint of n's subtree.
 func nodeBytes(n *node) int {

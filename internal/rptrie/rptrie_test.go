@@ -347,7 +347,7 @@ func TestGreedyHittingSetExample3(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rootKids []uint64
-	for _, c := range trie.state().root.children {
+	for _, c := range trie.state().core.(*trieState).root.children {
 		rootKids = append(rootKids, c.z)
 	}
 	sort.Slice(rootKids, func(i, j int) bool { return rootKids[i] < rootKids[j] })

@@ -230,7 +230,7 @@ func (sp *scratchPool) put(sc *searchScratch) { sp.p.Put(sc) }
 // index keeps the generation before a Compact reachable from its pool.
 func (sc *searchScratch) dropRefs() {
 	sc.pq.reset()
-	clear(sc.children[:sc.childHW])
+	sc.children = emptied(sc.children[:sc.childHW])
 	sc.childHW = 0
 	sc.cmpRefs = emptied(sc.cmpRefs)
 	sc.denseRefs = emptied(sc.denseRefs)
@@ -243,136 +243,12 @@ func emptied[T any](s []T) []T {
 	return s[:0]
 }
 
-// Search returns the top-k most similar trajectories to the query
-// point sequence q (Algorithm 2). Results order ascending by
-// (distance, id); fewer than k results are returned only when the
-// index holds fewer than k trajectories. Under tied distances any
-// valid top-k set may be returned.
-func (t *Trie) Search(q []geo.Point, k int) []topk.Item {
-	res, _ := t.SearchWithStats(q, k)
-	return res
-}
-
-// SearchAppend is Search appending the results to dst (which may be
-// nil) and returning the extended slice. With a dst of sufficient
-// capacity the whole query is allocation-free in steady state — the
-// form the benchmark suite and other tight callers use.
-func (t *Trie) SearchAppend(dst []topk.Item, q []geo.Point, k int) []topk.Item {
-	st := t.state()
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
-	s.setDelta(st.delta)
-	out, _, _ := s.run(ptrNode{st.root}, q, k, dst)
-	return out
-}
-
-// SearchAppendContext is SearchAppend honoring per-query options and
-// a context — the allocation-measured form of SearchContext. With a
-// dst of sufficient capacity and the default (nil or whole-trajectory)
-// refiner the delta-empty query is allocation-free in steady state,
-// which CI asserts alongside the option-less path.
-func (t *Trie) SearchAppendContext(ctx context.Context, dst []topk.Item, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error) {
-	st := t.state()
-	if opt.MinGen > st.gen {
-		return dst, ErrStale
-	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{
-		cfg: t.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller:     ctxPoller{ctx: ctx},
-		noPivots:      opt.NoPivots,
-		refineWorkers: opt.RefineWorkers,
-		shared:        opt.Shared,
-	}
-	s.setDelta(st.delta)
-	s.setRefiner(opt.Refiner)
-	out, stats, err := s.run(ptrNode{st.root}, q, k, dst)
-	if opt.Stats != nil {
-		*opt.Stats = stats
-	}
-	return out, err
-}
-
-// SearchWithStats is Search, also reporting traversal statistics.
-func (t *Trie) SearchWithStats(q []geo.Point, k int) ([]topk.Item, SearchStats) {
-	st := t.state()
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
-	s.setDelta(st.delta)
-	res, stats, _ := s.run(ptrNode{st.root}, q, k, nil)
-	return res, stats
-}
-
-// SearchContext is Search honoring per-query options and a context:
-// the best-first loop polls ctx periodically and aborts with ctx's
-// error once it is cancelled or past its deadline, so a straggler
-// partition can be stopped mid-scan (Section V-B's concern).
-func (t *Trie) SearchContext(ctx context.Context, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error) {
-	st := t.state()
-	if opt.MinGen > st.gen {
-		return nil, ErrStale
-	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{
-		cfg: t.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller:     ctxPoller{ctx: ctx},
-		noPivots:      opt.NoPivots,
-		refineWorkers: opt.RefineWorkers,
-		shared:        opt.Shared,
-	}
-	s.setDelta(st.delta)
-	s.setRefiner(opt.Refiner)
-	res, stats, err := s.run(ptrNode{st.root}, q, k, nil)
-	if opt.Stats != nil {
-		*opt.Stats = stats
-	}
-	return res, err
-}
-
 // boundBudget caps the number of trie nodes a bound walk descends
 // through — expansions and chain links walked in place alike — before
 // settling for the queue's current minimum. The walk is a pruning aid,
 // not an answer: a few dozen nodes already separate a far partition
 // from a contending one.
 const boundBudget = 64
-
-// BoundContext returns an admissible lower bound on the distance from
-// q to every trajectory held by the index: no indexed trajectory is
-// closer to q than the returned value. +Inf means the index is empty.
-// The bound is cheap — a best-first descent capped at boundBudget
-// nodes, no exact distance computations — and deliberately loose;
-// its only promise is admissibility, which the driver's probe-budget
-// pruning relies on (a partition whose bound already exceeds the
-// current k-th distance cannot contribute to the final top-k).
-// Pending inserts sit outside the trie and admit no bound, so any
-// un-compacted delta collapses the bound to 0.
-func (t *Trie) BoundContext(ctx context.Context, q []geo.Point, opt SearchOptions) (float64, error) {
-	st := t.state()
-	if opt.MinGen > st.gen {
-		return 0, ErrStale
-	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{
-		cfg: t.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller: ctxPoller{ctx: ctx},
-		noPivots:  opt.NoPivots,
-	}
-	s.setDelta(st.delta)
-	s.setRefiner(opt.Refiner)
-	return s.bound(ptrNode{st.root}, q)
-}
-
-// LiveIDs returns the ids of every live trajectory, unordered; see
-// Durable.LiveIDs.
-func (t *Trie) LiveIDs() []int {
-	st := t.state()
-	return liveIDsOf(st.trajs, st.delta)
-}
 
 // bound runs the capped best-first descent behind BoundContext. With
 // an empty result heap the threshold is +Inf, so expand prunes
@@ -407,11 +283,7 @@ func (s *searcher) bound(root searchNode, q []geo.Point) (float64, error) {
 func (s *searcher) boundWalk(root searchNode, q []geo.Point, stats *SearchStats) (float64, error) {
 	sc := s.sc
 	sc.res.Reset(1)
-	var dqp []float64
-	if s.cfg.Pivots != nil && !s.cfg.DisableLBp && !s.noPivots && !s.subseq {
-		sc.dqp = pivot.AppendDistances(sc.dqp[:0], q, s.cfg.Pivots, s.cfg.Measure, s.cfg.Params, &sc.ds)
-		dqp = sc.dqp
-	}
+	dqp := s.queryPivots(q)
 	pq := &sc.pq
 	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params)
 	s.chainBudget = boundBudget
@@ -456,6 +328,33 @@ type searcher struct {
 	// top-k search never runs out, a bound walk counts them against
 	// boundBudget.
 	chainBudget int
+}
+
+// newSearcher assembles one query's searcher over a snapshot: its
+// overlay, the per-query options, and a context (nil disables
+// cancellation).
+func newSearcher(ctx context.Context, cfg Config, st *state, sc *searchScratch, opt SearchOptions) searcher {
+	s := searcher{
+		cfg: cfg, trajs: st.trajs, sc: sc,
+		ctxPoller:     ctxPoller{ctx: ctx},
+		noPivots:      opt.NoPivots,
+		refineWorkers: opt.RefineWorkers,
+		shared:        opt.Shared,
+	}
+	s.setDelta(st.delta)
+	s.setRefiner(opt.Refiner)
+	return s
+}
+
+// queryPivots returns the query-to-pivot distances LBp compares, nil
+// when the pivot bound is off for this query.
+func (s *searcher) queryPivots(q []geo.Point) []float64 {
+	if s.cfg.Pivots == nil || s.cfg.DisableLBp || s.noPivots || s.subseq {
+		return nil
+	}
+	sc := s.sc
+	sc.dqp = pivot.AppendDistances(sc.dqp[:0], q, s.cfg.Pivots, s.cfg.Measure, s.cfg.Params, &sc.ds)
+	return sc.dqp
 }
 
 // threshold is the scan's current pruning cut-off; see sharedCut.
@@ -548,11 +447,7 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 		}
 	}
 
-	var dqp []float64
-	if s.cfg.Pivots != nil && !s.cfg.DisableLBp && !s.noPivots && !s.subseq {
-		sc.dqp = pivot.AppendDistances(sc.dqp[:0], q, s.cfg.Pivots, s.cfg.Measure, s.cfg.Params, &sc.ds)
-		dqp = sc.dqp
-	}
+	dqp := s.queryPivots(q)
 
 	pq := &sc.pq
 	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params)

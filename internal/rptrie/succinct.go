@@ -1,19 +1,14 @@
 package rptrie
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repose/internal/bits"
 	"repose/internal/dist"
-	"repose/internal/geo"
 	"repose/internal/pivot"
-	"repose/internal/topk"
 )
 
 // Succinct is the compressed two-tier layout of Section III-B: the
@@ -31,33 +26,12 @@ import (
 // float32 pairs (min down, max up) to halve their footprint without
 // compromising bound soundness.
 //
-// Like Trie, a Succinct is a stable handle over an atomically swapped
-// immutable state, so Insert/Delete/Upsert/Compact are snapshot-
-// isolated from concurrent queries; mutations ride the same delta
-// overlay, and Compact rebuilds and recompresses the core.
-type Succinct struct {
-	cfg  Config
-	mu   sync.Mutex // serializes writers
-	cur  atomic.Pointer[succState]
-	pool scratchPool
-}
+// Queries and mutations are the shared handle's (see index); Compact
+// rebuilds through the pointer layout and recompresses the core.
+type Succinct struct{ index }
 
-// succState is one immutable generation of the succinct index.
-type succState struct {
-	gen   uint64
-	core  *succCore
-	trajs map[int32]*geo.Trajectory
-	delta *delta // pending mutations; nil once compacted
-}
-
-// live mirrors trieState.live for the succinct layout.
-func (st *succState) live() int {
-	n := len(st.trajs)
-	if st.delta != nil {
-		n += len(st.delta.adds) - len(st.delta.dels)
-	}
-	return n
-}
+// Layout reports the succinct layout.
+func (*Succinct) Layout() Layout { return LayoutSuccinct }
 
 // succCore is the compressed structural core shared by every
 // generation until a compaction replaces it.
@@ -105,21 +79,19 @@ func Compress(t *Trie) (*Succinct, error) {
 	if t == nil {
 		return nil, errors.New("rptrie: nil trie")
 	}
-	st := t.state()
-	if !st.delta.empty() {
-		var err error
-		if st, err = compactedState(t.cfg, st); err != nil {
-			return nil, err
-		}
-	}
-	core, err := compressCore(t.cfg, st)
+	st, err := t.compacted()
 	if err != nil {
 		return nil, err
 	}
-	s := &Succinct{cfg: t.cfg}
-	s.cur.Store(&succState{gen: st.gen, core: core, trajs: st.trajs})
+	s := &Succinct{index{cfg: t.cfg, encode: succinctCore}}
+	if err := s.install(st.core.(*trieState), st.gen); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
+
+// succinctCore is the succinct layout's encode.
+var succinctCore = encoder(compressCore)
 
 // compressCore encodes one compacted trieState as a succinct core.
 func compressCore(cfg Config, st *trieState) (*succCore, error) {
@@ -341,91 +313,6 @@ func f32Up(v float64) float32 {
 	return f
 }
 
-// state returns the current immutable snapshot.
-func (s *Succinct) state() *succState { return s.cur.Load() }
-
-// Search answers a top-k query on the succinct layout; results are
-// identical to the source trie's.
-func (s *Succinct) Search(q []geo.Point, k int) []topk.Item {
-	res, _ := s.SearchWithStats(q, k)
-	return res
-}
-
-// SearchWithStats is Search with traversal statistics.
-func (s *Succinct) SearchWithStats(q []geo.Point, k int) ([]topk.Item, SearchStats) {
-	st := s.state()
-	sc := s.pool.get()
-	defer s.pool.put(sc)
-	sr := searcher{cfg: s.cfg, trajs: st.trajs, sc: sc}
-	sr.setDelta(st.delta)
-	res, stats, _ := sr.run(st.core.rootRef(sc), q, k, nil)
-	return res, stats
-}
-
-// SearchAppend is Search appending the results to dst; see
-// Trie.SearchAppend.
-func (s *Succinct) SearchAppend(dst []topk.Item, q []geo.Point, k int) []topk.Item {
-	st := s.state()
-	sc := s.pool.get()
-	defer s.pool.put(sc)
-	sr := searcher{cfg: s.cfg, trajs: st.trajs, sc: sc}
-	sr.setDelta(st.delta)
-	out, _, _ := sr.run(st.core.rootRef(sc), q, k, dst)
-	return out
-}
-
-// SearchContext is Search honoring per-query options and a context;
-// see Trie.SearchContext. Both layouts share the same cancellable
-// best-first loop.
-func (s *Succinct) SearchContext(ctx context.Context, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error) {
-	st := s.state()
-	if opt.MinGen > st.gen {
-		return nil, ErrStale
-	}
-	sc := s.pool.get()
-	defer s.pool.put(sc)
-	sr := searcher{
-		cfg: s.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller:     ctxPoller{ctx: ctx},
-		noPivots:      opt.NoPivots,
-		refineWorkers: opt.RefineWorkers,
-		shared:        opt.Shared,
-	}
-	sr.setDelta(st.delta)
-	sr.setRefiner(opt.Refiner)
-	res, stats, err := sr.run(st.core.rootRef(sc), q, k, nil)
-	if opt.Stats != nil {
-		*opt.Stats = stats
-	}
-	return res, err
-}
-
-// BoundContext returns an admissible lower bound on the distance from
-// q to every trajectory held by the index; see Trie.BoundContext.
-func (s *Succinct) BoundContext(ctx context.Context, q []geo.Point, opt SearchOptions) (float64, error) {
-	st := s.state()
-	if opt.MinGen > st.gen {
-		return 0, ErrStale
-	}
-	sc := s.pool.get()
-	defer s.pool.put(sc)
-	sr := searcher{
-		cfg: s.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller: ctxPoller{ctx: ctx},
-		noPivots:  opt.NoPivots,
-	}
-	sr.setDelta(st.delta)
-	sr.setRefiner(opt.Refiner)
-	return sr.bound(st.core.rootRef(sc), q)
-}
-
-// LiveIDs returns the ids of every live trajectory, unordered; see
-// Durable.LiveIDs.
-func (s *Succinct) LiveIDs() []int {
-	st := s.state()
-	return liveIDsOf(st.trajs, st.delta)
-}
-
 func (c *succCore) rootRef(sc *searchScratch) searchNode {
 	if len(c.levels) > 0 {
 		return sc.newDenseRef(c, 0, 0)
@@ -433,127 +320,11 @@ func (c *succCore) rootRef(sc *searchScratch) searchNode {
 	return sc.newSparseRef(c, 0)
 }
 
-// Generation returns the snapshot's generation counter; see
-// Trie.Generation.
-func (s *Succinct) Generation() uint64 { return s.state().gen }
-
-// DeltaLen returns the number of pending (uncompacted) mutations.
-func (s *Succinct) DeltaLen() int { return s.state().delta.size() }
-
-// Insert adds trajectories as pending inserts; see Trie.Insert. The
-// staging logic is shared with the pointer layout (dynamic.go); these
-// shells only swap the layout's own state pointer.
-func (s *Succinct) Insert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.cur.Load()
-	nd, err := stageInsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	s.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Delete removes the given ids, returning how many were live; see
-// Trie.Delete.
-func (s *Succinct) Delete(ids ...int) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.cur.Load()
-	nd, n := stageDelete(st.delta, st.trajs, ids)
-	if n == 0 {
-		return 0
-	}
-	s.cur.Store(st.withDelta(nd))
-	return n
-}
-
-// Upsert inserts trajectories, replacing live ids; see Trie.Upsert.
-func (s *Succinct) Upsert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.cur.Load()
-	nd, err := stageUpsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	s.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Compact folds the pending delta into a rebuilt, recompressed core;
-// see Trie.Compact. The rebuild goes through the pointer layout, so
-// nothing about the succinct encoding limits which mutations are
-// supported.
-func (s *Succinct) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.cur.Load()
-	if st.delta.empty() {
-		return nil
-	}
-	ts, err := buildState(s.cfg, st.delta.merged(st.trajs))
-	if err != nil {
-		return err
-	}
-	core, err := compressCore(s.cfg, ts)
-	if err != nil {
-		return err
-	}
-	s.cur.Store(&succState{gen: st.gen + 1, core: core, trajs: ts.trajs})
-	return nil
-}
-
-// succState.withDelta derives the next generation with nd as overlay.
-func (st *succState) withDelta(nd *delta) *succState {
-	ns := *st
-	ns.delta = nd
-	ns.gen = st.gen + 1
-	return &ns
-}
-
-// NumNodes returns the node count inherited from the source trie.
-func (s *Succinct) NumNodes() int { return s.state().core.numNodes }
-
-// NumLeaves returns the leaf count inherited from the source trie.
-func (s *Succinct) NumLeaves() int { return s.state().core.numLeafs }
-
-// Len returns the number of live indexed trajectories.
-func (s *Succinct) Len() int { return s.state().live() }
-
-// Config returns the build configuration inherited from the source
-// trie.
-func (s *Succinct) Config() Config { return s.cfg }
-
-// Trajectory returns the live indexed trajectory with the given id, or
-// nil when the id is unknown or tombstoned.
-func (s *Succinct) Trajectory(id int) *geo.Trajectory {
-	st := s.state()
-	if tr, hit := st.delta.get(int32(id)); hit {
-		return tr
-	}
-	return st.trajs[int32(id)]
-}
+func (c *succCore) coreBytes() int              { return c.bytes }
+func (c *succCore) counts() (nodes, leaves int) { return c.numNodes, c.numLeafs }
 
 // DenseLevels returns the number of bitmap-encoded upper levels.
-func (s *Succinct) DenseLevels() int { return len(s.state().core.levels) }
-
-// SizeBytes reports the in-memory footprint of the index structure,
-// excluding the raw trajectories.
-func (s *Succinct) SizeBytes() int {
-	st := s.state()
-	return st.core.bytes + st.delta.sizeBytes()
-}
+func (s *Succinct) DenseLevels() int { return len(s.state().core.(*succCore).levels) }
 
 // denseRef navigates the bitmap tier. Like cmpRef, the succinct
 // layout's refs live in arenas of the query scratch and reach the

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	mathbits "math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repose/internal/bits"
-	"repose/internal/geo"
 )
 
 // Compressed is the trit-array (tSTAT) layout after Kanda & Fujii
@@ -50,41 +47,12 @@ import (
 // (rank1(lo,v)+rank1(hi,v)); member ids are one shared []int32 sliced
 // by packed offsets, and leaf Dmax is an up-rounded float32.
 //
-// Like Trie and Succinct, a Compressed is a stable handle over an
-// atomically swapped immutable state: Insert/Delete/Upsert/Compact
-// ride the shared delta overlay (dynamic.go) with snapshot isolation,
-// and Compact rebuilds through the pointer layout and re-encodes.
-type Compressed struct {
-	cfg  Config
-	mu   sync.Mutex // serializes writers
-	cur  atomic.Pointer[cmpState]
-	pool scratchPool
-}
+// Queries and mutations are the shared handle's (see index); Compact
+// rebuilds through the pointer layout and re-encodes.
+type Compressed struct{ index }
 
-// cmpState is one immutable generation of the compressed index.
-type cmpState struct {
-	gen   uint64
-	core  *cmpCore
-	trajs map[int32]*geo.Trajectory
-	delta *delta // pending mutations; nil once compacted
-}
-
-// live mirrors trieState.live for the compressed layout.
-func (st *cmpState) live() int {
-	n := len(st.trajs)
-	if st.delta != nil {
-		n += len(st.delta.adds) - len(st.delta.dels)
-	}
-	return n
-}
-
-// withDelta derives the next generation with nd as overlay.
-func (st *cmpState) withDelta(nd *delta) *cmpState {
-	ns := *st
-	ns.delta = nd
-	ns.gen = st.gen + 1
-	return &ns
-}
+// Layout reports the compressed layout.
+func (*Compressed) Layout() Layout { return LayoutCompressed }
 
 // cmpCore is the compressed structural core shared by every
 // generation until a compaction replaces it.
@@ -176,21 +144,19 @@ func CompressTST(t *Trie) (*Compressed, error) {
 	if t == nil {
 		return nil, errors.New("rptrie: nil trie")
 	}
-	st := t.state()
-	if !st.delta.empty() {
-		var err error
-		if st, err = compactedState(t.cfg, st); err != nil {
-			return nil, err
-		}
-	}
-	core, err := compressTSTCore(t.cfg, st)
+	st, err := t.compacted()
 	if err != nil {
 		return nil, err
 	}
-	c := &Compressed{cfg: t.cfg}
-	c.cur.Store(&cmpState{gen: st.gen, core: core, trajs: st.trajs})
-	return c, nil
+	x := &Compressed{index{cfg: t.cfg, encode: tstCore}}
+	if err := x.install(st.core.(*trieState), st.gen); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
+
+// tstCore is the compressed layout's encode.
+var tstCore = encoder(compressTSTCore)
 
 // compressTSTCore encodes one compacted trieState as a tSTAT core.
 func compressTSTCore(cfg Config, st *trieState) (*cmpCore, error) {
@@ -351,120 +317,9 @@ func (c *cmpCore) terminalIndex(v int) int {
 	return c.lo.Rank1(v) + c.hi.Rank1(v)
 }
 
-// state returns the current immutable snapshot.
-func (x *Compressed) state() *cmpState { return x.cur.Load() }
+func (c *cmpCore) counts() (nodes, leaves int) { return c.numNodes, c.numLeafs }
 
-// Generation returns the snapshot's generation counter; see
-// Trie.Generation.
-func (x *Compressed) Generation() uint64 { return x.state().gen }
-
-// DeltaLen returns the number of pending (uncompacted) mutations.
-func (x *Compressed) DeltaLen() int { return x.state().delta.size() }
-
-// NumNodes returns the node count inherited from the source trie.
-func (x *Compressed) NumNodes() int { return x.state().core.numNodes }
-
-// NumLeaves returns the leaf count inherited from the source trie.
-func (x *Compressed) NumLeaves() int { return x.state().core.numLeafs }
-
-// Len returns the number of live indexed trajectories.
-func (x *Compressed) Len() int { return x.state().live() }
-
-// Config returns the build configuration inherited from the source
-// trie.
-func (x *Compressed) Config() Config { return x.cfg }
-
-// Trajectory returns the live indexed trajectory with the given id,
-// or nil when the id is unknown or tombstoned.
-func (x *Compressed) Trajectory(id int) *geo.Trajectory {
-	st := x.state()
-	if tr, hit := st.delta.get(int32(id)); hit {
-		return tr
-	}
-	return st.trajs[int32(id)]
-}
-
-// Insert adds trajectories as pending inserts; see Trie.Insert. The
-// staging logic is shared with the other layouts (dynamic.go).
-func (x *Compressed) Insert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	nd, err := stageInsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	x.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Delete removes the given ids, returning how many were live; see
-// Trie.Delete.
-func (x *Compressed) Delete(ids ...int) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	nd, n := stageDelete(st.delta, st.trajs, ids)
-	if n == 0 {
-		return 0
-	}
-	x.cur.Store(st.withDelta(nd))
-	return n
-}
-
-// Upsert inserts trajectories, replacing live ids; see Trie.Upsert.
-func (x *Compressed) Upsert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	nd, err := stageUpsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	x.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Compact folds the pending delta into a rebuilt, re-encoded core;
-// see Trie.Compact. The rebuild goes through the pointer layout, so
-// nothing about the trit-array encoding limits which mutations are
-// supported.
-func (x *Compressed) Compact() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	if st.delta.empty() {
-		return nil
-	}
-	ts, err := buildState(x.cfg, st.delta.merged(st.trajs))
-	if err != nil {
-		return err
-	}
-	core, err := compressTSTCore(x.cfg, ts)
-	if err != nil {
-		return err
-	}
-	x.cur.Store(&cmpState{gen: st.gen + 1, core: core, trajs: ts.trajs})
-	return nil
-}
-
-// SizeBytes reports the in-memory footprint of the index structure,
-// excluding the raw trajectories.
-func (x *Compressed) SizeBytes() int {
-	st := x.state()
-	return st.core.sizeBytes() + st.delta.sizeBytes()
-}
-
-func (c *cmpCore) sizeBytes() int {
+func (c *cmpCore) coreBytes() int {
 	sz := c.alphabet.sizeBytes() +
 		c.lo.SizeBytes() + c.hi.SizeBytes() + c.louds.SizeBytes() +
 		c.labels.sizeBytes() +

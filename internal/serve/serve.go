@@ -305,15 +305,27 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-func decodePoints(raw [][2]float64) ([]repose.Point, error) {
+// maxQueryPoints caps a query's length. Every refinement is
+// O(|q|·|t|) and a maxBodyBytes body holds ~40k points; 4,096 is ~180×
+// the mean length of an indexed trajectory.
+const maxQueryPoints = 4096
+
+// decodePoints converts a request's query points, answering 400 and
+// returning false for an empty query or one over maxQueryPoints.
+func decodePoints(w http.ResponseWriter, raw [][2]float64) ([]repose.Point, bool) {
 	if len(raw) == 0 {
-		return nil, errors.New("empty query: need at least one point")
+		writeError(w, http.StatusBadRequest, "empty query: need at least one point")
+		return nil, false
+	}
+	if len(raw) > maxQueryPoints {
+		writeError(w, http.StatusBadRequest, "query has %d points, limit %d", len(raw), maxQueryPoints)
+		return nil, false
 	}
 	pts := make([]repose.Point, len(raw))
 	for i, p := range raw {
 		pts[i] = repose.Point{X: p[0], Y: p[1]}
 	}
-	return pts, nil
+	return pts, true
 }
 
 // gate runs the request-independent front half shared by /search and
@@ -355,9 +367,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k out of range [1,%d]", s.cfg.MaxK)
 		return
 	}
-	pts, err := decodePoints(req.Points)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	pts, ok := decodePoints(w, req.Points)
+	if !ok {
 		return
 	}
 
@@ -402,9 +413,8 @@ func (s *Server) handleRadius(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "radius must be >= 0")
 		return
 	}
-	pts, err := decodePoints(req.Points)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	pts, ok := decodePoints(w, req.Points)
+	if !ok {
 		return
 	}
 

@@ -759,6 +759,39 @@ func TestRequestBodyCap(t *testing.T) {
 	}
 }
 
+// TestQueryPointCap: /search and /radius answer a query of exactly
+// maxQueryPoints points and refuse one point more with 400.
+func TestQueryPointCap(t *testing.T) {
+	_, ts := newTestServer(t, newFakeBackend(), bareConfig())
+	for _, path := range []string{"/search", "/radius"} {
+		for _, tc := range []struct {
+			points, want int
+		}{
+			{maxQueryPoints, http.StatusOK},
+			{maxQueryPoints + 1, http.StatusBadRequest},
+		} {
+			body, err := json.Marshal(map[string]any{"points": make([][2]float64, tc.points), "k": 1, "radius": 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e errorJSON
+			if tc.want != http.StatusOK {
+				if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+					t.Errorf("%s with %d points: error body: %v", path, tc.points, err)
+				}
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want || (tc.want != http.StatusOK && e.Error == "") {
+				t.Errorf("%s with %d points: %d %q, want %d", path, tc.points, resp.StatusCode, e.Error, tc.want)
+			}
+		}
+	}
+}
+
 // TestMetricsEndpoint sanity-checks the /metrics document shape.
 func TestMetricsEndpoint(t *testing.T) {
 	be := newFakeBackend()

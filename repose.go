@@ -80,18 +80,17 @@ type QueryReport = cluster.QueryReport
 type BatchReport = cluster.BatchReport
 
 // Layout selects the in-memory representation of each partition's
-// RP-Trie. All layouts answer top-k queries bit-identically; they
-// trade memory for search speed and feature coverage:
+// RP-Trie. All layouts answer every query bit-identically and support
+// the whole surface; they trade memory for search speed:
 //
 //   - LayoutPointer: the plain pointer trie. Fastest to mutate,
-//     largest footprint, supports SearchRadius.
+//     largest footprint.
 //   - LayoutSuccinct: the two-tier bitmap layout (Section III-B).
-//     Smaller, near-pointer search speed, no SearchRadius.
+//     Smaller, near-pointer search speed.
 //   - LayoutCompressed: the trit-array (tSTAT-style) layout —
 //     rank/select bitvectors, packed node metadata, quantized pivot
 //     ranges. Smallest by a wide margin, search within a small factor
-//     of succinct, supports SearchRadius, and ships the cheapest
-//     failover snapshots.
+//     of succinct, and ships the cheapest failover snapshots.
 type Layout = rptrie.Layout
 
 // The available per-partition index layouts.
@@ -152,17 +151,8 @@ type Options struct {
 	NoRearrange bool
 
 	// Layout selects each partition's index representation (default
-	// LayoutPointer). WithLayout sets it as a build option. Succinct
-	// indexes do not support SearchRadius: it returns
-	// ErrSuccinctUnsupported.
+	// LayoutPointer). WithLayout sets it as a build option.
 	Layout Layout
-
-	// Succinct compresses each partition trie into the two-tier
-	// bitmap/byte-sequence layout (Section III-B).
-	//
-	// Deprecated: set Layout to LayoutSuccinct. Honored only when
-	// Layout is LayoutPointer (the zero value).
-	Succinct bool
 
 	// Workers caps build/query parallelism (default GOMAXPROCS).
 	Workers int
@@ -249,15 +239,6 @@ func WithAutoRebalance(interval time.Duration) BuildOption {
 //	idx, err := repose.Build(ds, repose.Options{}, repose.WithLayout(repose.LayoutCompressed))
 func WithLayout(l Layout) BuildOption {
 	return func(o *Options) { o.Layout = l }
-}
-
-// layout resolves the effective layout, honoring the deprecated
-// Succinct flag when Layout was left at its zero value.
-func (o Options) layout() Layout {
-	if o.Layout == LayoutPointer && o.Succinct {
-		return LayoutSuccinct
-	}
-	return o.Layout
 }
 
 // Engine is the backend executing an Index's queries. It is a sealed
@@ -366,7 +347,7 @@ func (o Options) spec(ds []*Trajectory, region geo.Rect) cluster.IndexSpec {
 		Delta:     o.Delta,
 		Pivots:    pivots,
 		Optimize:  !o.NoRearrange && o.Measure.OrderIndependent(),
-		Layout:    o.layout(),
+		Layout:    o.Layout,
 		Strategy:  o.Strategy,
 		Seed:      o.Seed,
 		Replicas:  o.Replication,
@@ -634,17 +615,13 @@ func (x *Index) SearchSub(ctx context.Context, q *Trajectory, k int, opts ...Que
 
 // SearchRadius returns every indexed trajectory within the given
 // distance of q, ascending by (distance, id) — the range-query
-// counterpart of Search. Succinct indexes return
-// ErrSuccinctUnsupported.
+// counterpart of Search.
 func (x *Index) SearchRadius(ctx context.Context, q *Trajectory, radius float64, opts ...QueryOption) ([]Result, error) {
 	if err := x.check(points(q)); err != nil {
 		return nil, err
 	}
 	if radius < 0 {
 		return nil, ErrBadRadius
-	}
-	if x.opts.layout() == LayoutSuccinct {
-		return nil, ErrSuccinctUnsupported
 	}
 	qc := applyQueryOptions(opts)
 	items, rep, err := x.eng.exec().SearchRadius(ctx, q.Points, radius, x.clusterOptions(qc))
@@ -693,7 +670,7 @@ func (x *Index) Stats() Stats {
 		Partitions:          eng.NumPartitions(),
 		IndexBytes:          total,
 		BuildTime:           eng.BuildTime(),
-		Layout:              x.opts.layout(),
+		Layout:              x.opts.Layout,
 		PartitionIndexBytes: perPart,
 		Generations:         eng.Generations(),
 		PartitionLoads:      x.LoadStats(),

@@ -115,14 +115,12 @@ func TestSentinelErrors(t *testing.T) {
 		t.Errorf("batch k<0: %v", err)
 	}
 
-	// Succinct indexes decline range search with a typed error.
-	suc, err := Build(ds, Options{Partitions: 2, Succinct: true})
+	// Succinct indexes answer range queries like every layout.
+	suc, err := Build(ds, Options{Partitions: 2, Layout: LayoutSuccinct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := suc.SearchRadius(ctx, ds[0], 1); !errors.Is(err, ErrSuccinctUnsupported) {
-		t.Errorf("succinct radius: %v", err)
-	}
+	assertRadiusMatchesOracle(t, "succinct", suc, ds, ds[0], 0.4)
 
 	// Every query path reports ErrClosed after Close, idempotently.
 	if err := idx.Close(); err != nil {
@@ -158,7 +156,7 @@ func TestOptionVariants(t *testing.T) {
 		{Partitions: 3, Strategy: Homogeneous},
 		{Partitions: 3, Strategy: Random},
 		{Partitions: 3, NoRearrange: true},
-		{Partitions: 3, Succinct: true},
+		{Partitions: 3, Layout: LayoutSuccinct},
 		{Partitions: 3, Layout: LayoutCompressed},
 		{Partitions: 3, Pivots: -1},
 		{Partitions: 3, Pivots: 2},
@@ -312,62 +310,5 @@ func TestDistanceHelpers(t *testing.T) {
 	}
 	if got := DistanceWith(LCSS, a, b, 5, Point{}); got != 0 {
 		t.Errorf("LCSS with huge eps = %v", got)
-	}
-}
-
-// TestDeprecatedShims keeps the pre-context API compiling and
-// correct for one release.
-func TestDeprecatedShims(t *testing.T) {
-	ds := testData(t, 150)
-	idx, err := Build(ds, Options{Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ds[33]
-	want, err := idx.Search(context.Background(), q, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := idx.SearchPoints(q.Points, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("SearchPoints rank %d: %+v want %+v", i, got[i], want[i])
-		}
-	}
-
-	ready := make(chan string, 2)
-	for i := 0; i < 2; i++ {
-		go ServeWorker("127.0.0.1:0", func(addr string) { ready <- addr })
-	}
-	addrs := []string{<-ready, <-ready}
-	ci, err := BuildCluster(ds, Options{Partitions: 4}, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ci.Close()
-	cres, err := ci.Search(q, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cres {
-		if cres[i] != want[i] {
-			t.Fatalf("ClusterIndex rank %d: %+v want %+v", i, cres[i], want[i])
-		}
-	}
-	st := ci.Stats()
-	if st.Trajectories != 150 || st.Partitions != 4 {
-		t.Errorf("stats = %+v", st)
-	}
-	if _, err := ci.Search(nil, 3); !errors.Is(err, ErrEmptyQuery) {
-		t.Errorf("nil query: %v", err)
-	}
-	if _, err := ci.Search(q, 0); !errors.Is(err, ErrBadK) {
-		t.Errorf("k=0: %v", err)
-	}
-	if _, err := BuildCluster(nil, Options{}, addrs); err == nil {
-		t.Error("empty dataset should fail")
 	}
 }
