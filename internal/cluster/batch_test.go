@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repose/internal/dataset"
 	"repose/internal/geo"
+	"repose/internal/topk"
 )
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
@@ -87,4 +91,80 @@ func TestSearchBatchConcurrentSafety(t *testing.T) {
 	if got := len(eng.Indexes()); got != 8 {
 		t.Errorf("Indexes len = %d", got)
 	}
+}
+
+// gateIndex is a baseline-shaped partition index whose every scan
+// holds for a while and counts how many scans are in flight at once.
+type gateIndex struct {
+	inflight, peak *atomic.Int32
+}
+
+func (g gateIndex) Search(q []geo.Point, k int) []topk.Item {
+	n := g.inflight.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	time.Sleep(2 * time.Millisecond)
+	g.inflight.Add(-1)
+	return nil
+}
+
+func (gateIndex) Len() int       { return 0 }
+func (gateIndex) SizeBytes() int { return 0 }
+
+// TestScanCapBoundsBatches: a batch's (query, partition) tasks take the
+// same scan slots as every other query on the engine. Before the fix a
+// batch ran on private goroutines, so two overlapping batches — or a
+// batch next to a Search — exceeded a Local engine's Workers cap, and a
+// worker's SetQueryWorkers cap did not bound the batched queries the
+// gateway's micro-batcher sends. With one slot, at most one scan may
+// ever be in flight, on a Local engine and on a Worker.
+func TestScanCapBoundsBatches(t *testing.T) {
+	const nparts = 4
+	qs := [][]geo.Point{{{X: 1, Y: 1}}, {{X: 2, Y: 2}}, {{X: 3, Y: 3}}}
+	run := func(t *testing.T, peak *atomic.Int32, calls ...func() error) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, len(calls))
+		for i, call := range calls {
+			wg.Add(1)
+			go func(i int, call func() error) {
+				defer wg.Done()
+				errs[i] = call()
+			}(i, call)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := peak.Load(); got != 1 {
+			t.Fatalf("%d scans in flight at once under a one-slot cap", got)
+		}
+	}
+	t.Run("local", func(t *testing.T) {
+		var inflight, peak atomic.Int32
+		indexes := make([]LocalIndex, nparts)
+		for i := range indexes {
+			indexes[i] = gateIndex{&inflight, &peak}
+		}
+		c := localView(indexes, nil, 1)
+		ctx := context.Background()
+		batch := func() error { _, _, err := c.SearchBatch(ctx, qs, 3, QueryOptions{}); return err }
+		search := func() error { _, _, err := c.Search(ctx, qs[0], 3, QueryOptions{}); return err }
+		run(t, &peak, batch, batch, search)
+	})
+	t.Run("worker", func(t *testing.T) {
+		var inflight, peak atomic.Int32
+		w := NewWorker()
+		w.SetQueryWorkers(1)
+		for pid := 0; pid < nparts; pid++ {
+			w.indexes[pid] = gateIndex{&inflight, &peak}
+		}
+		batch := func() error {
+			args := &QueryArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Kind: KindTopK, Queries: qs, K: 3}
+			return w.Query(args, &QueryReply{})
+		}
+		run(t, &peak, batch, batch)
+	})
 }

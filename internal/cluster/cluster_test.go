@@ -45,10 +45,16 @@ func testWorld(t *testing.T, n, nparts int) ([]*geo.Trajectory, [][]*geo.Traject
 	return ds, parts, idxSpec
 }
 
-// searchArgsV2 builds a current-protocol SearchArgs for direct worker
-// calls in tests.
-func searchArgsV2(q []geo.Point, k int) *SearchArgs {
-	return &SearchArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Query: q, K: k}
+// workerTopK asks w for the top-k of q over every partition it owns
+// with one direct Worker.Query and merges the reply's rows, as the
+// driver does.
+func workerTopK(w *Worker, q []geo.Point, k int) ([]topk.Item, error) {
+	var rep QueryReply
+	args := &QueryArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Kind: KindTopK, Queries: [][]geo.Point{q}, K: k}
+	if err := w.Query(args, &rep); err != nil {
+		return nil, err
+	}
+	return mergeDedup(k, rep.Lists), nil
 }
 
 func assertSameDistances(t *testing.T, ctx string, got, want []topk.Item) {
@@ -215,8 +221,7 @@ func TestWorkerClearAndPing(t *testing.T) {
 		t.Fatal("ping failed")
 	}
 	// Empty worker search fails.
-	var rep SearchReply
-	if err := w.Search(searchArgsV2([]geo.Point{{X: 1, Y: 1}}, 2), &rep); err == nil {
+	if _, err := workerTopK(w, []geo.Point{{X: 1, Y: 1}}, 2); err == nil {
 		t.Error("empty worker search should fail")
 	}
 	_, parts, spec := testWorld(t, 40, 2)
@@ -227,13 +232,13 @@ func TestWorkerClearAndPing(t *testing.T) {
 	if brep.Len != len(parts[0]) || brep.BuildNanos <= 0 {
 		t.Errorf("build reply %+v", brep)
 	}
-	if err := w.Search(searchArgsV2([]geo.Point{{X: 1, Y: 1}}, 2), &rep); err != nil {
+	if _, err := workerTopK(w, []geo.Point{{X: 1, Y: 1}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Clear(&ClearArgs{Version: ProtocolVersion}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Search(searchArgsV2([]geo.Point{{X: 1, Y: 1}}, 2), &rep); err == nil {
+	if _, err := workerTopK(w, []geo.Point{{X: 1, Y: 1}}, 2); err == nil {
 		t.Error("search after clear should fail")
 	}
 }

@@ -14,6 +14,16 @@
 // per-query ids and deadlines so the driver can abort straggler
 // workers remotely.
 //
+// The query dataflow is written once (plan.go): a planner — partition
+// selection, re-planning after a concurrent split, the probe budget's
+// waves, the merge, the load tracker, the report — over a
+// partitionClient, whose one method runs a wave of partition-local
+// work (top-k, bound, or radius) for one or more queries. Local's wave
+// runs one task per (query, partition) on the engine's shared scan
+// slots; Remote's sends one Worker.Query per worker group through the
+// failover scatter; and Worker.Query runs Local's wave on a view of
+// the partitions the worker owns, so both engines scan the same way.
+//
 // A partition holds a LocalIndex — Search, Len, SizeBytes: the least
 // any index offers, the baselines included. A REPOSE partition is
 // always an rptrie.Index (one of the three layouts, or an
@@ -76,7 +86,8 @@
 // the moved ids from the donor, so a query planned after the
 // registration may see a trajectory reported by both partitions but
 // can never miss it — the driver's merge dedups by id — and a query
-// planned before it re-plans (splitSince), keeping answers exact.
+// planned before it re-plans (the planner's run), keeping answers
+// exact.
 //
 // The top-k scatter departs from the paper's collect step in one
 // respect: partitions do not compute independent local top-k lists.
@@ -90,33 +101,38 @@
 // superset of its share of the answer, so merging the lists by
 // (distance, id) yields the same answer, bit for bit, while the load
 // tracker's reward (list items that survive the merge), the refine
-// counts, and SearchReply.PartItems keep their meaning. Local creates
-// the heap per Search — the probe budget's survivor wave inherits the
-// head wave's — and per query of a SearchBatch; a worker creates one
-// per Worker.Search and per batched query, so it shares across the
-// partitions it owns and the wire protocol is unchanged (the driver
-// merges worker answers as before; a retried or hedged call starts a
-// fresh heap). Sharing is passive: a scan never waits for another, and
-// the scatter has no extra wave or barrier. Splits are why the heap
+// counts, and QueryReply's per-partition rows keep their meaning. The
+// planner creates the heap per query — per Search, where the probe
+// budget's survivor wave inherits the head wave's, and per query of a
+// SearchBatch — and Local's waves prune against it. A heap cannot
+// cross the wire: a worker creates its own per query of each
+// Worker.Query and shares it across the partitions it owns, so every
+// remote wave — a probe budget's survivor wave, a retried or hedged
+// call — starts from +∞ on each worker. Sharing is passive: a scan
+// never waits for another, and the scatter has no extra wave or
+// barrier. Splits are why the heap
 // holds distinct ids: inside the install→prune window a moved
 // trajectory is offered from two partitions, and counting it twice
 // would tighten the threshold to the (k−1)-th distance. Splits are
-// also why every query method re-plans when the partition count grew
-// while it ran (splitSince): the source is pruned in place right
-// after the new partition is published, so a scatter planned before
-// could otherwise reach the source after the prune and miss the moved
-// ids altogether.
+// also why the planner re-plans a query when the partition count grew
+// while it ran: the source is pruned in place right after the new
+// partition is published, so a scatter planned before could otherwise
+// reach the source after the prune and miss the moved ids altogether.
 //
 // Why probe budgets stay exact: QueryOptions.ProbeBudget scans the n
 // best-scoring partitions first (per-partition EWMA reward-per-cost,
 // loadstats.go), then asks each remaining partition for its
 // admissible lower bound — the same LBo/LBt bound the trie's
 // best-first search orders by, which never exceeds the true distance
-// of any trajectory in the partition. A partition whose bound is ≥
-// the current k-th result distance therefore cannot contribute to the
-// top-k and is pruned; every other partition is scanned in a second
-// wave. The answer is bit-identical to the full scatter because only
-// provably non-contributing work is skipped. BestEffort drops the
-// second wave instead, trading exactness for latency — the report
-// lists SkippedPartitions and the answer is marked cache-ineligible.
+// of any trajectory in the partition. A partition whose bound strictly
+// exceeds the current k-th result distance therefore cannot contribute
+// to the top-k and is pruned; one whose bound equals it is scanned,
+// because a trajectory at exactly the k-th distance can still win on
+// id. Every unpruned partition is scanned in a second wave, and a
+// bound wave that fails prunes nothing: unless ctx is done or the
+// engine closed, the whole tail is scanned. The answer is
+// bit-identical to the full scatter because only provably
+// non-contributing work is skipped. BestEffort drops the second wave
+// instead, trading exactness for latency — the report lists
+// SkippedPartitions and the answer is marked cache-ineligible.
 package cluster

@@ -174,7 +174,6 @@ func OpenLocalDurable(spec IndexSpec, numPartitions, workers int, dataDir string
 		return nil, err
 	}
 	c := &Local{
-		workers:   workers,
 		sem:       make(chan struct{}, workers),
 		buildTime: time.Since(start),
 		dir:       dir,

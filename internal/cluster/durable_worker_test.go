@@ -54,8 +54,8 @@ func TestDurableWorkerRecoversLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := dataset.Queries(ds, 1, 31)[0]
-	var sr SearchReply
-	if err := w.Search(&SearchArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Query: q.Points, K: 9}, &sr); err != nil {
+	want, err := workerTopK(w, q.Points, 9)
+	if err != nil {
 		t.Fatal(err)
 	}
 	w.CloseData() // process shutdown
@@ -93,11 +93,11 @@ func TestDurableWorkerRecoversLocally(t *testing.T) {
 				pid, after.Gens[pid], after.Lens[pid], gen, before.Lens[pid])
 		}
 	}
-	var sr2 SearchReply
-	if err := w2.Search(&SearchArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Query: q.Points, K: 9}, &sr2); err != nil {
+	got, err := workerTopK(w2, q.Points, 9)
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "recovered-worker search", 21, sr2.Items, sr.Items)
+	assertBitIdentical(t, "recovered-worker search", 21, got, want)
 
 	// The recovered partition can still donate state to a peer.
 	var snap SnapshotReply

@@ -254,10 +254,17 @@ func boundOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, opt 
 	return x.BoundContext(ctx, q, sopt)
 }
 
+// RadiusSearcher is the optional range-query capability of a baseline
+// index (an rptrie.Index answers range queries through
+// SearchRadiusContext).
+type RadiusSearcher interface {
+	SearchRadius(q []geo.Point, radius float64) []topk.Item
+}
+
 // radiusOne answers one partition-local range query. Indexes without
 // range support (some baselines) are rejected, naming the partition so
 // mixed-index failures are diagnosable.
-func radiusOne(ctx context.Context, pi, gpid int, idx LocalIndex, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, error) {
+func radiusOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, error) {
 	sopt, err := searchOptions(gpid, idx, opt)
 	if err != nil {
 		return nil, err
@@ -271,5 +278,5 @@ func radiusOne(ctx context.Context, pi, gpid int, idx LocalIndex, q []geo.Point,
 		}
 		return rs.SearchRadius(q, radius), nil
 	}
-	return nil, fmt.Errorf("cluster: partition %d index (%T) does not support radius search", pi, idx)
+	return nil, fmt.Errorf("cluster: partition %d index (%T) does not support radius search", gpid, idx)
 }

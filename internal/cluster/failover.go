@@ -609,48 +609,38 @@ func (r *Remote) restoreReplica(pid, j, donorSlot, targetSlot int) {
 	r.genMu.Unlock()
 }
 
-// callSpec describes one query RPC kind for the replicated scatter.
-type callSpec struct {
-	method   string
-	makeArgs func(h QueryHeader, pids []int) any
-	newReply func() any
-}
-
-// partReply is one worker's successful answer covering pids.
-type partReply struct {
-	pids  []int
-	reply any
-}
-
 // fireResult is one group call's outcome.
 type fireResult struct {
 	slot    int
 	pids    []int
 	err     error
-	replies []partReply
+	replies []QueryReply
 	// hedged reports that the replies came from a hedge on other
 	// replicas, not from this slot — health accounting must not credit
 	// the slow worker with the backup's answer.
 	hedged bool
 }
 
-// scatter answers one query over the selected partitions with replica
-// failover: plan an assignment, fire the per-worker calls in parallel,
-// and re-plan any partitions whose worker failed at the transport
-// level onto their next replicas, until every partition answered or a
+// queryMethod is the one query endpoint (protocol v8).
+const queryMethod = "Worker.Query"
+
+// scatter sends req over req.Partitions with replica failover: plan an
+// assignment, fire one Worker.Query per worker group in parallel, and
+// re-plan any partitions whose worker failed at the transport level
+// onto their next replicas, until every partition answered or a
 // partition runs out of replicas. Replies cover disjoint partition
 // sets, so no result is ever double-counted.
-func (r *Remote) scatter(ctx context.Context, sel []int, minGens []uint64, cs callSpec) ([]partReply, error) {
+func (r *Remote) scatter(ctx context.Context, req *QueryArgs) ([]QueryReply, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		// Already cancelled: skip serializing and shipping payloads.
-		return nil, fmt.Errorf("cluster: %s: %w", cs.method, err)
+		return nil, fmt.Errorf("cluster: %s: %w", queryMethod, err)
 	}
 	excluded := make(map[int]map[int]bool)
-	remaining := sel
-	var out []partReply
+	remaining := req.Partitions
+	var out []QueryReply
 	var lastErr error
 	for len(remaining) > 0 {
 		groups, err := r.plan(remaining, excluded)
@@ -660,7 +650,7 @@ func (r *Remote) scatter(ctx context.Context, sel []int, minGens []uint64, cs ca
 			}
 			return nil, err
 		}
-		results := r.fire(ctx, groups, excluded, minGens, cs, true)
+		results := r.fire(ctx, groups, excluded, req, true)
 		remaining = remaining[:0:0]
 		for _, res := range results {
 			switch {
@@ -684,7 +674,7 @@ func (r *Remote) scatter(ctx context.Context, sel []int, minGens []uint64, cs ca
 				if errors.Is(res.err, ctx.Err()) {
 					return nil, res.err
 				}
-				return nil, fmt.Errorf("cluster: %s on %s: %v (%w)", cs.method, r.slots[res.slot].addr, res.err, ctx.Err())
+				return nil, fmt.Errorf("cluster: %s on %s: %v (%w)", queryMethod, r.slots[res.slot].addr, res.err, ctx.Err())
 			case isServerError(res.err):
 				if pid := notOwnedPartition(res.err); pid >= 0 {
 					// The worker is healthy but no longer holds pid: the
@@ -695,14 +685,14 @@ func (r *Remote) scatter(ctx context.Context, sel []int, minGens []uint64, cs ca
 					// rejected partition on this worker; the re-plan
 					// reads the post-flip owner table, so the query
 					// completes with zero failed partitions.
-					lastErr = fmt.Errorf("cluster: %s on %s: %w", cs.method, r.slots[res.slot].addr, res.err)
+					lastErr = fmt.Errorf("cluster: %s on %s: %w", queryMethod, r.slots[res.slot].addr, res.err)
 					exclude(excluded, pid, res.slot)
 					remaining = append(remaining, res.pids...)
 					continue
 				}
 				// The worker answered: an application-level error every
 				// replica would repeat. Surface it.
-				return nil, fmt.Errorf("cluster: %s on %s: %w", cs.method, r.slots[res.slot].addr, res.err)
+				return nil, fmt.Errorf("cluster: %s on %s: %w", queryMethod, r.slots[res.slot].addr, res.err)
 			default:
 				if r.closed.Load() {
 					// Close raced the query: its severed connections
@@ -711,7 +701,7 @@ func (r *Remote) scatter(ctx context.Context, sel []int, minGens []uint64, cs ca
 					// breakers.
 					return nil, ErrClosed
 				}
-				lastErr = fmt.Errorf("cluster: %s on %s: %w", cs.method, r.slots[res.slot].addr, res.err)
+				lastErr = fmt.Errorf("cluster: %s on %s: %w", queryMethod, r.slots[res.slot].addr, res.err)
 				r.slots[res.slot].noteFailure(r.failover().FailThreshold, connFatal(res.err))
 				for _, pid := range res.pids {
 					exclude(excluded, pid, res.slot)
@@ -721,7 +711,7 @@ func (r *Remote) scatter(ctx context.Context, sel []int, minGens []uint64, cs ca
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", cs.method, err)
+		return nil, fmt.Errorf("cluster: %s: %w", queryMethod, err)
 	}
 	return out, nil
 }
@@ -732,7 +722,7 @@ func (r *Remote) scatter(ctx context.Context, sel []int, minGens []uint64, cs ca
 // map: when hedging is possible, the round snapshots it once, up
 // front, synchronously — strictly before scatter's between-round
 // mutations can happen.
-func (r *Remote) fire(ctx context.Context, groups map[int][]int, excluded map[int]map[int]bool, minGens []uint64, cs callSpec, allowHedge bool) []fireResult {
+func (r *Remote) fire(ctx context.Context, groups map[int][]int, excluded map[int]map[int]bool, req *QueryArgs, allowHedge bool) []fireResult {
 	var snapshot map[int]map[int]bool
 	if allowHedge && r.failover().HedgeAfter > 0 {
 		snapshot = make(map[int]map[int]bool, len(excluded))
@@ -748,13 +738,13 @@ func (r *Remote) fire(ctx context.Context, groups map[int][]int, excluded map[in
 	resCh := make(chan fireResult, len(groups))
 	for si, pids := range groups {
 		go func(si int, pids []int) {
-			var hedge func() ([]partReply, error)
+			var hedge func() ([]QueryReply, error)
 			if snapshot != nil {
-				hedge = func() ([]partReply, error) {
-					return r.hedgeAttempt(ctx, si, pids, snapshot, minGens, cs)
+				hedge = func() ([]QueryReply, error) {
+					return r.hedgeAttempt(ctx, si, pids, snapshot, req)
 				}
 			}
-			replies, hedged, err := r.callGroup(ctx, si, pids, minGens, cs, hedge)
+			replies, hedged, err := r.callGroup(ctx, si, pids, req, hedge)
 			resCh <- fireResult{slot: si, pids: pids, err: err, replies: replies, hedged: hedged}
 		}(si, pids)
 	}
@@ -768,7 +758,7 @@ func (r *Remote) fire(ctx context.Context, groups map[int][]int, excluded map[in
 // without further hedging or retries: one alternative plan, one
 // round. snapshot is this round's private copy of the exclusion
 // state; it is never shared with scatter's live map.
-func (r *Remote) hedgeAttempt(ctx context.Context, si int, pids []int, snapshot map[int]map[int]bool, minGens []uint64, cs callSpec) ([]partReply, error) {
+func (r *Remote) hedgeAttempt(ctx context.Context, si int, pids []int, snapshot map[int]map[int]bool, req *QueryArgs) ([]QueryReply, error) {
 	hx := make(map[int]map[int]bool, len(snapshot)+len(pids))
 	for pid, m := range snapshot {
 		hx[pid] = m
@@ -785,8 +775,8 @@ func (r *Remote) hedgeAttempt(ctx context.Context, si int, pids []int, snapshot 
 	if err != nil {
 		return nil, err
 	}
-	var out []partReply
-	for _, res := range r.fire(ctx, groups, hx, minGens, cs, false) {
+	var out []QueryReply
+	for _, res := range r.fire(ctx, groups, hx, req, false) {
 		if res.err != nil {
 			return nil, res.err
 		}
@@ -795,19 +785,20 @@ func (r *Remote) hedgeAttempt(ctx context.Context, si int, pids []int, snapshot 
 	return out, nil
 }
 
-// callGroup performs one query RPC against one worker for its assigned
-// partitions, honoring the per-attempt timeout, the query context
-// (with the cancel-grace protocol), and an optional hedge.
-func (r *Remote) callGroup(ctx context.Context, si int, pids []int, minGens []uint64, cs callSpec, hedge func() ([]partReply, error)) (replies []partReply, hedged bool, err error) {
+// callGroup sends req to one worker for its assigned partitions,
+// honoring the per-attempt timeout, the query context (with the
+// cancel-grace protocol), and an optional hedge.
+func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryArgs, hedge func() ([]QueryReply, error)) (replies []QueryReply, hedged bool, err error) {
 	s := r.slots[si]
 	c := s.get()
 	if c == nil {
 		return nil, false, fmt.Errorf("cluster: %w", rpc.ErrShutdown)
 	}
 	fo := r.failover()
-	h := r.header(ctx, pids, minGens)
-	reply := cs.newReply()
-	call := c.Go(cs.method, cs.makeArgs(h, pids), reply, make(chan *rpc.Call, 1))
+	args := *req
+	args.QueryHeader = r.header(ctx, pids, req.MinGens)
+	reply := new(QueryReply)
+	call := c.Go(queryMethod, &args, reply, make(chan *rpc.Call, 1))
 
 	var timeoutC <-chan time.Time
 	if fo.CallTimeout > 0 {
@@ -822,7 +813,7 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, minGens []ui
 		hedgeC = t.C
 	}
 	type hedgeResult struct {
-		replies []partReply
+		replies []QueryReply
 		err     error
 	}
 	var hedgeDone chan hedgeResult
@@ -832,7 +823,7 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, minGens []ui
 			if call.Error != nil {
 				return nil, false, call.Error
 			}
-			return []partReply{{pids: pids, reply: reply}}, false, nil
+			return []QueryReply{*reply}, false, nil
 		case <-hedgeC:
 			hedgeC = nil
 			ch := make(chan hedgeResult, 1)
@@ -851,22 +842,22 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, minGens []ui
 			}
 			// Hedge failed; keep waiting for the original.
 		case <-timeoutC:
-			c.Go("Worker.Cancel", &CancelArgs{ID: h.ID}, &struct{}{}, make(chan *rpc.Call, 1))
+			c.Go("Worker.Cancel", &CancelArgs{ID: args.ID}, &struct{}{}, make(chan *rpc.Call, 1))
 			return nil, false, fmt.Errorf("cluster: attempt timed out after %v", fo.CallTimeout)
 		case <-ctx.Done():
 			// Fire a best-effort cancel and await the reply briefly — a
 			// live worker aborts promptly through its own context —
 			// then abandon, so a hung worker cannot block the driver
 			// past its deadline.
-			c.Go("Worker.Cancel", &CancelArgs{ID: h.ID}, &struct{}{}, make(chan *rpc.Call, 1))
+			c.Go("Worker.Cancel", &CancelArgs{ID: args.ID}, &struct{}{}, make(chan *rpc.Call, 1))
 			select {
 			case <-call.Done:
 				if call.Error != nil {
 					return nil, false, call.Error
 				}
-				return []partReply{{pids: pids, reply: reply}}, false, nil
+				return []QueryReply{*reply}, false, nil
 			case <-time.After(cancelGrace):
-				return nil, false, fmt.Errorf("cluster: %s on %s abandoned after cancel: %w", cs.method, s.addr, ctx.Err())
+				return nil, false, fmt.Errorf("cluster: %s on %s abandoned after cancel: %w", queryMethod, s.addr, ctx.Err())
 			}
 		}
 	}

@@ -715,9 +715,7 @@ func TestWorkerStatusSnapshotRestoreRPCs(t *testing.T) {
 
 	// Restore into a fresh rejoin worker; it must serve identically.
 	w2 := NewRejoinWorker()
-	var sr SearchReply
-	q := searchArgsV2(parts[0][0].Points, 3)
-	if err := w2.Search(q, &sr); err == nil {
+	if _, err := workerTopK(w2, parts[0][0].Points, 3); err == nil {
 		t.Error("rejoin worker should reject queries before restore")
 	} else if want := "awaiting state restore"; !strings.Contains(err.Error(), want) {
 		t.Errorf("rejoin worker error %q, want it to mention %q", err, want)
@@ -729,14 +727,15 @@ func TestWorkerStatusSnapshotRestoreRPCs(t *testing.T) {
 	if rr.Len != len(parts[0]) {
 		t.Fatalf("restore reply %+v", rr)
 	}
-	var sr1, sr2 SearchReply
-	if err := w.Search(searchArgsV2(parts[0][0].Points, 5), &sr1); err != nil {
+	want, err := workerTopK(w, parts[0][0].Points, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Search(searchArgsV2(parts[0][0].Points, 5), &sr2); err != nil {
+	got, err := workerTopK(w2, parts[0][0].Points, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "restored worker parity", 0, sr2.Items, sr1.Items)
+	assertBitIdentical(t, "restored worker parity", 0, got, want)
 
 	// Corrupt restore data fails cleanly; so does a wrong version.
 	if err := w2.Restore(&RestoreArgs{Version: ProtocolVersion, PartitionID: 0, Data: []byte("junk")}, &rr); err == nil {
@@ -768,14 +767,15 @@ func TestWorkerStatusSnapshotRestoreRPCs(t *testing.T) {
 		if rr.Len != len(parts[1]) {
 			t.Fatalf("%v restore reply %+v", layout, rr)
 		}
-		var srA, srB SearchReply
-		if err := ws.Search(searchArgsV2(parts[1][0].Points, 5), &srA); err != nil {
+		want, err := workerTopK(ws, parts[1][0].Points, 5)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ws2.Search(searchArgsV2(parts[1][0].Points, 5), &srB); err != nil {
+		got, err := workerTopK(ws2, parts[1][0].Points, 5)
+		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, layout.String()+" restored worker parity", 1, srB.Items, srA.Items)
+		assertBitIdentical(t, layout.String()+" restored worker parity", 1, got, want)
 	}
 }
 
@@ -800,12 +800,13 @@ func TestWorkerForceLayout(t *testing.T) {
 	if snap.Layout != rptrie.LayoutCompressed {
 		t.Fatalf("forced worker snapshot layout %v, want compressed", snap.Layout)
 	}
-	var want, got SearchReply
-	if err := plain.Search(searchArgsV2(parts[0][0].Points, 6), &want); err != nil {
+	want, err := workerTopK(plain, parts[0][0].Points, 6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := forced.Search(searchArgsV2(parts[0][0].Points, 6), &got); err != nil {
+	got, err := workerTopK(forced, parts[0][0].Points, 6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "forced-layout parity", 0, got.Items, want.Items)
+	assertBitIdentical(t, "forced-layout parity", 0, got, want)
 }

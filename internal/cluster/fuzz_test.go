@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repose/internal/geo"
+	"repose/internal/topk"
 )
 
 // fuzzSeedMessages produces one valid gob encoding per RPC message
@@ -18,9 +19,10 @@ func fuzzSeedMessages(f *testing.F) {
 	for _, msg := range []any{
 		&HandshakeArgs{Version: ProtocolVersion},
 		&BuildArgs{Version: ProtocolVersion, PartitionID: 1, Trajectories: []*geo.Trajectory{{ID: 5, Points: q}}},
-		&SearchArgs{QueryHeader: hdr, Query: q, K: 10},
-		&RadiusArgs{QueryHeader: hdr, Query: q, Radius: 0.5},
-		&SearchBatchArgs{QueryHeader: hdr, Queries: [][]geo.Point{q, q}, K: 3},
+		&QueryArgs{QueryHeader: hdr, Kind: KindTopK, Queries: [][]geo.Point{q, q}, K: 3},
+		&QueryArgs{QueryHeader: hdr, Kind: KindBound, Queries: [][]geo.Point{q}, NoPivots: true},
+		&QueryArgs{QueryHeader: hdr, Kind: KindRadius, Queries: [][]geo.Point{q}, Radius: 0.5},
+		&QueryReply{Partitions: []int{0, 2}, Lists: [][]topk.Item{{{ID: 5, Dist: 0.25}}, nil}, Nanos: []int64{900, 1200}, Done: []int64{900, 2100}, Refined: []int64{3, 0}},
 		&InsertArgs{Version: ProtocolVersion, PartitionID: 0, Trajectories: []*geo.Trajectory{{ID: 9, Points: q}}, AutoCompact: 0.25},
 		&DeleteArgs{Version: ProtocolVersion, PartitionID: 0, IDs: []int{1, 2, 3}},
 		&CompactArgs{Version: ProtocolVersion, Partitions: []int{0}},
@@ -35,7 +37,8 @@ func fuzzSeedMessages(f *testing.F) {
 }
 
 // FuzzRPCDecode feeds arbitrary bytes through gob decoding into every
-// wire message type the worker accepts. Decoding must fail cleanly —
+// wire message type the worker accepts, and into the query reply the
+// driver accepts. Decoding must fail cleanly —
 // never panic, never run away — no matter the input; this is the
 // worker's exposure to a malicious or corrupted driver connection.
 func FuzzRPCDecode(f *testing.F) {
@@ -47,9 +50,8 @@ func FuzzRPCDecode(f *testing.F) {
 		targets := []func() any{
 			func() any { return new(HandshakeArgs) },
 			func() any { return new(BuildArgs) },
-			func() any { return new(SearchArgs) },
-			func() any { return new(RadiusArgs) },
-			func() any { return new(SearchBatchArgs) },
+			func() any { return new(QueryArgs) },
+			func() any { return new(QueryReply) },
 			func() any { return new(InsertArgs) },
 			func() any { return new(DeleteArgs) },
 			func() any { return new(CompactArgs) },

@@ -103,7 +103,7 @@ func TestProbeBudgetBestEffort(t *testing.T) {
 }
 
 // TestRemoteProbeBudgetMatchesLocal: the remote engine's two-phase
-// budgeted search (Worker.Search + Worker.Bound waves) answers
+// budgeted search (top-k, bound and survivor waves of Worker.Query) answers
 // bit-identically to the oracle for every budget.
 func TestRemoteProbeBudgetMatchesLocal(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 6)
@@ -493,7 +493,7 @@ func TestNotOwnedPartitionParse(t *testing.T) {
 	if pid := notOwnedPartition(err); pid != 42 {
 		t.Fatalf("parsed pid %d, want 42", pid)
 	}
-	wrapped := fmt.Errorf("cluster: Worker.Search on 127.0.0.1:1: %w", err)
+	wrapped := fmt.Errorf("cluster: Worker.Query on 127.0.0.1:1: %w", err)
 	if pid := notOwnedPartition(wrapped); pid != 42 {
 		t.Fatalf("parsed wrapped pid %d, want 42", pid)
 	}

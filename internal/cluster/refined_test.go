@@ -150,16 +150,19 @@ func TestRefinedRejectsBaselineIndexes(t *testing.T) {
 }
 
 // brokenBoundWorker serves the full worker surface but fails every
-// Worker.Bound call — the shape of a worker whose bound service is
-// down while its scan path still works. The error arrives at the
-// driver as an rpc.ServerError, which the failover layer surfaces
-// directly (application errors are not failed over).
+// KindBound query — the shape of a worker whose bound service is down
+// while its scan path still works. The error arrives at the driver as
+// an rpc.ServerError, which the failover layer surfaces directly
+// (application errors are not failed over).
 type brokenBoundWorker struct {
 	*Worker
 }
 
-func (w *brokenBoundWorker) Bound(args *BoundArgs, reply *BoundReply) error {
-	return errors.New("bound service unavailable")
+func (w *brokenBoundWorker) Query(args *QueryArgs, reply *QueryReply) error {
+	if args.Kind == KindBound {
+		return errors.New("bound service unavailable")
+	}
+	return w.Worker.Query(args, reply)
 }
 
 // startWorkerService serves svc under the "Worker" RPC name on
@@ -188,13 +191,13 @@ func startWorkerService(t *testing.T, svc any) string {
 }
 
 // TestBudgetedSearchSurvivesBoundFailure: the exact-mode bound wave is
-// an optimization, not a correctness step. When a worker's Bound
-// endpoint errors (here: always, with its replica set exhausted at one
+// an optimization, not a correctness step. When a worker's bound
+// queries error (here: always, with its replica set exhausted at one
 // replica), the driver must conservatively scan the unproven tail
 // instead of failing the whole query — the scan subsumes the bound
 // check, so the answer stays exact and cache-eligible. Before the fix,
-// Remote.searchBudgeted returned the bound wave's error and the query
-// died.
+// the remote budgeted search returned the bound wave's error and the
+// query died.
 func TestBudgetedSearchSurvivesBoundFailure(t *testing.T) {
 	ds, parts, spec := testWorld(t, 120, 2)
 	// Partition placement is round-robin, so with two workers
@@ -339,13 +342,16 @@ func TestRadiusIgnoresProbeBudgetAndStaysCacheEligible(t *testing.T) {
 		if len(rep.SkippedPartitions) != 0 || len(rep.PrunedPartitions) != 0 {
 			t.Fatalf("%s: radius must not skip or prune: %+v", eng.name, rep)
 		}
-	}
-	// Partition-restricted radius answers remain ineligible.
-	_, rep, err := local.SearchRadius(ctx, q.Points, 0.6, QueryOptions{Partitions: []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CacheEligible {
-		t.Fatal("partition-restricted radius must not be cache-eligible")
+		assertReportCovers(t, eng.name+" plain radius", plainRep, []int{0, 1, 2, 3}, 4)
+		assertReportCovers(t, eng.name+" radius under probe-budget options", rep, []int{0, 1, 2, 3}, 4)
+		// Partition-restricted radius answers remain ineligible.
+		_, rep, err = eng.e.SearchRadius(ctx, q.Points, 0.6, QueryOptions{Partitions: []int{2, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CacheEligible {
+			t.Fatalf("%s: partition-restricted radius must not be cache-eligible", eng.name)
+		}
+		assertReportCovers(t, eng.name+" restricted radius", rep, []int{2, 0}, 4)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"net/rpc"
@@ -23,7 +22,7 @@ import (
 // The RPC transport simulates the paper's multi-node deployment on
 // one machine: worker processes own partitions, the driver ships
 // trajectories + an IndexSpec at build time and broadcasts queries,
-// and each worker returns its merged local top-k. Everything is
+// and each worker answers for the partitions it owns. Everything is
 // stdlib net/rpc with gob encoding.
 //
 // Protocol v2 adds a version handshake, radius and batch search
@@ -49,8 +48,8 @@ import (
 // per-replica generation tracking, failover routing — see
 // failover.go).
 //
-// Protocol v6 adds live rebalancing and score-guided probing:
-// SearchReply carries each partition's unmerged result list and cost
+// Protocol v6 adds live rebalancing and score-guided probing: the
+// search reply carries each partition's unmerged result list and cost
 // counters (the driver's load tracker and split-window dedup need
 // per-partition attribution, not a per-worker merge), Worker.Bound
 // answers the probe budget's admissible lower-bound check without a
@@ -64,18 +63,30 @@ import (
 // accept a silently incomplete answer.
 //
 // Protocol v7 adds refined query modes: the four query arg shapes
-// (Search/Bound/SearchRadius/SearchBatch) gain a rptrie.RefineSpec
+// (top-k, bound, radius, batch) gain a rptrie.RefineSpec
 // selecting subtrajectory and/or time-windowed scoring. The worker
 // builds the refiner per partition from the partition's own index
 // configuration, so the spec travels as plain data — no measure or
 // parameters on the wire. A zero spec encodes the pre-v7 behaviour,
 // and reply shapes are unchanged (topk.Item already carries the
 // matched [Start, End) segment).
+//
+// Protocol v8 folds the four query endpoints into one, Worker.Query:
+// a QueryArgs names its Kind — top-k, bound, or radius — and carries
+// one or more queries, and a QueryReply answers with one row per
+// (query, partition) in slices indexed [qi*len(Partitions)+si]: the
+// result list or bound, scan nanoseconds, completion offset, and refine
+// count. The worker runs the in-process engine's own wave over the
+// partitions it owns, so a batch now reports per partition like a
+// single search (the driver's load tracker learns from batched
+// traffic), and the per-worker merged list v6 sent beside the
+// per-partition lists is gone — the driver never read it. A worker
+// rejects a Kind it does not know.
 
 // ProtocolVersion is the driver↔worker wire protocol version. The
 // worker rejects requests from a driver speaking a different version
 // rather than mis-decoding them.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // checkVersion rejects a peer speaking a different protocol version.
 func checkVersion(v int) error {
@@ -110,7 +121,7 @@ type BuildReply struct {
 	BuildNanos int64
 }
 
-// QueryHeader is the common preamble of every v2 query RPC.
+// QueryHeader is the preamble of every query RPC (since v2).
 type QueryHeader struct {
 	Version int
 	// ID identifies the query; Worker.Cancel aborts the in-flight
@@ -126,94 +137,103 @@ type QueryHeader struct {
 	// the cancel RPC never arrives.
 	BudgetNanos int64
 	// Partitions restricts the query to these partition ids
-	// (deduplicated by the driver); the worker intersects it with
-	// the partitions it owns. nil = all.
+	// (deduplicated by the driver); naming one the worker does not own
+	// is an error (see v6 above). nil = every owned partition.
 	Partitions []int
 	// MinGens pins the query per global partition id; see
 	// QueryOptions.MinGens.
 	MinGens []uint64
 }
 
-// SearchArgs broadcasts a top-k query.
-type SearchArgs struct {
+// QueryKind selects the partition-local work of one Worker.Query.
+type QueryKind int
+
+const (
+	// KindTopK scans each (query, partition) for the query's top-k,
+	// pruning against a result heap the worker shares across the
+	// partitions it owns.
+	KindTopK QueryKind = iota + 1
+	// KindBound answers each partition's admissible lower bound on the
+	// best distance any of its trajectories could achieve for the query
+	// — the probe budget's pruning test, from a bounded best-first walk
+	// instead of a full scan. A baseline partition reports 0, which
+	// never prunes.
+	KindBound
+	// KindRadius collects every trajectory within Radius of the query.
+	KindRadius
+)
+
+// kindNames names the known kinds; the zero Kind is not one of them.
+var kindNames = [...]string{KindTopK: "top-k", KindBound: "bound", KindRadius: "radius"}
+
+// check rejects a kind this build does not know: a newer peer's, or the
+// zero value of a request that never set one.
+func (k QueryKind) check() error {
+	if k < KindTopK || int(k) >= len(kindNames) {
+		return fmt.Errorf("cluster: unknown query kind %d", int(k))
+	}
+	return nil
+}
+
+// QueryArgs is the one query request: Kind over the header's
+// partitions for every query in Queries (one for Search and
+// SearchRadius, the whole batch for SearchBatch).
+type QueryArgs struct {
 	QueryHeader
-	Query         []geo.Point
-	K             int
-	NoPivots      bool
-	RefineWorkers int
-	Refine        rptrie.RefineSpec
-}
-
-// SearchReply carries a worker's merged local top-k plus, since v6,
-// each partition's unmerged result list and cost counters keyed by
-// partition id — the attribution the driver's load tracker scores
-// partitions by, and what lets the driver dedup a split's
-// install→prune window where a trajectory briefly lives in two
-// partitions.
-type SearchReply struct {
-	Items       []topk.Item
-	PartNanos   map[int]int64
-	PartItems   map[int][]topk.Item
-	PartRefined map[int]int64 // exact-distance refinements per partition
-	Partitions  []int
-}
-
-// BoundArgs asks for each selected partition's admissible lower bound
-// on the best distance any of its trajectories could achieve for the
-// query — the probe budget's pruning test, answered by a bounded
-// best-first walk instead of a full scan.
-type BoundArgs struct {
-	QueryHeader
-	Query    []geo.Point
-	NoPivots bool
-	Refine   rptrie.RefineSpec
-}
-
-// BoundReply carries the per-partition bounds. A partition whose
-// index cannot bound (a baseline) reports 0, which never prunes.
-type BoundReply struct {
-	Bounds map[int]float64
-}
-
-// RadiusArgs broadcasts a range query.
-type RadiusArgs struct {
-	QueryHeader
-	Query         []geo.Point
-	Radius        float64
-	NoPivots      bool
-	RefineWorkers int
-	Refine        rptrie.RefineSpec
-}
-
-// RadiusReply carries every in-range trajectory of the worker's
-// partitions (each worker's list arrives sorted; the driver re-sorts
-// the concatenated global merge).
-type RadiusReply struct {
-	Items      []topk.Item
-	PartNanos  map[int]int64
-	Partitions []int
-}
-
-// SearchBatchArgs broadcasts a whole query batch.
-type SearchBatchArgs struct {
-	QueryHeader
+	Kind          QueryKind
 	Queries       [][]geo.Point
-	K             int
+	K             int     // KindTopK
+	Radius        float64 // KindRadius
 	NoPivots      bool
 	RefineWorkers int
 	Refine        rptrie.RefineSpec
+
+	// shared holds one result heap per query for an in-process top-k
+	// wave (see Local.wave). Unexported, so it never crosses the wire.
+	shared []*rptrie.SharedTopK
 }
 
-// SearchBatchReply carries the worker's per-query merged local top-k
-// lists, indexed like the queries. PerQueryNanos is each query's
-// completion offset from the worker's batch start (including
-// intra-worker queuing); the driver reports the max across workers,
-// so cross-worker RPC arrival skew is the only slack versus the
-// local engine's from-batch-start semantics.
-type SearchBatchReply struct {
-	Items          [][]topk.Item
-	PerQueryNanos  []int64
-	TotalWorkNanos int64
+// QueryReply answers a QueryArgs with one row per (query, partition)
+// task, row qi*len(Partitions)+si for query qi on Partitions[si]:
+// Lists holds a top-k or radius row's items (for top-k, the
+// partition's members that can still be in the global answer, ties
+// with the k-th distance included), Bounds a bound row's lower bound;
+// Nanos is the task's scan time, Done its completion offset from the
+// start of the worker's wave, Refined its exact-distance computations.
+// Per-partition rows are what the driver's load tracker scores
+// partitions by and what lets it dedup a split's install→prune window,
+// where a trajectory briefly lives in two partitions.
+type QueryReply struct {
+	Partitions []int
+	Lists      [][]topk.Item
+	Nanos      []int64
+	Done       []int64
+	Refined    []int64
+	Bounds     []float64
+}
+
+// newQueryReply allocates the rows of a req wave over req.Partitions.
+func newQueryReply(req *QueryArgs) QueryReply {
+	n := len(req.Queries) * len(req.Partitions)
+	buf := make([]int64, 3*n)
+	rep := QueryReply{Partitions: req.Partitions, Nanos: buf[:n:n], Done: buf[n : 2*n : 2*n], Refined: buf[2*n:]}
+	if req.Kind == KindBound {
+		rep.Bounds = make([]float64, n)
+	} else {
+		rep.Lists = make([][]topk.Item, n)
+	}
+	return rep
+}
+
+// shaped reports whether rep holds one row per (query, partition) of a
+// req wave over its own Partitions — what a well-behaved worker sends.
+func (rep *QueryReply) shaped(req *QueryArgs) bool {
+	n := len(req.Queries) * len(rep.Partitions)
+	rows := len(rep.Lists)
+	if req.Kind == KindBound {
+		rows = len(rep.Bounds)
+	}
+	return rows == n && len(rep.Nanos) == n && len(rep.Done) == n && len(rep.Refined) == n
 }
 
 // CancelArgs aborts the in-flight query with the given id.
@@ -654,19 +674,11 @@ func (w *Worker) Cancel(args *CancelArgs, _ *struct{}) error {
 	return nil
 }
 
-// partNanos re-keys a view's positional partition timings by
-// partition id.
-func partNanos(pids []int, rep QueryReport) map[int]int64 {
-	out := make(map[int]int64, len(pids))
-	for i, d := range rep.PartitionTimes {
-		out[pids[i]] = d.Nanoseconds()
-	}
-	return out
-}
-
-// Search answers the query over the selected partitions this worker
-// owns and merges them into one local top-k.
-func (w *Worker) Search(args *SearchArgs, reply *SearchReply) error {
+// Query answers one wave of partition-local work over the selected
+// partitions this worker owns: the in-process engine's own wave, run on
+// a view that shares the worker's scan cap, with a fresh result heap per
+// top-k query.
+func (w *Worker) Query(args *QueryArgs, reply *QueryReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
@@ -676,103 +688,9 @@ func (w *Worker) Search(args *SearchArgs, reply *SearchReply) error {
 	if err != nil {
 		return err
 	}
-	opt := QueryOptions{NoPivots: args.NoPivots, RefineWorkers: args.RefineWorkers, MinGens: args.MinGens, Refine: args.Refine}
-	parts := view.parts()
-	sel := make([]int, len(parts))
-	for i := range sel {
-		sel[i] = i
-	}
-	// The worker shares one result heap across the partitions it owns;
-	// the reply's per-partition lists keep their wire shape.
-	shared := acquireShared(args.K)
-	defer releaseShared(shared)
-	locals, refined, rep, err := view.searchLists(ctx, parts, sel, args.Query, args.K, opt, shared)
-	if err != nil {
-		return err
-	}
-	reply.Items = mergeDedup(args.K, locals)
-	reply.PartNanos = partNanos(pids, rep)
-	reply.Partitions = pids
-	reply.PartItems = make(map[int][]topk.Item, len(pids))
-	reply.PartRefined = make(map[int]int64, len(pids))
-	for si, pid := range pids {
-		reply.PartItems[pid] = locals[si]
-		reply.PartRefined[pid] = refined[si]
-	}
-	return nil
-}
-
-// Bound answers the probe budget's pruning test for the selected
-// partitions: each partition's admissible lower bound on the best
-// distance it could contribute, from a bounded best-first walk.
-func (w *Worker) Bound(args *BoundArgs, reply *BoundReply) error {
-	if err := checkVersion(args.Version); err != nil {
-		return err
-	}
-	ctx, stop := w.queryContext(args.QueryHeader)
-	defer stop()
-	view, pids, err := w.view(args.Partitions)
-	if err != nil {
-		return err
-	}
-	opt := QueryOptions{NoPivots: args.NoPivots, MinGens: args.MinGens, Refine: args.Refine}
-	parts := view.parts()
-	reply.Bounds = make(map[int]float64, len(pids))
-	for si, pid := range pids {
-		b, err := boundOne(ctx, pid, parts[si], args.Query, opt)
-		if err != nil {
-			return err
-		}
-		reply.Bounds[pid] = b
-	}
-	return nil
-}
-
-// SearchRadius answers the range query over the selected partitions
-// this worker owns.
-func (w *Worker) SearchRadius(args *RadiusArgs, reply *RadiusReply) error {
-	if err := checkVersion(args.Version); err != nil {
-		return err
-	}
-	ctx, stop := w.queryContext(args.QueryHeader)
-	defer stop()
-	view, pids, err := w.view(args.Partitions)
-	if err != nil {
-		return err
-	}
-	items, rep, err := view.SearchRadius(ctx, args.Query, args.Radius, QueryOptions{NoPivots: args.NoPivots, RefineWorkers: args.RefineWorkers, MinGens: args.MinGens, Refine: args.Refine})
-	if err != nil {
-		return err
-	}
-	reply.Items = items
-	reply.PartNanos = partNanos(pids, rep)
-	reply.Partitions = pids
-	return nil
-}
-
-// SearchBatch answers the whole batch over the selected partitions
-// this worker owns, one merged local top-k per query.
-func (w *Worker) SearchBatch(args *SearchBatchArgs, reply *SearchBatchReply) error {
-	if err := checkVersion(args.Version); err != nil {
-		return err
-	}
-	ctx, stop := w.queryContext(args.QueryHeader)
-	defer stop()
-	view, _, err := w.view(args.Partitions)
-	if err != nil {
-		return err
-	}
-	items, rep, err := view.SearchBatch(ctx, args.Queries, args.K, QueryOptions{NoPivots: args.NoPivots, RefineWorkers: args.RefineWorkers, MinGens: args.MinGens, Refine: args.Refine})
-	if err != nil {
-		return err
-	}
-	reply.Items = items
-	reply.PerQueryNanos = make([]int64, len(rep.PerQuery))
-	for i, d := range rep.PerQuery {
-		reply.PerQueryNanos[i] = d.Nanoseconds()
-	}
-	reply.TotalWorkNanos = rep.TotalWork.Nanoseconds()
-	return nil
+	args.Partitions = pids
+	*reply, err = view.wave(ctx, args)
+	return err
 }
 
 // ownedMutable resolves one owned partition's index as mutable.
@@ -1207,7 +1125,11 @@ func BuildRemote(spec IndexSpec, parts [][]*geo.Trajectory, addrs []string) (*Re
 		}
 		s.setClient(c)
 		var hr HandshakeReply
-		if err := c.Call("Worker.Handshake", &HandshakeArgs{Version: ProtocolVersion}, &hr); err != nil {
+		err = c.Call("Worker.Handshake", &HandshakeArgs{Version: ProtocolVersion}, &hr)
+		if err == nil {
+			err = checkVersion(hr.Version) // a peer that accepted a version it does not speak
+		}
+		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("cluster: handshake with %s: %w", s.addr, err)
 		}
@@ -1293,182 +1215,59 @@ const cancelGrace = 500 * time.Millisecond
 // first and prunes the tail it can prove irrelevant (see
 // QueryOptions.ProbeBudget).
 func (r *Remote) Search(ctx context.Context, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
-	for {
-		n := r.NumPartitions()
-		items, report, err := r.searchOver(ctx, n, q, k, opt)
-		if err != nil || !r.splitSince(n) {
-			return items, report, err
-		}
-	}
+	return search(ctx, r, q, k, opt)
 }
 
-// splitSince reports whether SplitPartition registered a new partition
-// after a query planned its scatter over n of them. The split prunes
-// the moved ids from the source right after registering, so a scatter
-// planned before may reach the source after the prune and find the
-// moved ids nowhere; every query method re-plans when this reports
-// true (the Remote half of Local.splitSince).
-func (r *Remote) splitSince(n int) bool { return r.NumPartitions() != n }
-
-// searchOver is Search planned over the first n partitions — the
-// partition count at dispatch.
-func (r *Remote) searchOver(ctx context.Context, n int, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
-	sel, err := selectPartitions(opt.Partitions, n)
-	if err != nil {
-		return nil, QueryReport{}, err
-	}
-	gens := r.Generations()
-	start := time.Now()
-	var report QueryReport
-	items, err := r.searchBudgeted(ctx, q, k, opt, sel, &report)
-	report.finish(start)
-	report.Generations = gens
-	report.CacheEligible = len(opt.Partitions) == 0 && len(report.SkippedPartitions) == 0
-	report.IndexBytes = r.PartitionIndexBytes()
-	if err != nil {
-		return nil, report, err
-	}
-	return items, report, nil
+// SearchRadius routes the range query to one in-sync replica per
+// selected partition and merges the in-range trajectories, ascending
+// by (distance, id).
+func (r *Remote) SearchRadius(ctx context.Context, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, QueryReport, error) {
+	return searchRadius(ctx, r, q, radius, opt)
 }
 
-// searchBudgeted is the Remote half of the probe-budget search; the
-// admissibility argument is the same as Local.searchBudgeted's.
-func (r *Remote) searchBudgeted(ctx context.Context, q []geo.Point, k int, opt QueryOptions, sel []int, report *QueryReport) ([]topk.Item, error) {
-	budget := opt.ProbeBudget
-	if budget <= 0 || budget >= len(sel) {
-		lists, times, refined, err := r.searchWave(ctx, q, k, opt, sel)
-		if err != nil {
-			return nil, err
-		}
-		report.PartitionTimes = times
-		report.addRefined(refined)
-		items := mergeDedup(k, lists)
-		r.loads.recordWave(sel, lists, refined, times, items)
-		return items, nil
-	}
-	order := r.loads.order(sel)
-	head, tail := order[:budget], order[budget:]
-	lists, times, refined, err := r.searchWave(ctx, q, k, opt, head)
-	report.ProbedPartitions = append([]int(nil), head...)
-	report.PartitionTimes = times
-	report.addRefined(refined)
-	if err != nil {
-		return nil, err
-	}
-	items := mergeDedup(k, lists)
-	r.loads.recordWave(head, lists, refined, times, items)
-	if opt.BestEffort {
-		report.SkippedPartitions = append([]int(nil), tail...)
-		return items, nil
-	}
-	dk := math.Inf(1)
-	if len(items) >= k {
-		dk = items[k-1].Dist
-	}
-	bounds, err := r.boundWave(ctx, q, opt, tail)
-	if err != nil {
-		if ctx.Err() != nil || r.closed.Load() {
-			return nil, err
-		}
-		// The bound wave is an optimization, not a correctness step: a
-		// partition we could not bound proves nothing either way.
-		// Conservatively treat the whole tail as survivors and scan it
-		// — zero bounds never prune, the answer stays exact, and a
-		// genuinely unreachable partition still fails the query
-		// through the search wave itself.
-		bounds = make([]float64, len(tail))
-	}
-	var survivors []int
-	for i, pid := range tail {
-		if bounds[i] > dk {
-			report.PrunedPartitions = append(report.PrunedPartitions, pid)
-			continue
-		}
-		survivors = append(survivors, pid)
-	}
-	if len(survivors) == 0 {
-		return items, nil
-	}
-	lists2, times2, refined2, err := r.searchWave(ctx, q, k, opt, survivors)
-	report.ProbedPartitions = append(report.ProbedPartitions, survivors...)
-	report.PartitionTimes = append(report.PartitionTimes, times2...)
-	report.addRefined(refined2)
-	if err != nil {
-		return nil, err
-	}
-	items = mergeDedup(k, append(lists, lists2...))
-	r.loads.recordWave(survivors, lists2, refined2, times2, items)
-	return items, nil
+// SearchBatch routes the whole batch to one in-sync replica per
+// selected partition and merges the per-query local top-k lists.
+func (r *Remote) SearchBatch(ctx context.Context, qs [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
+	return searchBatch(ctx, r, qs, k, opt)
 }
 
-// searchWave scatters one Worker.Search round over pids and returns
-// each partition's result list, scan time, and refine count, indexed
-// like pids.
-func (r *Remote) searchWave(ctx context.Context, q []geo.Point, k int, opt QueryOptions, pids []int) ([][]topk.Item, []time.Duration, []int64, error) {
-	replies, err := r.scatter(ctx, pids, opt.MinGens, callSpec{
-		method: "Worker.Search",
-		makeArgs: func(h QueryHeader, pids []int) any {
-			return &SearchArgs{QueryHeader: h, Query: q, K: k, NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, Refine: opt.Refine}
-		},
-		newReply: func() any { return new(SearchReply) },
-	})
+// tracker implements plannedEngine.
+func (r *Remote) tracker() *loadTracker { return r.loads }
+
+// wave implements partitionClient: one Worker.Query per worker group
+// through the failover scatter, each reply's rows placed at their
+// partition's position in req.Partitions. The request's shared heaps
+// stay behind: each worker call heaps its own share, so every wave —
+// a probe budget's survivor wave included — starts from +∞ on every
+// worker.
+func (r *Remote) wave(ctx context.Context, req *QueryArgs) (QueryReply, error) {
+	replies, err := r.scatter(ctx, req)
 	if err != nil {
-		return nil, nil, nil, err
+		return QueryReply{}, err
 	}
-	lists := make([][]topk.Item, len(pids))
-	times := make([]time.Duration, len(pids))
-	refined := make([]int64, len(pids))
-	pos := make(map[int]int, len(pids))
-	for i, pid := range pids {
-		pos[pid] = i
+	out := newQueryReply(req)
+	np, pos := len(req.Partitions), make(map[int]int, len(req.Partitions))
+	for si, pid := range req.Partitions {
+		pos[pid] = si
 	}
-	for _, pr := range replies {
-		rep := pr.reply.(*SearchReply)
-		for pid, its := range rep.PartItems {
-			if i, ok := pos[pid]; ok {
-				lists[i] = its
+	for _, rep := range replies {
+		if !rep.shaped(req) {
+			return QueryReply{}, fmt.Errorf("cluster: Worker.Query reply for partitions %v is malformed", rep.Partitions)
+		}
+		wp := len(rep.Partitions)
+		for wi, pid := range rep.Partitions {
+			si, ok := pos[pid]
+			if !ok {
+				return QueryReply{}, fmt.Errorf("cluster: Worker.Query reply names unrequested partition %d", pid)
 			}
-		}
-		for pid, nanos := range rep.PartNanos {
-			if i, ok := pos[pid]; ok {
-				times[i] = time.Duration(nanos)
-			}
-		}
-		for pid, n := range rep.PartRefined {
-			if i, ok := pos[pid]; ok {
-				refined[i] = n
-			}
-		}
-	}
-	return lists, times, refined, nil
-}
-
-// boundWave collects the admissible lower bounds for pids, one
-// Worker.Bound round over the same failover scatter as a search. A
-// partition the replies do not cover reports 0 (never pruned).
-func (r *Remote) boundWave(ctx context.Context, q []geo.Point, opt QueryOptions, pids []int) ([]float64, error) {
-	if len(pids) == 0 {
-		return nil, nil
-	}
-	replies, err := r.scatter(ctx, pids, opt.MinGens, callSpec{
-		method: "Worker.Bound",
-		makeArgs: func(h QueryHeader, _ []int) any {
-			return &BoundArgs{QueryHeader: h, Query: q, NoPivots: opt.NoPivots, Refine: opt.Refine}
-		},
-		newReply: func() any { return new(BoundReply) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(pids))
-	pos := make(map[int]int, len(pids))
-	for i, pid := range pids {
-		pos[pid] = i
-	}
-	for _, pr := range replies {
-		for pid, b := range pr.reply.(*BoundReply).Bounds {
-			if i, ok := pos[pid]; ok {
-				out[i] = b
+			for qi := range req.Queries {
+				from, to := qi*wp+wi, qi*np+si
+				out.Nanos[to], out.Done[to], out.Refined[to] = rep.Nanos[from], rep.Done[from], rep.Refined[from]
+				if req.Kind == KindBound {
+					out.Bounds[to] = rep.Bounds[from]
+				} else {
+					out.Lists[to] = rep.Lists[from]
+				}
 			}
 		}
 	}
@@ -1483,114 +1282,6 @@ func (r *Remote) Generations() []uint64 {
 	r.genMu.Lock()
 	defer r.genMu.Unlock()
 	return append([]uint64(nil), r.curGen...)
-}
-
-// SearchRadius routes the range query to one in-sync replica per
-// selected partition and merges the in-range trajectories, ascending
-// by (distance, id).
-func (r *Remote) SearchRadius(ctx context.Context, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, QueryReport, error) {
-	// Radius queries have no probe-budget phase: neutralize the
-	// top-k-only fields so they can neither alter execution nor leak
-	// into the eligibility accounting below.
-	opt.ProbeBudget, opt.BestEffort = 0, false
-	for {
-		n := r.NumPartitions()
-		items, report, err := r.radiusOver(ctx, n, q, radius, opt)
-		if err != nil || !r.splitSince(n) {
-			return items, report, err
-		}
-	}
-}
-
-// radiusOver is SearchRadius planned over the first n partitions.
-func (r *Remote) radiusOver(ctx context.Context, n int, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, QueryReport, error) {
-	sel, err := selectPartitions(opt.Partitions, n)
-	if err != nil {
-		return nil, QueryReport{}, err
-	}
-	gens := r.Generations()
-	start := time.Now()
-	replies, err := r.scatter(ctx, sel, opt.MinGens, callSpec{
-		method: "Worker.SearchRadius",
-		makeArgs: func(h QueryHeader, pids []int) any {
-			return &RadiusArgs{QueryHeader: h, Query: q, Radius: radius, NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, Refine: opt.Refine}
-		},
-		newReply: func() any { return new(RadiusReply) },
-	})
-	if err != nil {
-		return nil, QueryReport{}, err
-	}
-	var report QueryReport
-	var out []topk.Item
-	for _, pr := range replies {
-		rep := pr.reply.(*RadiusReply)
-		out = append(out, rep.Items...)
-		for _, nanos := range rep.PartNanos {
-			report.PartitionTimes = append(report.PartitionTimes, time.Duration(nanos))
-		}
-	}
-	report.finish(start)
-	report.Generations = gens
-	report.CacheEligible = len(opt.Partitions) == 0 && len(report.SkippedPartitions) == 0
-	report.IndexBytes = r.PartitionIndexBytes()
-	topk.SortItems(out)
-	return dedupItems(out), report, nil
-}
-
-// SearchBatch routes the whole batch to one in-sync replica per
-// selected partition and merges the per-query local top-k lists.
-func (r *Remote) SearchBatch(ctx context.Context, qs [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
-	for {
-		n := r.NumPartitions()
-		out, report, err := r.batchOver(ctx, n, qs, k, opt)
-		if err != nil || !r.splitSince(n) {
-			return out, report, err
-		}
-	}
-}
-
-// batchOver is SearchBatch planned over the first n partitions.
-func (r *Remote) batchOver(ctx context.Context, n int, qs [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
-	report := BatchReport{PerQuery: make([]time.Duration, len(qs))}
-	if len(qs) == 0 {
-		return nil, report, nil
-	}
-	sel, err := selectPartitions(opt.Partitions, n)
-	if err != nil {
-		return nil, report, err
-	}
-	start := time.Now()
-	replies, err := r.scatter(ctx, sel, opt.MinGens, callSpec{
-		method: "Worker.SearchBatch",
-		makeArgs: func(h QueryHeader, pids []int) any {
-			return &SearchBatchArgs{QueryHeader: h, Queries: qs, K: k, NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, Refine: opt.Refine}
-		},
-		newReply: func() any { return new(SearchBatchReply) },
-	})
-	if err != nil {
-		return nil, report, err
-	}
-	out := make([][]topk.Item, len(qs))
-	for qi := range qs {
-		var lists [][]topk.Item
-		for _, pr := range replies {
-			rep := pr.reply.(*SearchBatchReply)
-			if qi < len(rep.Items) {
-				lists = append(lists, rep.Items[qi])
-			}
-			if qi < len(rep.PerQueryNanos) {
-				if d := time.Duration(rep.PerQueryNanos[qi]); d > report.PerQuery[qi] {
-					report.PerQuery[qi] = d
-				}
-			}
-		}
-		out[qi] = mergeDedup(k, lists)
-	}
-	for _, pr := range replies {
-		report.TotalWork += time.Duration(pr.reply.(*SearchBatchReply).TotalWorkNanos)
-	}
-	report.Makespan = time.Since(start)
-	return out, report, nil
 }
 
 // BuildTime returns the wall time of the distributed build.

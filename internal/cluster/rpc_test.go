@@ -52,10 +52,65 @@ func TestProtocolVersionMismatchOverWire(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
 		t.Errorf("unversioned build: %v", err)
 	}
-	var sr SearchReply
-	err = client.Call("Worker.Search", &SearchArgs{Query: []geo.Point{{X: 1, Y: 1}}, K: 2}, &sr)
+	var qr QueryReply
+	err = client.Call("Worker.Query", &QueryArgs{Kind: KindTopK, Queries: [][]geo.Point{{{X: 1, Y: 1}}}, K: 2}, &qr)
 	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
-		t.Errorf("unversioned search: %v", err)
+		t.Errorf("unversioned query: %v", err)
+	}
+}
+
+// previousWorker stubs a worker of the previous protocol version: it
+// answers the handshake with its own version and, unless lenient,
+// refuses any other the way checkVersion does.
+type previousWorker struct{ lenient bool }
+
+func (p previousWorker) Handshake(args *HandshakeArgs, reply *HandshakeReply) error {
+	reply.Version = ProtocolVersion - 1
+	if !p.lenient && args.Version != reply.Version {
+		return fmt.Errorf("cluster: protocol version mismatch: peer speaks v%d, this build speaks v%d", args.Version, reply.Version)
+	}
+	return nil
+}
+
+// TestPreviousProtocolVersionRefused: a driver refuses to build on a
+// worker one protocol version behind — whether the old worker rejects
+// the handshake or accepts it — and the error names both versions; a
+// current worker refuses a query stamped with the previous version.
+func TestPreviousProtocolVersionRefused(t *testing.T) {
+	_, parts, spec := testWorld(t, 40, 2)
+	prev, cur := fmt.Sprintf("v%d", ProtocolVersion-1), fmt.Sprintf("v%d", ProtocolVersion)
+	for _, lenient := range []bool{false, true} {
+		_, err := BuildRemote(spec, parts, []string{startWorkerService(t, previousWorker{lenient: lenient})})
+		if err == nil || !strings.Contains(err.Error(), "handshake") || !strings.Contains(err.Error(), prev) || !strings.Contains(err.Error(), cur) {
+			t.Errorf("lenient=%v: build against a %s worker: %v", lenient, prev, err)
+		}
+	}
+	w := NewWorker()
+	var br BuildReply
+	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
+		t.Fatal(err)
+	}
+	old := &QueryArgs{QueryHeader: QueryHeader{Version: ProtocolVersion - 1}, Kind: KindTopK, Queries: [][]geo.Point{parts[0][0].Points}, K: 3}
+	err := w.Query(old, &QueryReply{})
+	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") || !strings.Contains(err.Error(), prev) || !strings.Contains(err.Error(), cur) {
+		t.Errorf("%s query on a %s worker: %v", prev, cur, err)
+	}
+}
+
+// TestQueryRejectsUnknownKind: a worker refuses a query kind it does
+// not know — a newer driver's, or the zero value — instead of guessing.
+func TestQueryRejectsUnknownKind(t *testing.T) {
+	_, parts, spec := testWorld(t, 40, 1)
+	w := NewWorker()
+	var br BuildReply
+	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []QueryKind{0, KindRadius + 1} {
+		args := &QueryArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Kind: kind, Queries: [][]geo.Point{parts[0][0].Points}, K: 3}
+		if err := w.Query(args, &QueryReply{}); err == nil || !strings.Contains(err.Error(), "unknown query kind") {
+			t.Errorf("kind %d: %v", kind, err)
+		}
 	}
 }
 

@@ -353,7 +353,7 @@ func TestSharedHeapCountsAnIDOnce(t *testing.T) {
 // SplitPartition calls on both engines. Inside every install→prune
 // window the moved trajectories are offered to a shared heap from two
 // partitions, and a query planned before a split may reach the source
-// after its prune (it re-runs, see splitSince); every answer must still
+// after its prune (the planner re-plans it); every answer must still
 // be bit-identical to the oracle — splits do not change the live set.
 func TestSharedSearchDuringSplits(t *testing.T) {
 	ds, parts, spec := testWorld(t, 400, 2)
@@ -574,10 +574,31 @@ func TestChainWalkCountGate(t *testing.T) {
 	}
 }
 
+// trackedEngine is an Engine whose load tracker a test reads.
+type trackedEngine interface {
+	Engine
+	LoadStats() []PartitionLoad
+}
+
+// startScanCappedWorkers is startWorkers with every worker's scan
+// concurrency capped at slots (Worker.SetQueryWorkers).
+func startScanCappedWorkers(t *testing.T, n, slots int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		w := NewWorker()
+		w.SetQueryWorkers(slots)
+		addrs[i] = startWorkerService(t, w)
+	}
+	return addrs
+}
+
 // TestSearchBatchFeedsLoadTracker: a batched query loads its
-// partitions like a single one. Before the fix SearchBatch recorded
-// nothing, so micro-batched gateway traffic was invisible to
-// LoadStats, the learned probe order, and the rebalancer.
+// partitions like a single one, on both engines. Before the fix the
+// local SearchBatch recorded nothing, and the remote one could not — its
+// reply merged each worker's partitions into one list — so
+// micro-batched gateway traffic was invisible to LoadStats, the
+// learned probe order, and the rebalancer.
 func TestSearchBatchFeedsLoadTracker(t *testing.T) {
 	ds, parts, spec := testWorld(t, 250, 6)
 	queries := dataset.Queries(ds, 5, 17)
@@ -586,61 +607,127 @@ func TestSearchBatchFeedsLoadTracker(t *testing.T) {
 		qpts[i] = q.Points
 	}
 	ctx := context.Background()
-	// Workers: 1 makes the scan order, and with it every shared
-	// threshold and refine count, deterministic.
-	batched, err := BuildLocal(spec, parts, 1)
-	if err != nil {
-		t.Fatal(err)
+	// One scan slot — Workers: 1 in-process, SetQueryWorkers(1) on every
+	// worker — makes the scan order, and with it every shared threshold
+	// and refine count, deterministic.
+	engines := []struct {
+		name  string
+		build func(t *testing.T) trackedEngine
+	}{
+		{"local", func(t *testing.T) trackedEngine {
+			c, err := BuildLocal(spec, parts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"remote", func(t *testing.T) trackedEngine {
+			r, err := BuildRemote(spec, parts, startScanCappedWorkers(t, 2, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			return r
+		}},
 	}
-	single, err := BuildLocal(spec, parts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := batched.SearchBatch(ctx, qpts, 7, QueryOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var reported uint64
-	for _, q := range qpts {
-		_, rep, err := single.Search(ctx, q, 7, QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reported += uint64(rep.ExactComputations)
-	}
-	got, want := batched.LoadStats(), single.LoadStats()
-	var refined uint64
-	for i := range want {
-		if got[i].Queries != uint64(len(qpts)) {
-			t.Fatalf("partition %d: %d scans recorded after a batch of %d", i, got[i].Queries, len(qpts))
-		}
-		if got[i].RefineOps != want[i].RefineOps || got[i].TotalTime <= 0 {
-			t.Fatalf("partition %d: batch recorded %d refine ops in %v, Search records %d", i, got[i].RefineOps, got[i].TotalTime, want[i].RefineOps)
-		}
-		refined += want[i].RefineOps
-	}
-	if reported == 0 || reported != refined {
-		t.Fatalf("QueryReport.ExactComputations sums to %d, the load tracker saw %d", reported, refined)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			batched, single := eng.build(t), eng.build(t)
+			if _, _, err := batched.SearchBatch(ctx, qpts, 7, QueryOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			var reported uint64
+			for _, q := range qpts {
+				_, rep, err := single.Search(ctx, q, 7, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reported += uint64(rep.ExactComputations)
+			}
+			got, want := batched.LoadStats(), single.LoadStats()
+			var refined uint64
+			for i := range want {
+				if got[i].Queries != uint64(len(qpts)) {
+					t.Fatalf("partition %d: %d scans recorded after a batch of %d", i, got[i].Queries, len(qpts))
+				}
+				if got[i].RefineOps != want[i].RefineOps || got[i].TotalTime <= 0 {
+					t.Fatalf("partition %d: batch recorded %d refine ops in %v, Search records %d", i, got[i].RefineOps, got[i].TotalTime, want[i].RefineOps)
+				}
+				refined += want[i].RefineOps
+			}
+			if reported == 0 || reported != refined {
+				t.Fatalf("QueryReport.ExactComputations sums to %d, the load tracker saw %d", reported, refined)
+			}
+		})
 	}
 }
 
-// TestRemoteReportsExactComputations: the remote engine folds the
-// workers' per-partition refine counts (SearchReply.PartRefined) into
-// the same report field, probe-budgeted waves included.
+// assertReportCovers pins the report invariants the planner owns:
+// ProbedPartitions, PrunedPartitions and SkippedPartitions are disjoint
+// and together are exactly the selection sel, every probed partition
+// has one PartitionTimes entry, and Generations covers every partition.
+func assertReportCovers(t *testing.T, label string, rep QueryReport, sel []int, numPartitions int) {
+	t.Helper()
+	seen := make(map[int]string, len(sel))
+	for _, set := range []struct {
+		name string
+		pids []int
+	}{{"probed", rep.ProbedPartitions}, {"pruned", rep.PrunedPartitions}, {"skipped", rep.SkippedPartitions}} {
+		for _, pid := range set.pids {
+			if prev, dup := seen[pid]; dup {
+				t.Fatalf("%s: partition %d is both %s and %s", label, pid, prev, set.name)
+			}
+			seen[pid] = set.name
+		}
+	}
+	if len(seen) != len(sel) {
+		t.Fatalf("%s: probed %v pruned %v skipped %v do not cover the selection %v", label, rep.ProbedPartitions, rep.PrunedPartitions, rep.SkippedPartitions, sel)
+	}
+	for _, pid := range sel {
+		if _, ok := seen[pid]; !ok {
+			t.Fatalf("%s: selected partition %d is neither probed, pruned nor skipped", label, pid)
+		}
+	}
+	if len(rep.PartitionTimes) != len(rep.ProbedPartitions) {
+		t.Fatalf("%s: %d partition times for %d scanned partitions", label, len(rep.PartitionTimes), len(rep.ProbedPartitions))
+	}
+	if len(rep.Generations) != numPartitions {
+		t.Fatalf("%s: %d generations for %d partitions", label, len(rep.Generations), numPartitions)
+	}
+}
+
+// TestRemoteReportsExactComputations: both engines fold the
+// per-partition refine counts (on the wire, QueryReply.Refined) into
+// QueryReport.ExactComputations — probe-budgeted waves included — and
+// every report partitions its selection into probed, pruned and
+// skipped partitions.
 func TestRemoteReportsExactComputations(t *testing.T) {
-	ds, _, remote := remotePair(t, 200, 6, 2)
+	ds, local, remote := remotePair(t, 200, 6, 2)
 	ctx := context.Background()
-	for _, opt := range []QueryOptions{{}, {ProbeBudget: 2}} {
-		before := remote.LoadStats()
-		_, rep, err := remote.Search(ctx, ds[9].Points, 8, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var refined uint64
-		for i, l := range remote.LoadStats() {
-			refined += l.RefineOps - before[i].RefineOps
-		}
-		if rep.ExactComputations <= 0 || uint64(rep.ExactComputations) != refined {
-			t.Fatalf("budget %d: report says %d exact computations, the load tracker saw %d", opt.ProbeBudget, rep.ExactComputations, refined)
+	all := []int{0, 1, 2, 3, 4, 5}
+	for _, eng := range []struct {
+		name string
+		e    trackedEngine
+	}{{"local", local}, {"remote", remote}} {
+		for _, opt := range []QueryOptions{{}, {ProbeBudget: 2}, {ProbeBudget: 2, BestEffort: true}, {Partitions: []int{4, 1}}} {
+			label := fmt.Sprintf("%s budget=%d best-effort=%v partitions=%v", eng.name, opt.ProbeBudget, opt.BestEffort, opt.Partitions)
+			before := eng.e.LoadStats()
+			_, rep, err := eng.e.Search(ctx, ds[9].Points, 8, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refined uint64
+			for i, l := range eng.e.LoadStats() {
+				refined += l.RefineOps - before[i].RefineOps
+			}
+			if rep.ExactComputations <= 0 || uint64(rep.ExactComputations) != refined {
+				t.Fatalf("%s: report says %d exact computations, the load tracker saw %d", label, rep.ExactComputations, refined)
+			}
+			sel := all
+			if opt.Partitions != nil {
+				sel = opt.Partitions
+			}
+			assertReportCovers(t, label, rep, sel, len(all))
 		}
 	}
 }
