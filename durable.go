@@ -97,6 +97,7 @@ func OpenDurable(dir string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Opts.DurableDir = dir // the directory may have moved since the build
+	m.Opts.DurableDir = dir                 // the directory may have moved since the build
+	m.Opts.Partitions = eng.NumPartitions() // and split partitions since
 	return &Index{eng: engineLocal{eng}, region: m.Region, opts: m.Opts}, nil
 }

@@ -3,9 +3,13 @@ package repose
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repose/internal/dist"
+	"repose/internal/oracle"
 )
 
 // TestDurableBuildReopen is the public-API acceptance test for the
@@ -101,5 +105,85 @@ func TestDurableBuildReopen(t *testing.T) {
 func TestOpenDurableMissing(t *testing.T) {
 	if _, err := OpenDurable(t.TempDir()); err == nil {
 		t.Fatal("OpenDurable on an empty directory succeeded")
+	}
+}
+
+// TestDurableReopenAfterSplit: a durable local index reopens after
+// SplitPartition with every partition the split made, not the count it
+// was built with. The reopened index answers bit-identically to
+// internal/oracle over the live set, counts exactly the live
+// trajectories, and still routes a delete of a moved id to the
+// partition that now holds it.
+func TestDurableReopenAfterSplit(t *testing.T) {
+	ds := testData(t, 140)
+	ctx := context.Background()
+	dir := t.TempDir()
+	idx, err := Build(ds, Options{Partitions: 3}, WithDurableDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newPid, err := idx.SplitPartition(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := idx.eng.(engineLocal).c.Indexes()[newPid].(interface{ LiveIDs() []int }).LiveIDs()
+	if len(moved) == 0 {
+		t.Fatal("split moved nothing")
+	}
+	live := oracle.NewSet(ds)
+	rng := rand.New(rand.NewSource(23))
+	adds := []*Trajectory{freshTraj(rng, 900_000), freshTraj(rng, 900_001), freshTraj(rng, 900_002)}
+	if err := idx.Insert(ctx, adds); err != nil {
+		t.Fatal(err)
+	}
+	live.Insert(adds...)
+	victims := []int{ds[5].ID, adds[1].ID}
+	if n, err := idx.Delete(ctx, victims); err != nil || n != len(victims) {
+		t.Fatalf("delete: n=%d err=%v", n, err)
+	}
+	live.Delete(victims...)
+	mid := -1 // a moved id still live
+	for _, id := range moved {
+		if live.Has(id) {
+			mid = id
+			break
+		}
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatalf("OpenDurable after a split: %v", err)
+	}
+	defer re.Close()
+	if got := re.Stats().Trajectories; got != live.Len() {
+		t.Fatalf("reopened Stats().Trajectories = %d, live set holds %d", got, live.Len())
+	}
+	params := dist.Params{Epsilon: re.opts.Epsilon, Gap: re.region.Min}
+	for i, q := range []*Trajectory{adds[0], ds[17], live.Get(mid), freshTraj(rng, -1)} {
+		got, err := re.Search(ctx, q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := live.TopK(dist.Hausdorff, params, q.Points, 8)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d results, oracle %d", i, len(got), len(want))
+		}
+		for r := range got {
+			if got[r].ID != want[r].ID || math.Float64bits(got[r].Dist) != math.Float64bits(want[r].Dist) {
+				t.Fatalf("query %d rank %d: %+v, oracle %+v", i, r, got[r], want[r])
+			}
+		}
+	}
+	if n, err := re.Delete(ctx, []int{mid}); err != nil || n != 1 {
+		t.Fatalf("delete of moved id %d after reopen: n=%d err=%v", mid, n, err)
+	}
+	if got := re.Stats().Trajectories; got != live.Len()-1 {
+		t.Fatalf("after deleting a moved id Stats().Trajectories = %d, want %d", got, live.Len()-1)
+	}
+	if got, err := re.Search(ctx, live.Get(mid), 1); err != nil || len(got) != 1 || got[0].ID == mid {
+		t.Fatalf("deleted moved id %d still answers: %v (err %v)", mid, got, err)
 	}
 }

@@ -18,9 +18,9 @@ import (
 
 // Disk-backed partitions: when an engine or worker is given a data
 // directory, every REPOSE partition index lives in its own
-// subdirectory ("p<pid>") as an rptrie.Durable — checkpoint image +
-// WAL on the page store. A restarted process recovers each partition
-// from its own log (OpenDurable) instead of rebuilding from the
+// subdirectory ("p<pid>") as an rptrie.Durable — two alternating
+// checkpoint image slots + a WAL. A restarted process recovers each
+// partition from its own log (OpenDurable) instead of rebuilding from the
 // dataset or streaming an image from a peer; the driver's failure
 // detector only falls back to Worker.Restore when the recovered
 // generation is behind the authoritative one. Baseline indexes have
@@ -73,16 +73,17 @@ func destroyDurable(idx LocalIndex) {
 }
 
 // recoverDurablePartitions opens every recoverable partition store
-// under dataDir. Subdirectories that never reached a first checkpoint
-// recover nothing (the driver rebuilds or restores them); anything
-// else failing to open is a real error.
-func recoverDurablePartitions(dataDir string) (map[int]*rptrie.Durable, error) {
+// under dataDir. Subdirectories that never reached a first checkpoint,
+// or hold a format this build cannot read, recover nothing (the driver
+// rebuilds or restores them) and are reported in unrecoverable with the
+// reason; anything else failing to open is a real error.
+func recoverDurablePartitions(dataDir string) (recovered map[int]*rptrie.Durable, unrecoverable map[int]error, err error) {
 	fs := storage.OSFS{}
 	names, err := fs.ReadDir(dataDir)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: data dir scan: %w", err)
+		return nil, nil, fmt.Errorf("cluster: data dir scan: %w", err)
 	}
-	out := make(map[int]*rptrie.Durable)
+	recovered, unrecoverable = make(map[int]*rptrie.Durable), make(map[int]error)
 	for _, name := range names {
 		pid, ok := parsePartDir(name)
 		if !ok {
@@ -91,16 +92,17 @@ func recoverDurablePartitions(dataDir string) (map[int]*rptrie.Durable, error) {
 		d, err := rptrie.OpenDurable(filepath.Join(dataDir, name), rptrie.DurableOptions{})
 		if err != nil {
 			if errors.Is(err, rptrie.ErrNoDurable) {
+				unrecoverable[pid] = err
 				continue
 			}
-			for _, open := range out {
+			for _, open := range recovered {
 				open.Close()
 			}
-			return nil, fmt.Errorf("cluster: partition %d recovery: %w", pid, err)
+			return nil, nil, fmt.Errorf("cluster: partition %d recovery: %w", pid, err)
 		}
-		out[pid] = d
+		recovered[pid] = d
 	}
-	return out, nil
+	return recovered, unrecoverable, nil
 }
 
 // BuildLocalDurable is BuildLocal with every REPOSE partition index
@@ -133,15 +135,18 @@ func BuildLocalDurable(spec IndexSpec, parts [][]*geo.Trajectory, workers int, d
 }
 
 // OpenLocalDurable recovers a BuildLocalDurable engine from its data
-// directory: every one of the numPartitions stores must open, each
-// replaying its own WAL to its exact pre-crash generation, and the
-// mutation-routing directory is rebuilt from the recovered live ids.
-func OpenLocalDurable(spec IndexSpec, numPartitions, workers int, dataDir string) (*Local, error) {
-	if numPartitions <= 0 {
+// directory. The engine has as many partitions as the directory holds
+// recoverable stores — more than it was built with after a
+// SplitPartition — and they must be exactly p0..p<n-1>, with n at least
+// minPartitions: recovery is all-or-nothing. Each store replays its own
+// WAL to its exact pre-crash generation, and the mutation-routing
+// directory is rebuilt from the recovered live ids.
+func OpenLocalDurable(spec IndexSpec, minPartitions, workers int, dataDir string) (*Local, error) {
+	if minPartitions <= 0 {
 		return nil, errors.New("cluster: durable open needs a positive partition count")
 	}
 	start := time.Now()
-	recovered, err := recoverDurablePartitions(dataDir)
+	recovered, unrecoverable, err := recoverDurablePartitions(dataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -150,20 +155,17 @@ func OpenLocalDurable(spec IndexSpec, numPartitions, workers int, dataDir string
 			d.Close()
 		}
 	}
-	indexes := make([]LocalIndex, numPartitions)
-	for pid := 0; pid < numPartitions; pid++ {
+	indexes := make([]LocalIndex, max(len(recovered), minPartitions))
+	for pid := range indexes {
 		d, ok := recovered[pid]
 		if !ok {
 			closeAll()
+			if why, ok := unrecoverable[pid]; ok {
+				return nil, fmt.Errorf("cluster: partition %d: %w", pid, why)
+			}
 			return nil, fmt.Errorf("cluster: partition %d has no recoverable store under %s", pid, dataDir)
 		}
 		indexes[pid] = d
-	}
-	for pid := range recovered {
-		if pid >= numPartitions {
-			closeAll()
-			return nil, fmt.Errorf("cluster: recovered partition %d exceeds the engine's %d partitions", pid, numPartitions)
-		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

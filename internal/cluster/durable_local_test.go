@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repose/internal/dataset"
@@ -102,8 +104,8 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 // TestLocalDurableBaselineAndErrors: baseline algorithms have no
 // persistence, so BuildLocalDurable passes them through without
 // creating stores; and the build/open paths surface real failures —
-// an unusable data-dir path, a corrupted page store, and a directory
-// holding more partitions than the engine expects.
+// an unusable data-dir path, corrupted image slots, a partition in the
+// retired paged format, and partition stores that are not p0..p<n-1>.
 func TestLocalDurableBaselineAndErrors(t *testing.T) {
 	_, parts, spec := testWorld(t, 60, 2)
 
@@ -141,13 +143,28 @@ func TestLocalDurableBaselineAndErrors(t *testing.T) {
 	for i := range junk {
 		junk[i] = 0x5a
 	}
-	if err := os.WriteFile(filepath.Join(dir2, partDirName(0), storage.PagesFileName), junk, 0o644); err != nil {
+	for _, slot := range []string{"image.0", "image.1"} {
+		if err := os.WriteFile(filepath.Join(dir2, partDirName(0), slot), junk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OpenLocalDurable(spec, len(parts), 2, dir2); !errors.Is(err, rptrie.ErrNoDurable) {
+		t.Fatalf("open over corrupted image slots = %v, want ErrNoDurable", err)
+	}
+	// A partition left in the retired paged format is refused by name.
+	p0 := filepath.Join(dir2, partDirName(0))
+	if err := storage.Destroy(p0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLocalDurable(spec, len(parts), 2, dir2); err == nil {
-		t.Fatal("open over a corrupted page store succeeded")
+	if err := os.WriteFile(filepath.Join(p0, "pages.db"), junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLocalDurable(spec, len(parts), 2, dir2); !errors.Is(err, rptrie.ErrNoDurable) || !strings.Contains(err.Error(), "pages.db") {
+		t.Fatalf("open over a pages.db partition = %v, want ErrNoDurable naming pages.db", err)
 	}
 
+	// The directory, not the caller, decides how many partitions there
+	// are: a smaller count opens all of them, and a gap fails.
 	dir3 := t.TempDir()
 	eng3, err := BuildLocalDurable(spec, parts, 2, dir3)
 	if err != nil {
@@ -156,8 +173,21 @@ func TestLocalDurableBaselineAndErrors(t *testing.T) {
 	if err := eng3.Close(); err != nil {
 		t.Fatal(err)
 	}
+	re, err := OpenLocalDurable(spec, 1, 2, dir3)
+	if err != nil {
+		t.Fatalf("open with fewer partitions than the directory holds: %v", err)
+	}
+	if re.NumPartitions() != len(parts) {
+		t.Fatalf("opened %d partitions, the directory holds %d", re.NumPartitions(), len(parts))
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir3, partDirName(0))); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := OpenLocalDurable(spec, 1, 2, dir3); err == nil {
-		t.Fatal("open with fewer partitions than the directory holds succeeded")
+		t.Fatal("open of a directory missing p0 succeeded")
 	}
 }
 

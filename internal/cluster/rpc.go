@@ -468,7 +468,7 @@ func NewDurableWorker(dataDir string, rejoin bool) (*Worker, error) {
 	if err := fs.MkdirAll(dataDir); err != nil {
 		return nil, err
 	}
-	recovered, err := recoverDurablePartitions(dataDir)
+	recovered, _, err := recoverDurablePartitions(dataDir)
 	if err != nil {
 		return nil, err
 	}

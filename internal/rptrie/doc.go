@@ -234,8 +234,18 @@
 // pooled scratch would keep a compacted-away generation reachable
 // (TestScratchDropsRetiredGeneration, radius variant).
 //
-// Durable wraps an index and delegates every method explicitly. It does
-// not embed the handle: a promoted mutator would bypass the journal.
+// The journal lives in the handle too: index.log is nil for an
+// in-memory index and points at the partition's storage.Store once
+// WrapDurable or OpenDurable attaches it (after replay, which must not
+// log). With a journal, Insert/Delete/Upsert/Compact build the next
+// state, append its WAL record and publish it under the writer mutex,
+// then fsync outside it, so concurrent writers share one fsync. A failed
+// append publishes nothing; a failed fsync restores the previous state
+// unless a later mutation has published; either poisons the journal and
+// the handle refuses further mutations. Durable is therefore just the
+// handle plus its store: it embeds the index, so every query and
+// mutator is the handle's own, and defines only Compact (compact, then
+// checkpoint), Checkpoint, Close, Err and Dir.
 //
 // # Online updates: generations, deltas, and compaction
 //

@@ -206,12 +206,7 @@ func crashOpts(fs *failpoint.FS, layout string) DurableOptions {
 	if err != nil {
 		panic(err)
 	}
-	return DurableOptions{
-		VFS:        fs,
-		PageSize:   512,
-		PoolFrames: 8,
-		Layout:     l,
-	}
+	return DurableOptions{VFS: fs, Layout: l}
 }
 
 // runCrashScript drives the plan against a fresh durable index at

@@ -2,8 +2,11 @@ package rptrie
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -145,55 +148,146 @@ func TestDurableOpenMissing(t *testing.T) {
 	if _, err := OpenDurable("nope", DurableOptions{VFS: fs}); !errors.Is(err, ErrNoDurable) {
 		t.Fatalf("open of missing dir: %v, want ErrNoDurable", err)
 	}
-}
-
-// TestDurablePoisonOnSyncFailure: a dropped-write storage failure
-// rolls the mutation back, reports it, and poisons the handle
-// read-only so no later acknowledgement can lie.
-func TestDurablePoisonOnStorageFailure(t *testing.T) {
-	fs := failpoint.New(11)
-	rng := rand.New(rand.NewSource(11))
-	ds := randomDataset(rng, 10)
-	d, err := BuildDurable("part", durableCfg(t), ds, DurableOptions{VFS: fs})
+	// A checkpoint in the retired paged format is not read as fresh.
+	f, err := fs.OpenFile("old/pages.db")
+	if err == nil {
+		_, err = f.WriteAt(make([]byte, 4096), 0)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenBefore, genBefore := d.Len(), d.Generation()
-	fs.Crash() // every IO from here on fails
-	if err := d.Insert(randomFresh(rng, 100, 1)...); err == nil {
-		t.Fatal("insert with dead storage succeeded")
-	} else if !errors.Is(err, ErrDurability) {
-		t.Fatalf("insert error %v, want ErrDurability", err)
+	if _, err := OpenDurable("old", DurableOptions{VFS: fs}); !errors.Is(err, ErrNoDurable) || !strings.Contains(err.Error(), "pages.db") {
+		t.Fatalf("open of a pages.db directory: %v, want ErrNoDurable naming pages.db", err)
 	}
-	if d.Err() == nil {
-		t.Fatal("handle not poisoned after storage failure")
-	}
-	if d.Len() != lenBefore || d.Generation() != genBefore {
-		t.Fatalf("failed insert left state: len %d gen %d, want %d/%d",
-			d.Len(), d.Generation(), lenBefore, genBefore)
-	}
-	// Every further mutation fails fast; deletes report zero.
-	if err := d.Upsert(randomFresh(rng, ds[0].ID, 1)...); err == nil {
-		t.Fatal("upsert on poisoned handle succeeded")
-	}
-	if n := d.Delete(ds[0].ID); n != 0 {
-		t.Fatalf("delete on poisoned handle acknowledged %d", n)
-	}
-	if err := d.Compact(); err == nil {
-		t.Fatal("compact on poisoned handle succeeded")
-	}
-	// Queries still serve the last acknowledged state.
-	if got := d.Search(ds[0].Points, 1); len(got) == 0 {
-		t.Fatal("poisoned handle stopped answering queries")
-	}
-	d.Close()
 }
 
-// TestDurableWrapRejectsForeignTypes: only the two index layouts can
-// be made durable.
+// faultyVFS wraps a VFS so that every WriteAt (fail = "append") or
+// every Sync (fail = "sync") fails while *armed is set.
+type faultyVFS struct {
+	storage.VFS
+	fail  string
+	armed *bool
+}
+
+func (v faultyVFS) OpenFile(name string) (storage.File, error) {
+	f, err := v.VFS.OpenFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return faultyFile{f, v}, nil
+}
+
+type faultyFile struct {
+	storage.File
+	v faultyVFS
+}
+
+var errInjected = errors.New("injected storage failure")
+
+func (f faultyFile) WriteAt(p []byte, off int64) (int, error) {
+	if *f.v.armed && f.v.fail == "append" {
+		return 0, errInjected
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f faultyFile) Sync() error {
+	if *f.v.armed && f.v.fail == "sync" {
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+// TestDurablePoisonOnStorageFailure: a storage failure in the middle of
+// a mutation leaves the index exactly at its pre-mutation state — a
+// failed append publishes nothing, a failed sync rolls the published
+// state back — reports ErrDurability, and poisons the handle read-only
+// so no later acknowledgement can lie. Queries keep answering.
+func TestDurablePoisonOnStorageFailure(t *testing.T) {
+	mutations := map[string]func(d *Durable, ds []*geo.Trajectory, rng *rand.Rand) error{
+		"insert": func(d *Durable, _ []*geo.Trajectory, rng *rand.Rand) error {
+			return d.Insert(randomFresh(rng, 100, 1)...)
+		},
+		"delete": func(d *Durable, ds []*geo.Trajectory, _ *rand.Rand) error {
+			if n := d.Delete(ds[1].ID); n != 0 {
+				return fmt.Errorf("delete acknowledged %d", n)
+			}
+			return d.Err()
+		},
+		"compact": func(d *Durable, _ []*geo.Trajectory, _ *rand.Rand) error { return d.Compact() },
+	}
+	for _, fail := range []string{"append", "sync"} {
+		for name, mutate := range mutations {
+			t.Run(fail+"/"+name, func(t *testing.T) {
+				armed := false
+				rng := rand.New(rand.NewSource(11))
+				ds := randomDataset(rng, 10)
+				d, err := BuildDurable("part", durableCfg(t), ds, DurableOptions{VFS: faultyVFS{failpoint.New(11), fail, &armed}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				// A pending delta, so the compaction has work to fail.
+				if err := d.Insert(randomFresh(rng, 50, 2)...); err != nil {
+					t.Fatal(err)
+				}
+				q := randomDataset(rng, 1)[0].Points
+				genBefore, idsBefore, ansBefore := d.Generation(), sortedIDs(d), d.Search(q, 5)
+				armed = true
+				if err := mutate(d, ds, rng); !errors.Is(err, ErrDurability) {
+					t.Fatalf("mutation with failing %s: err %v, want ErrDurability", fail, err)
+				}
+				if d.Err() == nil {
+					t.Fatal("handle not poisoned after storage failure")
+				}
+				if d.Generation() != genBefore || !slices.Equal(sortedIDs(d), idsBefore) || !bitIdentical(d.Search(q, 5), ansBefore) {
+					t.Fatalf("failed %s left state: gen %d ids %v, want gen %d ids %v",
+						fail, d.Generation(), sortedIDs(d), genBefore, idsBefore)
+				}
+				armed = false
+				// Every further mutation fails fast, storage healthy or not;
+				// deletes report zero.
+				if err := d.Upsert(randomFresh(rng, ds[0].ID, 1)...); err == nil {
+					t.Fatal("upsert on poisoned handle succeeded")
+				}
+				if n := d.Delete(ds[0].ID); n != 0 {
+					t.Fatalf("delete on poisoned handle acknowledged %d", n)
+				}
+				if err := d.Compact(); err == nil {
+					t.Fatal("compact on poisoned handle succeeded")
+				}
+				if err := d.Checkpoint(); err == nil {
+					t.Fatal("checkpoint on poisoned handle succeeded")
+				}
+				if got := d.Search(ds[0].Points, 1); len(got) == 0 {
+					t.Fatal("poisoned handle stopped answering queries")
+				}
+			})
+		}
+	}
+}
+
+// sortedIDs returns idx's live ids, ascending.
+func sortedIDs(idx Index) []int {
+	ids := idx.LiveIDs()
+	sort.Ints(ids)
+	return ids
+}
+
+// TestDurableWrapRejectsForeignTypes: only the index layouts can be
+// made durable, and a Durable cannot be wrapped a second time.
 func TestDurableWrapRejectsForeignTypes(t *testing.T) {
-	if _, err := WrapDurable("x", 42, DurableOptions{VFS: failpoint.New(1)}); err == nil {
+	fs := failpoint.New(1)
+	if _, err := WrapDurable("x", 42, DurableOptions{VFS: fs}); err == nil {
 		t.Fatal("WrapDurable(int) succeeded")
+	}
+	d, err := BuildDurable("y", durableCfg(t), randomDataset(rand.New(rand.NewSource(1)), 5), DurableOptions{VFS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := WrapDurable("z", d, DurableOptions{VFS: fs}); err == nil {
+		t.Fatal("WrapDurable of an index that already journals succeeded")
 	}
 }
 
@@ -221,8 +315,8 @@ func TestDurableCompactCheckpointTrimsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if gen := st.CheckpointGen(); gen != 2 {
-		t.Fatalf("checkpoint generation %d, want 2 (insert + compact)", gen)
+	if _, gen, err := st.LoadCheckpoint(); err != nil || gen != 2 {
+		t.Fatalf("checkpoint generation %d (err %v), want 2 (insert + compact)", gen, err)
 	}
 	records := 0
 	if err := st.Replay(func(storage.WALRecord) error { records++; return nil }); err != nil {
@@ -297,4 +391,55 @@ func TestDurableConcurrentInsertCompactNoDeadlock(t *testing.T) {
 		t.Fatalf("recovered len=%d gen=%d, want len=%d gen=%d",
 			re.Len(), re.Generation(), wantLen, wantGen)
 	}
+}
+
+// FuzzWALPayloadDecode feeds arbitrary record types and payloads to
+// applyRecord, the replay step, over a small index: it must never
+// panic, a payload that does not decode must come back as an error,
+// and an applied record must leave the index at the generation it
+// logged with a consistent live set.
+func FuzzWALPayloadDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	ds := randomDataset(rng, 6)
+	region := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 8, Y: 8}}
+	g, err := grid.NewWithBits(region, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := Config{Measure: dist.Hausdorff, Grid: g}
+	for _, rec := range []struct {
+		typ byte
+		p   walPayload
+	}{
+		{recInsert, walPayload{Trs: randomFresh(rng, 100, 2), Gen: 1}},
+		{recDelete, walPayload{IDs: []int{ds[0].ID, 999}, Gen: 1}},
+		{recUpsert, walPayload{Trs: randomFresh(rng, ds[1].ID, 1), Gen: 1}},
+		{recCompact, walPayload{Gen: 1}},
+	} {
+		typ := rec.typ
+		payload, err := encodePayload(rec.p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(typ, payload)
+		f.Add(typ, payload[1:])              // legacy bare gob
+		f.Add(typ, payload[:len(payload)/2]) // torn
+	}
+	f.Add(byte(9), []byte{walVersion})
+	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
+		idx, err := Build(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = applyRecord(idx, storage.WALRecord{LSN: 1, Type: typ, Payload: payload})
+		p, derr := decodePayload(payload)
+		switch {
+		case derr != nil && err == nil:
+			t.Fatalf("undecodable payload (%v) applied without error", derr)
+		case err == nil && p.Gen > 0 && idx.Generation() != p.Gen:
+			t.Fatalf("applied record left generation %d, logged %d", idx.Generation(), p.Gen)
+		case idx.Len() != len(idx.LiveIDs()):
+			t.Fatalf("Len %d but %d live ids", idx.Len(), len(idx.LiveIDs()))
+		}
+	})
 }

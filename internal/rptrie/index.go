@@ -75,6 +75,7 @@ type index struct {
 	mu   sync.Mutex // serializes writers (Insert/Delete/Upsert/Compact)
 	cur  atomic.Pointer[state]
 	pool scratchPool // recycled per-query search state
+	log  *journal    // nil for an in-memory index; see Durable
 
 	// encode turns a freshly built pointer trie into this layout's
 	// core. A failed encode returns an untyped nil core.
@@ -243,44 +244,48 @@ func (x *index) SearchRadiusContext(ctx context.Context, q []geo.Point, radius f
 // visible to every query issued after it returns. It fails — without
 // applying anything — on an empty trajectory or an id that is already
 // live.
-func (x *index) Insert(trs ...*geo.Trajectory) error { return x.stage(trs, stageInsert) }
+func (x *index) Insert(trs ...*geo.Trajectory) error { return x.stage(trs, recInsert, stageInsert) }
 
 // Upsert inserts trajectories, replacing any live trajectory sharing
 // an id. The replacement is atomic per snapshot: no query observes the
 // old and new version of an id together, or neither.
-func (x *index) Upsert(trs ...*geo.Trajectory) error { return x.stage(trs, stageUpsert) }
+func (x *index) Upsert(trs ...*geo.Trajectory) error { return x.stage(trs, recUpsert, stageUpsert) }
 
 // stage publishes the next generation with trs staged onto the delta by
 // stageInsert or stageUpsert.
-func (x *index) stage(trs []*geo.Trajectory, stage func(*delta, map[int32]*geo.Trajectory, []*geo.Trajectory) (*delta, error)) error {
+func (x *index) stage(trs []*geo.Trajectory, typ byte, stage func(*delta, map[int32]*geo.Trajectory, []*geo.Trajectory) (*delta, error)) error {
 	if len(trs) == 0 {
 		return nil
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
+	if err := x.lock(); err != nil {
+		return err
+	}
 	st := x.state()
 	nd, err := stage(st.delta, st.trajs, trs)
 	if err != nil {
+		x.mu.Unlock()
 		return err
 	}
-	x.cur.Store(st.withDelta(nd))
-	return nil
+	return x.commit(st, st.withDelta(nd), typ, walPayload{Trs: trs})
 }
 
 // Delete removes the given ids from the live index, returning how many
 // were actually live. Queries issued after it returns never see them.
+// A durable index whose journal fails returns 0: the caller never gets
+// an acknowledgement the log cannot honor.
 func (x *index) Delete(ids ...int) int {
-	if len(ids) == 0 {
+	if len(ids) == 0 || x.lock() != nil {
 		return 0
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	st := x.state()
 	nd, n := stageDelete(st.delta, st.trajs, ids)
 	if n == 0 {
+		x.mu.Unlock()
 		return 0
 	}
-	x.cur.Store(st.withDelta(nd))
+	if x.commit(st, st.withDelta(nd), recDelete, walPayload{IDs: ids}) != nil {
+		return 0
+	}
 	return n
 }
 
@@ -291,14 +296,58 @@ func (x *index) Delete(ids ...int) int {
 // the pointer layout and is re-encoded, so nothing about an encoding
 // limits which mutations are supported.
 func (x *index) Compact() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
+	if err := x.lock(); err != nil {
+		return err
+	}
+	prev := x.state()
 	st, err := x.compacted()
-	if err != nil || st == x.state() {
+	if err != nil || st == prev {
+		x.mu.Unlock()
 		return err
 	}
 	st.gen++ // fresh and unpublished: compacted built it
-	x.cur.Store(st)
+	return x.commit(prev, st, recCompact, walPayload{})
+}
+
+// lock takes the writer lock, unless a journal failure has made the
+// index read-only.
+func (x *index) lock() error {
+	x.mu.Lock()
+	if x.log != nil && x.log.broken != nil {
+		x.mu.Unlock()
+		return x.log.broken
+	}
+	return nil
+}
+
+// commit publishes next, the successor of prev, and releases x.mu,
+// which the caller holds. With a journal the mutation is first logged
+// as a typ record carrying next's generation — a failed append
+// publishes nothing — and made durable once the lock is released, so
+// concurrent committers share one fsync; a failed sync restores prev
+// unless another mutation has published since. Either failure poisons
+// the journal.
+func (x *index) commit(prev, next *state, typ byte, p walPayload) error {
+	if x.log == nil {
+		x.cur.Store(next)
+		x.mu.Unlock()
+		return nil
+	}
+	p.Gen = next.gen
+	lsn, err := x.log.append(typ, p)
+	if err == nil {
+		x.cur.Store(next)
+	}
+	x.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := x.log.store.Sync(lsn); err != nil {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		x.cur.CompareAndSwap(next, prev)
+		return x.log.poison(err)
+	}
 	return nil
 }
 

@@ -62,7 +62,7 @@ func TestStoreCrashAtEveryIO(t *testing.T) {
 // success) and tolerates the scheduled crash.
 func runStoreWorkload(t *testing.T, fs *failpoint.FS, crashAt int64, _ int) int64 {
 	t.Helper()
-	s, err := storage.Open("part", storage.Options{VFS: fs, PageSize: 256, PoolFrames: 4})
+	s, err := storage.Open("part", storage.Options{VFS: fs})
 	if err != nil {
 		if crashAt != 0 && errors.Is(err, failpoint.ErrCrashed) {
 			return 0
@@ -85,7 +85,7 @@ func runStoreWorkload(t *testing.T, fs *failpoint.FS, crashAt int64, _ int) int6
 		}
 		acked = v
 		if v%7 == 0 {
-			image := make([]byte, 200) // multi-page at 256B pages
+			image := make([]byte, 200)
 			binary.LittleEndian.PutUint64(image, uint64(v))
 			if err := s.Checkpoint(image, uint64(v)); err != nil {
 				if crashAt != 0 && errors.Is(err, failpoint.ErrCrashed) {
@@ -108,7 +108,7 @@ func runStoreWorkload(t *testing.T, fs *failpoint.FS, crashAt int64, _ int) int6
 // counter against the acknowledged floor.
 func verifyRecovered(t *testing.T, fs *failpoint.FS, seed, crashPoint, acked int64) {
 	t.Helper()
-	s, err := storage.Open("part", storage.Options{VFS: fs, PageSize: 256, PoolFrames: 4})
+	s, err := storage.Open("part", storage.Options{VFS: fs})
 	if err != nil {
 		// The only excusable corruption is a store whose very
 		// bootstrap fsync never completed — nothing was ever
@@ -120,11 +120,11 @@ func verifyRecovered(t *testing.T, fs *failpoint.FS, seed, crashPoint, acked int
 	}
 	defer s.Close()
 	recovered := int64(0)
-	if s.HasCheckpoint() {
-		image, gen, err := s.LoadCheckpoint()
-		if err != nil {
-			t.Fatalf("seed %d crash@%d: checkpoint unreadable: %v", seed, crashPoint, err)
-		}
+	image, gen, err := s.LoadCheckpoint()
+	if err != nil {
+		t.Fatalf("seed %d crash@%d: checkpoint unreadable: %v", seed, crashPoint, err)
+	}
+	if len(image) > 0 {
 		if gen%7 != 0 || gen == 0 || gen > 30 {
 			t.Fatalf("seed %d crash@%d: recovered checkpoint gen %d was never written", seed, crashPoint, gen)
 		}

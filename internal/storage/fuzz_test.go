@@ -5,34 +5,26 @@ import (
 	"testing"
 )
 
-// FuzzPageHeaderDecode checks that DecodePageHeader never panics and
-// never accepts a page it cannot faithfully re-encode: corrupt or
-// truncated input must error, and accepted input must round-trip.
-func FuzzPageHeaderDecode(f *testing.F) {
-	valid := make([]byte, 256)
-	if err := EncodePage(valid, PageCheckpoint, 9, []byte("seed payload")); err != nil {
-		f.Fatal(err)
-	}
+// FuzzImageSlotDecode checks that decodeSlot never panics and never
+// accepts a slot it cannot faithfully re-encode: corrupt, torn or
+// padded input must error, and accepted input must re-encode byte for
+// byte.
+func FuzzImageSlotDecode(f *testing.F) {
+	valid := encodeSlot(slotHeader{epoch: 2, gen: 7, walBase: 31}, []byte("seed image"))
 	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // torn
+	flipped := append([]byte(nil), valid...)
+	flipped[40] ^= 0x01 // CRC
+	f.Add(flipped)
+	f.Add(encodeSlot(slotHeader{epoch: 1, walBase: 1}, nil))
 	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, PageHeaderSize))
-	f.Add(valid[:PageHeaderSize-1])
-	short := append([]byte(nil), valid...)
-	short[16] = 0xF0 // length beyond page capacity
-	f.Add(short)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, payload, err := DecodePageHeader(data)
+		h, image, err := decodeSlot(data)
 		if err != nil {
 			return
 		}
-		// Accepted: re-encoding into a same-size page must reproduce
-		// the header and payload bytes exactly.
-		buf := make([]byte, len(data))
-		if err := EncodePage(buf, h.Type, h.Next, payload); err != nil {
-			t.Fatalf("accepted page failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(buf[:PageHeaderSize+len(payload)], data[:PageHeaderSize+len(payload)]) {
-			t.Fatal("accepted page does not round-trip")
+		if !bytes.Equal(encodeSlot(h, image), data) {
+			t.Fatal("accepted slot does not round-trip")
 		}
 	})
 }

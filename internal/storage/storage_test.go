@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,12 +25,25 @@ func openTemp(t *testing.T, opts Options) (*Store, string) {
 	return s, dir
 }
 
+// assertNoCheckpoint fails unless s holds the empty bootstrap image.
+func assertNoCheckpoint(t *testing.T, s *Store, what string) {
+	t.Helper()
+	image, gen, err := s.LoadCheckpoint()
+	if err != nil {
+		t.Fatalf("%s: LoadCheckpoint: %v", what, err)
+	}
+	if len(image) != 0 || gen != 0 {
+		t.Fatalf("%s claims a checkpoint: gen %d, %d bytes", what, gen, len(image))
+	}
+}
+
+// TestStoreBootstrapAndReopen: a directory with no slot bytes at all —
+// missing slot files, or zero-length ones — is fresh, and reopening a
+// bootstrapped store finds the same empty state.
 func TestStoreBootstrapAndReopen(t *testing.T) {
 	base := leakcheck.Base()
 	s, dir := openTemp(t, Options{})
-	if s.HasCheckpoint() {
-		t.Fatal("fresh store claims a checkpoint")
-	}
+	assertNoCheckpoint(t, s, "fresh store")
 	if got := s.NextLSN(); got != 1 {
 		t.Fatalf("fresh store NextLSN = %d, want 1", got)
 	}
@@ -41,19 +55,30 @@ func TestStoreBootstrapAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if s2.HasCheckpoint() {
-		t.Fatal("reopened empty store claims a checkpoint")
-	}
+	assertNoCheckpoint(t, s2, "reopened empty store")
 	if err := s2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	empty := t.TempDir()
+	for i := 0; i < 2; i++ {
+		if err := os.WriteFile(filepath.Join(empty, slotFileName(i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s3, err := Open(empty, Options{})
+	if err != nil {
+		t.Fatalf("open over zero-length slot files: %v", err)
+	}
+	assertNoCheckpoint(t, s3, "store over zero-length slots")
+	if err := s3.Close(); err != nil {
+		t.Fatal(err)
 	}
 	leakcheck.Settle(t, base)
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	s, dir := openTemp(t, Options{PageSize: 256, PoolFrames: 4})
+	s, dir := openTemp(t, Options{})
 	defer s.Close()
-	// An image spanning many pages, incompressible-ish content.
 	image := make([]byte, 10_000)
 	rnd := rand.New(rand.NewSource(7))
 	rnd.Read(image)
@@ -71,7 +96,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// Recover from disk.
-	s2, err := Open(dir, Options{PageSize: 256, PoolFrames: 4})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -85,9 +110,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointReusesPages(t *testing.T) {
-	s, _ := openTemp(t, Options{PageSize: 256, PoolFrames: 8})
-	defer s.Close()
+// TestCheckpointAlternatesSlots: checkpoints take turns between the two
+// slot files, so the directory holds at most the two newest images
+// however many checkpoints ran, and the newest always wins on reopen.
+func TestCheckpointAlternatesSlots(t *testing.T) {
+	s, dir := openTemp(t, Options{})
 	image := make([]byte, 4_000)
 	for i := 0; i < 12; i++ {
 		for j := range image {
@@ -96,20 +123,30 @@ func TestCheckpointReusesPages(t *testing.T) {
 		if err := s.Checkpoint(image, uint64(i+1)); err != nil {
 			t.Fatalf("Checkpoint %d: %v", i, err)
 		}
+		if want := (i + 1) % 2; s.live != want {
+			t.Fatalf("checkpoint %d went to slot %d, want %d", i, s.live, want)
+		}
 	}
-	// Steady state: each checkpoint frees the previous chain, so the
-	// file holds roughly two chains' worth of pages, not twelve.
-	chains := uint64(len(s.chain))
-	if max := 2 + 3*chains; s.dm.NumPages() > max {
-		t.Fatalf("after 12 same-size checkpoints the file has %d pages (chain is %d); COW reuse should cap it near %d",
-			s.dm.NumPages(), chains, max)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	got, gen, err := s.LoadCheckpoint()
-	if err != nil || gen != 12 {
-		t.Fatalf("LoadCheckpoint = gen %d, err %v; want gen 12", gen, err)
+	for i := 0; i < 2; i++ {
+		st, err := os.Stat(filepath.Join(dir, slotFileName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != slotHeaderSize+int64(len(image)) {
+			t.Fatalf("slot %d holds %d bytes, want one image of %d", i, st.Size(), slotHeaderSize+len(image))
+		}
 	}
-	if !bytes.Equal(got, image) {
-		t.Fatal("final checkpoint image mismatch")
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, gen, err := s2.LoadCheckpoint()
+	if err != nil || gen != 12 || !bytes.Equal(got, image) {
+		t.Fatalf("LoadCheckpoint = gen %d, err %v; want gen 12 and the final image", gen, err)
 	}
 }
 
@@ -230,72 +267,130 @@ func TestCheckpointResetsWAL(t *testing.T) {
 	if next := s2.NextLSN(); next != 6 {
 		t.Fatalf("NextLSN = %d, want 6 (base advanced past obsolete records)", next)
 	}
-	if gen := s2.CheckpointGen(); gen != 9 {
-		t.Fatalf("CheckpointGen = %d, want 9", gen)
+	if _, gen, err := s2.LoadCheckpoint(); err != nil || gen != 9 {
+		t.Fatalf("checkpoint generation = %d (err %v), want 9", gen, err)
 	}
 }
 
+// TestTornMetaSlotFallsBack: whatever tears the newer slot — its
+// header, its image, or its tail — recovery falls back to the older
+// slot, which a checkpoint never writes.
 func TestTornMetaSlotFallsBack(t *testing.T) {
-	s, dir := openTemp(t, Options{PageSize: 256})
-	img1 := bytes.Repeat([]byte{1}, 300)
-	img2 := bytes.Repeat([]byte{2}, 300)
-	if err := s.Checkpoint(img1, 1); err != nil {
-		t.Fatal(err)
+	tears := map[string]func(path string) error{
+		"header": func(path string) error { return patchFile(path, 0, []byte{0xFF, 0xFF, 0xFF, 0xFF}) },
+		"image":  func(path string) error { return patchFile(path, slotHeaderSize+100, []byte{0x7E}) },
+		"tail":   func(path string) error { return os.Truncate(path, slotHeaderSize+299) },
+		"extra":  func(path string) error { return patchFile(path, slotHeaderSize+300, []byte{0}) },
 	}
-	if err := s.Checkpoint(img2, 2); err != nil {
-		t.Fatal(err)
-	}
-	newerSlot := s.dm.curSlot
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the newer meta slot: recovery must fall back to the older
-	// one, whose chain the COW discipline left intact.
-	pf, err := os.OpenFile(filepath.Join(dir, PagesFileName), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pf.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, int64(newerSlot)*256); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{PageSize: 256})
-	if err != nil {
-		t.Fatalf("reopen with torn meta: %v", err)
-	}
-	defer s2.Close()
-	got, gen, err := s2.LoadCheckpoint()
-	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
-	}
-	if gen != 1 || !bytes.Equal(got, img1) {
-		t.Fatalf("fallback checkpoint = gen %d; want gen 1 with the older image", gen)
+	for name, tear := range tears {
+		t.Run(name, func(t *testing.T) {
+			s, dir := openTemp(t, Options{})
+			img1 := bytes.Repeat([]byte{1}, 300)
+			img2 := bytes.Repeat([]byte{2}, 300)
+			if err := s.Checkpoint(img1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(img2, 2); err != nil {
+				t.Fatal(err)
+			}
+			newer := s.live
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tear(filepath.Join(dir, slotFileName(newer))); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("reopen with torn slot: %v", err)
+			}
+			defer s2.Close()
+			got, gen, err := s2.LoadCheckpoint()
+			if err != nil {
+				t.Fatalf("LoadCheckpoint: %v", err)
+			}
+			if gen != 1 || !bytes.Equal(got, img1) {
+				t.Fatalf("fallback checkpoint = gen %d; want gen 1 with the older image", gen)
+			}
+		})
 	}
 }
 
+// patchFile overwrites the bytes at off in the named file.
+func patchFile(path string, off int64, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(b, off); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// TestBothMetaSlotsTornErrors: slot files that hold bytes but no valid
+// slot are corruption, not a fresh store — Open fails with ErrCorrupt
+// and leaves the WAL, the only copy of whatever it holds, untouched.
 func TestBothMetaSlotsTornErrors(t *testing.T) {
-	s, dir := openTemp(t, Options{PageSize: 256})
+	s, dir := openTemp(t, Options{})
+	if err := s.Checkpoint([]byte("state at gen 3"), 3); err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := s.Append(1, []byte("after the checkpoint"))
+	if err == nil {
+		err = s.Sync(lsn)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pf, err := os.OpenFile(filepath.Join(dir, PagesFileName), os.O_WRONLY, 0)
+	walPath := filepath.Join(dir, WALFileName)
+	walBefore, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	junk := bytes.Repeat([]byte{0x55}, 64)
-	for slot := int64(0); slot < 2; slot++ {
-		if _, err := pf.WriteAt(junk, slot*256); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := patchFile(filepath.Join(dir, slotFileName(i)), 0, junk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pf.Close(); err != nil {
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with both slots torn = %v, want ErrCorrupt", err)
+	}
+	if walAfter, err := os.ReadFile(walPath); err != nil || !bytes.Equal(walAfter, walBefore) {
+		t.Fatalf("Open over torn slots rewrote the WAL (err %v)", err)
+	}
+}
+
+// TestOpenRefusesLegacyPagesFile: a directory holding the retired
+// paged format's pages.db and no image slot is refused with an error
+// naming that format — never opened as fresh, which would drop the
+// index it holds — and is left as it was. Destroy removes the file.
+func TestOpenRefusesLegacyPagesFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, legacyPagesFile), bytes.Repeat([]byte{0x5a}, 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{PageSize: 256}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open with both metas torn = %v, want ErrCorrupt", err)
+	_, err := Open(dir, Options{})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), legacyPagesFile) {
+		t.Fatalf("Open over a pages.db directory = %v, want ErrCorrupt naming %s", err, legacyPagesFile)
 	}
+	if names, _ := (OSFS{}).ReadDir(dir); len(names) != 1 {
+		t.Fatalf("refused Open left %v behind, want only %s", names, legacyPagesFile)
+	}
+	if err := Destroy(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open after Destroy: %v", err)
+	}
+	defer s.Close()
+	assertNoCheckpoint(t, s, "store after Destroy")
 }
 
 func TestGroupCommitConcurrent(t *testing.T) {
@@ -369,54 +464,63 @@ func (f failingWriteFile) WriteAt(p []byte, off int64) (int, error) {
 	return f.File.WriteAt(p, off)
 }
 
-// TestCheckpointFailureReleasesPages: a checkpoint that fails before
-// its meta commit must return the aborted chain's pages to the
-// freelist and drop their half-written frames — otherwise every
-// failed attempt leaks the chain's pages until reopen, and stale
-// dirty frames could later flush garbage over reused pages.
-func TestCheckpointFailureReleasesPages(t *testing.T) {
+// TestCheckpointFailureKeepsPreviousImage: a checkpoint that fails
+// before its slot is durable leaves the previous image authoritative —
+// in memory and on reopen — and the WAL it would have obsoleted intact;
+// once writes are healthy again a retry lands.
+func TestCheckpointFailureKeepsPreviousImage(t *testing.T) {
 	arm := false
-	s, _ := openTemp(t, Options{VFS: failingVFS{arm: &arm}, PageSize: 256, PoolFrames: 4})
+	vfs := failingVFS{arm: &arm}
+	s, dir := openTemp(t, Options{VFS: vfs})
 	defer s.Close()
 	rnd := rand.New(rand.NewSource(3))
-	image := make([]byte, 4000)
-	rnd.Read(image)
-	if err := s.Checkpoint(image, 1); err != nil {
+	image1 := make([]byte, 4000)
+	rnd.Read(image1)
+	if err := s.Checkpoint(image1, 1); err != nil {
 		t.Fatal(err)
 	}
-	freeBefore, numBefore := s.dm.FreePages(), s.dm.NumPages()
-	arm = true
-	if err := s.Checkpoint(image, 2); err == nil {
-		t.Fatal("checkpoint with failing writes succeeded")
+	lsn, err := s.Append(1, []byte("logged after image 1"))
+	if err == nil {
+		err = s.Sync(lsn)
 	}
-	grown := s.dm.NumPages() - numBefore
-	if got := s.dm.FreePages(); uint64(got) != uint64(freeBefore)+grown {
-		t.Fatalf("failed checkpoint leaked pages: free %d -> %d while the file grew by %d pages",
-			freeBefore, got, grown)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A second failure must not grow the file again: the restored
-	// freelist satisfies the retry's allocations.
-	numAfterFirst := s.dm.NumPages()
-	if err := s.Checkpoint(image, 2); err == nil {
-		t.Fatal("checkpoint with failing writes succeeded")
+	assertState := func(st *Store, what string) {
+		t.Helper()
+		got, gen, err := st.LoadCheckpoint()
+		if err != nil || gen != 1 || !bytes.Equal(got, image1) {
+			t.Fatalf("%s: checkpoint gen %d (err %v), want the previous image at gen 1", what, gen, err)
+		}
+		var n int
+		if err := st.Replay(func(WALRecord) error { n++; return nil }); err != nil || n != 1 {
+			t.Fatalf("%s: replayed %d records (err %v), want the 1 logged after image 1", what, n, err)
+		}
 	}
-	if got := s.dm.NumPages(); got != numAfterFirst {
-		t.Fatalf("second failed checkpoint grew the file %d -> %d pages", numAfterFirst, got)
-	}
-	arm = false
-	// With writes healthy again, a retry lands and round-trips a new
-	// image — no stale frame from the aborted attempts survives.
 	image2 := make([]byte, 4000)
 	rnd.Read(image2)
+	arm = true
+	for i := 0; i < 2; i++ {
+		if err := s.Checkpoint(image2, 2); err == nil {
+			t.Fatal("checkpoint with failing writes succeeded")
+		}
+		assertState(s, "after a failed checkpoint")
+	}
+	arm = false
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after failed checkpoints: %v", err)
+	}
+	assertState(s2, "reopened after failed checkpoints")
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Checkpoint(image2, 2); err != nil {
 		t.Fatalf("checkpoint retry: %v", err)
 	}
 	got, gen, err := s.LoadCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 2 || !bytes.Equal(got, image2) {
-		t.Fatalf("recovered gen=%d image mismatch after failed attempts", gen)
+	if err != nil || gen != 2 || !bytes.Equal(got, image2) {
+		t.Fatalf("after the retry: gen %d (err %v), want image 2 at gen 2", gen, err)
 	}
 }
 
@@ -482,31 +586,27 @@ func TestWALSyncResetNoDeadlock(t *testing.T) {
 	leakcheck.Settle(t, base)
 }
 
-func TestDecodePageHeaderRejectsCorruption(t *testing.T) {
-	buf := make([]byte, 256)
-	payload := []byte("hello page")
-	if err := EncodePage(buf, PageCheckpoint, 7, payload); err != nil {
-		t.Fatal(err)
+func TestDecodeSlotRejectsCorruption(t *testing.T) {
+	want := slotHeader{epoch: 4, gen: 9, walBase: 17}
+	slot := encodeSlot(want, []byte("slot image"))
+	if h, got, err := decodeSlot(slot); err != nil || h != want || string(got) != "slot image" {
+		t.Fatalf("decodeSlot on valid slot = %+v, %q, %v", h, got, err)
 	}
-	if h, got, err := DecodePageHeader(buf); err != nil || h.Next != 7 || !bytes.Equal(got, payload) {
-		t.Fatalf("DecodePageHeader on valid page = %+v, %q, %v", h, got, err)
-	}
-	mutations := map[string]func([]byte){
-		"magic":    func(b []byte) { b[0] ^= 0xFF },
-		"version":  func(b []byte) { b[4] = 99 },
-		"length":   func(b []byte) { b[16] = 0xFF; b[17] = 0xFF },
-		"payload":  func(b []byte) { b[PageHeaderSize] ^= 1 },
-		"crc":      func(b []byte) { b[20] ^= 1 },
-		"truncate": nil,
+	mutations := map[string]func([]byte) []byte{
+		"magic":    func(b []byte) []byte { b[0] ^= 0xFF; return b },
+		"version":  func(b []byte) []byte { b[6] = 99; return b },
+		"reserved": func(b []byte) []byte { b[7] = 1; return b },
+		"epoch":    func(b []byte) []byte { b[8] ^= 1; return b },
+		"length":   func(b []byte) []byte { b[32] ^= 1; return b },
+		"image":    func(b []byte) []byte { b[slotHeaderSize] ^= 1; return b },
+		"crc":      func(b []byte) []byte { b[40] ^= 1; return b },
+		"torn":     func(b []byte) []byte { return b[:len(b)-1] },
+		"trailing": func(b []byte) []byte { return append(b, 0) },
+		"header":   func(b []byte) []byte { return b[:slotHeaderSize-1] },
 	}
 	for name, mutate := range mutations {
-		c := append([]byte(nil), buf...)
-		if mutate == nil {
-			c = c[:PageHeaderSize-1]
-		} else {
-			mutate(c)
-		}
-		if _, _, err := DecodePageHeader(c); !errors.Is(err, ErrCorrupt) {
+		c := mutate(append([]byte(nil), slot...))
+		if _, _, err := decodeSlot(c); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s corruption: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -550,7 +650,5 @@ func TestDestroyThenOpenIsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.HasCheckpoint() {
-		t.Fatal("store survived Destroy")
-	}
+	assertNoCheckpoint(t, s2, "store after Destroy")
 }

@@ -1,241 +1,254 @@
 package storage
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"path"
-	"sync"
+	"slices"
+	"strconv"
 )
 
-// File names inside a Store's directory.
-const (
-	PagesFileName = "pages.db"
-	WALFileName   = "wal.log"
-)
+// WALFileName is the log's file name inside a Store's directory.
+const WALFileName = "wal.log"
+
+// legacyPagesFile is the page file the retired paged store kept its
+// checkpoint in. A directory holding one and no image slot is refused
+// rather than opened as fresh, which would silently drop its index.
+const legacyPagesFile = "pages.db"
+
+// FormatVersion is the on-disk format version byte shared by the image
+// slots and the WAL header. Readers reject any other value instead of
+// misdecoding a future layout.
+const FormatVersion = 1
+
+// ErrCorrupt reports an on-disk structure that failed validation
+// (bad magic, version, bounds, or CRC). Match with errors.Is.
+var ErrCorrupt = errors.New("storage: corrupt on-disk structure")
+
+// Image slot framing. A slot file is a 44-byte header followed by the
+// image: magic "RPIMG1", format version byte, one reserved byte, epoch
+// (8B), generation (8B), WAL base LSN (8B), image length (8B), CRC (4B,
+// over the 40 header bytes before it plus the image). All multi-byte
+// fields are little-endian.
+const slotHeaderSize = 44
+
+var slotMagic = [6]byte{'R', 'P', 'I', 'M', 'G', '1'}
+
+// slotHeader is the decoded header of one image slot.
+type slotHeader struct {
+	epoch   uint64 // the valid slot with the higher epoch is the checkpoint
+	gen     uint64 // generation the image carries
+	walBase uint64 // first LSN of the log this checkpoint leaves live
+}
+
+// slotFileName returns the file name of image slot i (0 or 1).
+func slotFileName(i int) string { return "image." + strconv.Itoa(i) }
+
+// encodeSlot serializes a whole slot file: header, then image.
+func encodeSlot(h slotHeader, image []byte) []byte {
+	buf := make([]byte, slotHeaderSize+len(image))
+	copy(buf[0:6], slotMagic[:])
+	buf[6] = FormatVersion
+	binary.LittleEndian.PutUint64(buf[8:16], h.epoch)
+	binary.LittleEndian.PutUint64(buf[16:24], h.gen)
+	binary.LittleEndian.PutUint64(buf[24:32], h.walBase)
+	binary.LittleEndian.PutUint64(buf[32:40], uint64(len(image)))
+	copy(buf[slotHeaderSize:], image)
+	crc := crc32.ChecksumIEEE(buf[0:40])
+	crc = crc32.Update(crc, crc32.IEEETable, image)
+	binary.LittleEndian.PutUint32(buf[40:44], crc)
+	return buf
+}
+
+// decodeSlot parses and validates a whole slot file, returning its
+// header and image (a view into buf). Anything but one complete,
+// CRC-valid slot — empty, torn, foreign, or trailed by extra bytes —
+// errors with ErrCorrupt; it never panics, whatever the input (fuzzed
+// by FuzzImageSlotDecode).
+func decodeSlot(buf []byte) (slotHeader, []byte, error) {
+	var h slotHeader
+	if len(buf) < slotHeaderSize {
+		return h, nil, fmt.Errorf("%w: image slot of %d bytes is shorter than its header", ErrCorrupt, len(buf))
+	}
+	if [6]byte(buf[0:6]) != slotMagic || buf[6] != FormatVersion || buf[7] != 0 {
+		return h, nil, fmt.Errorf("%w: bad image slot magic or version", ErrCorrupt)
+	}
+	if n := binary.LittleEndian.Uint64(buf[32:40]); n != uint64(len(buf)-slotHeaderSize) {
+		return h, nil, fmt.Errorf("%w: image slot says %d image bytes, file holds %d", ErrCorrupt, n, len(buf)-slotHeaderSize)
+	}
+	image := buf[slotHeaderSize:]
+	crc := crc32.ChecksumIEEE(buf[0:40])
+	crc = crc32.Update(crc, crc32.IEEETable, image)
+	if crc != binary.LittleEndian.Uint32(buf[40:44]) {
+		return h, nil, fmt.Errorf("%w: image slot CRC mismatch", ErrCorrupt)
+	}
+	h.epoch = binary.LittleEndian.Uint64(buf[8:16])
+	h.gen = binary.LittleEndian.Uint64(buf[16:24])
+	h.walBase = binary.LittleEndian.Uint64(buf[24:32])
+	return h, image, nil
+}
+
+// readFile reads a whole file.
+func readFile(f File) ([]byte, error) {
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, size)
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
 
 // Options configures a Store.
 type Options struct {
 	// VFS is the filesystem to run on; nil means the real one (OSFS).
 	VFS VFS
-	// PageSize is the page size for a freshly created store; an
-	// existing store keeps the size it was created with. Zero means
-	// DefaultPageSize.
-	PageSize int
-	// PoolFrames caps the buffer pool; zero means DefaultPoolFrames.
-	PoolFrames int
 }
 
-// Store is one partition's durable backing: a checkpoint image in the
-// page file plus a WAL of the mutations applied since. Checkpoint and
-// Close must not race Append/Sync (the owning index's writer lock
-// already serializes them); Replay is only legal before the first
-// mutation.
+// Store is one partition's durable backing: a checkpoint image in one
+// of two alternating slot files plus a WAL of the mutations applied
+// since. Append and Sync are safe for concurrent use; LoadCheckpoint,
+// Checkpoint, Replay and Close must not race Append or each other (the
+// owning index's writer lock already serializes them), and Replay is
+// only legal before the first mutation.
 type Store struct {
-	dir string
-	vfs VFS
-
-	mu sync.Mutex // serializes Checkpoint/Close against each other
-	dm *DiskManager
-	bp *BufferPool
-	w  *WAL
-
-	chain []uint64 // pages of the live checkpoint chain, in order
+	slots [2]File
+	live  int        // the slot holding the current checkpoint
+	cur   slotHeader // its header
+	w     *WAL
 }
 
 // Open opens or creates the store rooted at dir, recovering whatever
-// prior state the crash discipline preserved. After Open, the caller
-// loads the checkpoint (if HasCheckpoint), replays the WAL, and only
-// then starts appending.
+// prior state the crash discipline preserved: the valid slot with the
+// higher epoch is the checkpoint, and its header names the WAL's base.
+// A directory with no slot bytes at all is fresh and is bootstrapped
+// with an empty checkpoint; one whose slot files hold bytes but no
+// valid slot fails with ErrCorrupt, its WAL untouched. After Open, the
+// caller loads the checkpoint, replays the WAL, and only then starts
+// appending.
 func Open(dir string, opts Options) (*Store, error) {
 	vfs := opts.VFS
 	if vfs == nil {
 		vfs = OSFS{}
 	}
-	pageSize := opts.PageSize
-	if pageSize == 0 {
-		pageSize = DefaultPageSize
-	}
-	frames := opts.PoolFrames
-	if frames == 0 {
-		frames = DefaultPoolFrames
-	}
 	if err := vfs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	pf, err := vfs.OpenFile(path.Join(dir, PagesFileName))
+	names, err := vfs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	dm, err := OpenDiskManager(pf, pageSize)
-	if err != nil {
-		pf.Close()
-		return nil, err
+	if slices.Contains(names, legacyPagesFile) && !slices.Contains(names, slotFileName(0)) && !slices.Contains(names, slotFileName(1)) {
+		return nil, fmt.Errorf("%w: %s holds %s, a checkpoint in the retired paged format this build cannot read; rebuild the index or restore it from a peer",
+			ErrCorrupt, dir, legacyPagesFile)
 	}
-	head, _, _, _, walBase := dm.Meta()
-	wf, err := vfs.OpenFile(path.Join(dir, WALFileName))
-	if err != nil {
-		dm.Close()
-		return nil, err
-	}
-	w, err := OpenWAL(wf, walBase)
-	if err != nil {
-		dm.Close()
-		wf.Close()
-		return nil, err
-	}
-	s := &Store{dir: dir, vfs: vfs, dm: dm, bp: NewBufferPool(dm, frames), w: w}
-	if head != 0 {
-		chain, err := dm.chainPages(head)
+	s := &Store{live: -1}
+	seen := false
+	for i := range s.slots {
+		f, err := vfs.OpenFile(path.Join(dir, slotFileName(i)))
 		if err != nil {
-			s.closeFiles()
+			s.Close()
 			return nil, err
 		}
-		s.chain = chain
+		s.slots[i] = f
+		raw, err := readFile(f)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		seen = seen || len(raw) > 0
+		if h, _, err := decodeSlot(raw); err == nil && (s.live < 0 || h.epoch > s.cur.epoch) {
+			s.live, s.cur = i, h
+		}
+	}
+	switch {
+	case s.live >= 0:
+	case seen:
+		s.Close()
+		return nil, fmt.Errorf("%w: no valid image slot in %s", ErrCorrupt, dir)
+	default:
+		s.live, s.cur = 0, slotHeader{epoch: 1, walBase: 1}
+		if err := s.writeSlot(0, s.cur, nil); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	wf, err := vfs.OpenFile(path.Join(dir, WALFileName))
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	if s.w, err = OpenWAL(wf, s.cur.walBase); err != nil {
+		wf.Close()
+		s.Close()
+		return nil, err
 	}
 	return s, nil
 }
 
-// Destroy removes the store's files from dir. The store must not be
-// open.
+// Destroy removes the store's files from dir, including a page file
+// the retired paged format left behind. The store must not be open.
 func Destroy(dir string, vfs VFS) error {
 	if vfs == nil {
 		vfs = OSFS{}
 	}
-	if err := vfs.Remove(path.Join(dir, PagesFileName)); err != nil {
-		return err
+	for _, name := range []string{legacyPagesFile, slotFileName(0), slotFileName(1), WALFileName} {
+		if err := vfs.Remove(path.Join(dir, name)); err != nil {
+			return err
+		}
 	}
-	return vfs.Remove(path.Join(dir, WALFileName))
+	return nil
 }
 
-// HasCheckpoint reports whether a checkpoint image exists.
-func (s *Store) HasCheckpoint() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	head, _, _, _, _ := s.dm.Meta()
-	return head != 0
-}
-
-// CheckpointGen returns the generation the live checkpoint carries
-// (zero when none exists).
-func (s *Store) CheckpointGen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, _, gen, _, _ := s.dm.Meta()
-	return gen
-}
-
-// Pool returns the store's buffer pool (test hook).
-func (s *Store) Pool() *BufferPool { return s.bp }
-
-// LoadCheckpoint reassembles the live checkpoint image by walking its
-// page chain through the buffer pool, verifying the whole-image CRC.
+// LoadCheckpoint reads the live checkpoint image back, re-verifying its
+// CRC, and returns it with the generation it carries. A store that was
+// never checkpointed returns an empty image.
 func (s *Store) LoadCheckpoint() ([]byte, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	head, total, gen, wantCRC, _ := s.dm.Meta()
-	if head == 0 {
-		return nil, 0, fmt.Errorf("storage: no checkpoint in %s", s.dir)
+	raw, err := readFile(s.slots[s.live])
+	if err != nil {
+		return nil, 0, err
 	}
-	image := make([]byte, 0, total)
-	for id := head; id != 0; {
-		buf, err := s.bp.Fetch(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		h, payload, err := DecodePageHeader(buf)
-		if err != nil {
-			s.bp.Unpin(id, false)
-			return nil, 0, err
-		}
-		image = append(image, payload...)
-		if err := s.bp.Unpin(id, false); err != nil {
-			return nil, 0, err
-		}
-		if uint64(len(image)) > total {
-			return nil, 0, fmt.Errorf("%w: checkpoint chain longer than its meta length %d", ErrCorrupt, total)
-		}
-		id = h.Next
+	h, image, err := decodeSlot(raw)
+	if err != nil {
+		return nil, 0, err
 	}
-	if uint64(len(image)) != total {
-		return nil, 0, fmt.Errorf("%w: checkpoint image is %d bytes, meta says %d", ErrCorrupt, len(image), total)
+	if h != s.cur {
+		return nil, 0, fmt.Errorf("%w: image slot %d changed since the store opened", ErrCorrupt, s.live)
 	}
-	if crc32.ChecksumIEEE(image) != wantCRC {
-		return nil, 0, fmt.Errorf("%w: checkpoint image CRC mismatch", ErrCorrupt)
-	}
-	return image, gen, nil
+	return image, h.gen, nil
 }
 
 // Checkpoint durably installs image as the new checkpoint at gen and
-// resets the WAL. The copy-on-write protocol: chunk the image onto
-// free pages (never touching the live chain), flush and fsync them,
-// commit the meta slot pointing at the new chain (with the WAL base
-// advanced past every record the checkpoint obsoletes), and only then
-// free the old chain and truncate the WAL. A crash at any point
-// leaves one meta slot whose chain is intact.
+// resets the WAL. It writes the slot that does not hold the current
+// checkpoint — truncate, one write, fsync — with the next epoch and the
+// WAL base advanced past every record the image obsoletes, and only
+// then truncates the log. A crash at any point leaves the current slot
+// intact, and a torn new slot fails its CRC, so one valid slot always
+// rules.
 func (s *Store) Checkpoint(image []byte, gen uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	chunk := s.dm.PayloadSize()
-	var ids []uint64
-	for off := 0; ; off += chunk {
-		ids = append(ids, s.dm.Alloc())
-		if off+chunk >= len(image) {
-			break
-		}
-	}
-	// Until CommitMeta lands, the new chain is garbage on failure:
-	// drop whatever frames it occupies (so half-encoded dirty pages
-	// never get flushed later) and return its ids to the freelist.
-	// Drop is best-effort — it only refuses pinned frames, which the
-	// error paths below have already unpinned.
-	fail := func(err error) error {
-		s.bp.Drop(ids...)
-		s.dm.Free(ids...)
+	next := slotHeader{epoch: s.cur.epoch + 1, gen: gen, walBase: s.w.NextLSN()}
+	if err := s.writeSlot(1-s.live, next, image); err != nil {
 		return err
 	}
-	// Write the chain through the pool, back to front so each page
-	// knows its successor.
-	for i := len(ids) - 1; i >= 0; i-- {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(image) {
-			hi = len(image)
-		}
-		var next uint64
-		if i+1 < len(ids) {
-			next = ids[i+1]
-		}
-		buf, err := s.bp.NewPage(ids[i])
-		if err != nil {
-			return fail(err)
-		}
-		if err := EncodePage(buf, PageCheckpoint, next, image[lo:hi]); err != nil {
-			s.bp.Unpin(ids[i], false)
-			return fail(err)
-		}
-		if err := s.bp.Unpin(ids[i], true); err != nil {
-			return fail(err)
-		}
-	}
-	if err := s.bp.FlushAll(); err != nil {
-		return fail(err)
-	}
-	if err := s.dm.Sync(); err != nil {
-		return fail(err)
-	}
-	newBase := s.w.NextLSN()
-	if err := s.dm.CommitMeta(ids[0], uint64(len(image)), gen, crc32.ChecksumIEEE(image), newBase); err != nil {
-		return fail(err)
-	}
-	// The new meta is durable: the old chain is garbage and the WAL's
-	// records are obsolete. Neither cleanup affects recoverability.
-	old := s.chain
-	s.chain = ids
-	if err := s.bp.Drop(old...); err != nil {
+	s.live, s.cur = 1-s.live, next
+	return s.w.Reset(next.walBase)
+}
+
+// writeSlot replaces slot i's contents durably.
+func (s *Store) writeSlot(i int, h slotHeader, image []byte) error {
+	f := s.slots[i]
+	if err := f.Truncate(0); err != nil {
 		return err
 	}
-	s.dm.Free(old...)
-	return s.w.Reset(newBase)
+	if _, err := f.WriteAt(encodeSlot(h, image), 0); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Append writes one WAL record, returning its LSN. Not durable until
@@ -253,24 +266,23 @@ func (s *Store) NextLSN() uint64 { return s.w.NextLSN() }
 // Replay iterates the WAL's well-formed records in LSN order.
 func (s *Store) Replay(fn func(WALRecord) error) error { return s.w.Replay(fn) }
 
-// closeFiles closes both files, keeping the first error.
-func (s *Store) closeFiles() error {
-	err := s.dm.Close()
-	if werr := s.w.Close(); err == nil {
-		err = werr
+// Close closes the store's files, keeping the first error. It does not
+// fsync: every checkpoint is durable when it returns, durability of
+// mutations comes from the WAL, and a close without a prior Checkpoint
+// simply means the next Open replays the log.
+func (s *Store) Close() error {
+	var err error
+	for _, f := range s.slots {
+		if f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	if s.w != nil {
+		if werr := s.w.Close(); err == nil {
+			err = werr
+		}
 	}
 	return err
-}
-
-// Close flushes the buffer pool and closes the store's files. It does
-// NOT fsync: durability comes from the WAL, and a close without a
-// prior Checkpoint simply means the next Open replays the log.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.bp.FlushAll(); err != nil {
-		s.closeFiles()
-		return err
-	}
-	return s.closeFiles()
 }

@@ -139,9 +139,9 @@ func OpenWAL(f File, baseLSN uint64) (*WAL, error) {
 		}
 	}
 	if !valid || base != baseLSN {
-		// Fresh file, torn header, or a log the meta slot has already
-		// obsoleted (crash between meta commit and WAL reset): start
-		// over at the base the caller's durable meta dictates.
+		// Fresh file, torn header, or a log the live image slot has
+		// already obsoleted (crash between slot commit and WAL reset):
+		// start over at the base the caller's durable slot dictates.
 		if err := w.reset(baseLSN); err != nil {
 			return nil, err
 		}
