@@ -528,15 +528,11 @@ func TestSharedTopKCountGate(t *testing.T) {
 	}
 }
 
-// TestChainWalkCountGate is the deterministic form of the queue-light
-// walk's claim: on the same T-drive 1/256 fixture under DTW — the
-// measure with one weak bound, whose walk is mostly single-child chains —
-// 8 partitions searched one by one (Workers: 1, no shared heap), at most
-// 0.40 of the trie nodes the searches descend through pay for a queue
-// round trip; the rest are links walked in place. The walk still reaches
-// the same leaves: leaves refined and exact distance computations are
-// the counts the queue-per-node walk produced on this fixture.
-func TestChainWalkCountGate(t *testing.T) {
+// dtwChainStats searches 48 queries over the T-drive 1/256 fixture under
+// DTW, 8 partitions one by one (Workers: 1, no shared heap), and sums
+// the walks' statistics. The counts repeat bit for bit.
+func dtwChainStats(t *testing.T) rptrie.SearchStats {
+	t.Helper()
 	tdrive, err := dataset.ByName("T-drive", 1.0/256)
 	if err != nil {
 		t.Fatal(err)
@@ -560,17 +556,47 @@ func TestChainWalkCountGate(t *testing.T) {
 			sum.ExactComputations += st.ExactComputations
 		}
 	}
+	return sum
+}
+
+// TestChainWalkCountGate is the deterministic form of the queue-light
+// walk's claim: on the T-drive 1/256 fixture under DTW, whose walk is
+// mostly single-child chains, at most 0.40 of the trie nodes the
+// searches descend through pay for a queue round trip; the rest are
+// links walked in place. The leaves refined and the exact distance
+// computations are pinned, so any change to the refinement order shows.
+func TestChainWalkCountGate(t *testing.T) {
+	sum := dtwChainStats(t)
 	descended := sum.NodesExpanded + sum.ChainSteps
 	t.Logf("%d nodes expanded of %d descended through (%.2f)", sum.NodesExpanded, descended, float64(sum.NodesExpanded)/float64(descended))
 	if float64(sum.NodesExpanded) > 0.40*float64(descended) {
 		t.Fatalf("%d of %d nodes went through the queue, want ≤ 0.40", sum.NodesExpanded, descended)
 	}
-	// Recorded on the commit before chains were walked in place, where
-	// the same loop expanded 332,924 nodes.
-	const leavesRefined, exactComputations = 25491, 26182
+	// Recorded by the change that made DTW's LBo the warping-column
+	// bound, where the loop expanded 43,512 of 324,171 nodes descended.
+	const leavesRefined, exactComputations = 14600, 15263
 	if sum.LeavesRefined != leavesRefined || sum.ExactComputations != exactComputations {
 		t.Fatalf("the walk refined %d leaves with %d exact computations, want %d and %d: the refinement order changed",
 			sum.LeavesRefined, sum.ExactComputations, leavesRefined, exactComputations)
+	}
+}
+
+// TestDTWPathBoundCountGate is the deterministic form of the
+// order-aware DTW bound's claim, on TestChainWalkCountGate's fixture:
+// the warping-column LBo costs at most 0.70 × the 26,182 exact distance
+// computations of the cell-min sums it replaced, and descends through
+// no more than their 345,787 trie nodes.
+func TestDTWPathBoundCountGate(t *testing.T) {
+	const cellSumExact, cellSumDescended = 26182, 345787
+	sum := dtwChainStats(t)
+	descended := sum.NodesExpanded + sum.ChainSteps
+	t.Logf("%d exact computations (%.2f of the cell-min sums'), %d nodes descended through (%.2f)",
+		sum.ExactComputations, float64(sum.ExactComputations)/cellSumExact, descended, float64(descended)/cellSumDescended)
+	if sum.ExactComputations == 0 || float64(sum.ExactComputations) > 0.70*cellSumExact {
+		t.Fatalf("%d exact computations, want ≤ 0.70 × %d", sum.ExactComputations, cellSumExact)
+	}
+	if descended > cellSumDescended {
+		t.Fatalf("%d nodes descended through, want ≤ %d", descended, cellSumDescended)
 	}
 }
 

@@ -73,7 +73,7 @@ type Bounder interface {
 // bounds are relative to.
 func NewBounder(m Measure, q []geo.Point, halfDiagonal float64, p Params) Bounder {
 	_ = halfDiagonal // see doc comment: the rectangle distances subsume it
-	return NewQueryBounds(m, q, nil, p).Root()
+	return NewQueryBounds(m, q, nil, p, false).Root()
 }
 
 // cellEntry is the memoized query→cell distance record of one
@@ -109,6 +109,11 @@ type QueryBounds struct {
 	p Params
 	g *grid.Grid // nil: cells must be supplied via Extend
 
+	// segments is whether this query asks for LBoSub. Only LBoSub and
+	// the query-side terms of LBo read minD, and DTW's LBo has none, so
+	// a DTW query without segment bounds skips the minD merge.
+	segments bool
+
 	table []cellSlot // open-addressed z → cells index; len 0 or a power of two
 	cells []cellEntry
 	dists []float64 // arena backing cellEntry.dists
@@ -138,18 +143,21 @@ func slotOf(z, mask uint64) uint64 {
 }
 
 // NewQueryBounds returns query bound state for q under m on grid g.
-// g may be nil when cells are always supplied via Extend.
-func NewQueryBounds(m Measure, q []geo.Point, g *grid.Grid, p Params) *QueryBounds {
+// g may be nil when cells are always supplied via Extend. segments
+// says whether the query will ask for LBoSub; see Reset.
+func NewQueryBounds(m Measure, q []geo.Point, g *grid.Grid, p Params, segments bool) *QueryBounds {
 	qb := &QueryBounds{}
-	qb.Reset(m, q, g, p)
+	qb.Reset(m, q, g, p, segments)
 	return qb
 }
 
 // Reset re-targets the state at a new query, retaining all backing
 // storage. Every PathBounder previously obtained from this
-// QueryBounds is invalidated and recycled.
-func (qb *QueryBounds) Reset(m Measure, q []geo.Point, g *grid.Grid, p Params) {
-	qb.m, qb.q, qb.g, qb.p = m, q, g, p
+// QueryBounds is invalidated and recycled. segments must be true if
+// the query will call LBoSub on any of its bounders: without it a DTW
+// query does not maintain the query-side minima LBoSub reads.
+func (qb *QueryBounds) Reset(m Measure, q []geo.Point, g *grid.Grid, p Params, segments bool) {
+	qb.m, qb.q, qb.g, qb.p, qb.segments = m, q, g, p, segments
 	clear(qb.table)
 	qb.cells = qb.cells[:0]
 	qb.dists = qb.dists[:0]
@@ -187,8 +195,13 @@ func (qb *QueryBounds) get(fill bool) *PathBounder {
 			b.minD[i] = math.Inf(1)
 		}
 	}
+	cols := 0
+	if qb.m == DTW {
+		cols = len(qb.q)
+	}
+	b.col = growFloats(b.col, cols)
 	b.refPts = b.refPts[:0]
-	b.maxCellMin, b.sumCellMin, b.sumCellGap = 0, 0, 0
+	b.maxCellMin, b.sumCellGap, b.colMin = 0, 0, 0
 	b.firstD, b.lastD = 0, 0
 	b.farCells, b.depth = 0, 0
 	return b
@@ -269,16 +282,24 @@ func (qb *QueryBounds) place(sl cellSlot) {
 
 // PathBounder is the incremental bound state of one root-to-node
 // path, shared by all six measures. Each Extend maintains every
-// aggregate in O(|q|) min-merges over the memoized cell entry (the
-// rectangle distances themselves are computed once per distinct cell,
-// see QueryBounds), so a root-to-node descent costs O(depth·|q|)
-// total instead of O(depth²·|q|) for recomputation
+// aggregate in O(|q|) over the memoized cell entry (the rectangle
+// distances themselves are computed once per distinct cell, see
+// QueryBounds), so a root-to-node descent costs O(depth·|q|) total
+// instead of O(depth²·|q|) for recomputation
 // (see BenchmarkBounderIncremental).
 type PathBounder struct {
 	qb *QueryBounds
 
-	// minD[i] is the minimum distance from q[i] to any path cell.
+	// minD[i] is the minimum distance from q[i] to any path cell. DTW
+	// maintains it only for a query with segment bounds.
 	minD []float64
+
+	// col is DTW's warping column: col[i] is the cheapest monotone
+	// alignment of q[0..i] with the path cells so far that ends at the
+	// last path cell, at point-to-rectangle costs. colMin is min_i
+	// col[i], kept while the column is computed. DTW only.
+	col    []float64
+	colMin float64
 
 	// refPts is the path's reference trajectory prefix (cell
 	// centers), consumed by the metric two-side bound at leaves.
@@ -286,10 +307,9 @@ type PathBounder struct {
 	refPts []geo.Point
 
 	maxCellMin float64 // max over path cells of min_i d(q[i], cell)
-	sumCellMin float64 // Σ over path cells of min_i d(q[i], cell)
 	sumCellGap float64 // ERP: Σ of min(min_i d(q[i], cell), d(Gap, cell))
-	firstD     float64 // d(q[0], first path cell); order-dependent measures
-	lastD      float64 // d(q[m−1], most recent path cell)
+	firstD     float64 // Frechet: d(q[0], first path cell)
+	lastD      float64 // Frechet: d(q[m−1], most recent path cell)
 	farCells   int     // LCSS/EDR: # path cells with min_i d(q[i], cell) > ε
 	depth      int
 }
@@ -306,15 +326,18 @@ func (b *PathBounder) Extend(c grid.Cell) {
 }
 
 func (b *PathBounder) extend(e *cellEntry) {
-	for i, d := range e.dists {
-		if d < b.minD[i] {
-			b.minD[i] = d
+	if b.qb.m == DTW {
+		if b.qb.segments {
+			b.mergeMinD(e.dists)
 		}
+		b.extendCol(e.dists)
+		b.depth++
+		return
 	}
+	b.mergeMinD(e.dists)
 	if e.min > b.maxCellMin {
 		b.maxCellMin = e.min
 	}
-	b.sumCellMin += e.min
 	switch b.qb.m {
 	case ERP:
 		b.sumCellGap += e.gapMin
@@ -335,13 +358,71 @@ func (b *PathBounder) extend(e *cellEntry) {
 	}
 }
 
+// mergeMinD lowers minD to the new cell's distances.
+func (b *PathBounder) mergeMinD(dists []float64) {
+	for i, d := range dists {
+		if d < b.minD[i] {
+			b.minD[i] = d
+		}
+	}
+}
+
+// extendCol advances DTW's warping column by one path cell, whose
+// distances to the query points are d:
+//
+//	first cell:  col[i] = Σ_{i' ≤ i} d[i']
+//	later cells: col[i] = d[i] + min(col_old[i], col_old[i−1], col[i−1])
+//
+// (col[0] = col_old[0] + d[0]), and keeps the column minimum as it
+// goes. This is dtwBounded's recurrence with a path cell in place of a
+// sample point, summed in the same order; see LBo for why it is a bound.
+// A DTW walk runs this loop once per trie node it descends through, so
+// the comparisons are spelled out and the minimum is fused into it.
+func (b *PathBounder) extendCol(d []float64) {
+	if len(d) == 0 {
+		return
+	}
+	col := b.col[:len(d)]
+	if b.depth == 0 {
+		acc := 0.0
+		for i, v := range d {
+			acc += v
+			col[i] = acc
+		}
+		b.colMin = col[0] // costs are non-negative: the prefix sums only grow
+		return
+	}
+	diag := col[0] // col_old[i−1] for the next i
+	v := d[0] + diag
+	col[0] = v
+	lo := v
+	for i := 1; i < len(d); i++ {
+		up := col[i]
+		reach := up
+		if diag < reach {
+			reach = diag
+		}
+		if v < reach {
+			reach = v
+		}
+		v = d[i] + reach
+		col[i] = v
+		if v < lo {
+			lo = v
+		}
+		diag = up
+	}
+	b.colMin = lo
+}
+
 // Fork returns an independent copy of the bound state drawn from the
 // owning QueryBounds' recycle arena.
 func (b *PathBounder) Fork() *PathBounder {
 	nb := b.qb.get(false)
 	copy(nb.minD, b.minD)
+	copy(nb.col, b.col)
 	nb.refPts = append(nb.refPts, b.refPts...)
-	nb.maxCellMin, nb.sumCellMin, nb.sumCellGap = b.maxCellMin, b.sumCellMin, b.sumCellGap
+	nb.maxCellMin, nb.sumCellGap, nb.colMin = b.maxCellMin, b.sumCellGap, b.colMin
 	nb.firstD, nb.lastD = b.firstD, b.lastD
 	nb.farCells, nb.depth = b.farCells, b.depth
 	return nb
@@ -378,11 +459,28 @@ func (b *PathBounder) Release() {
 //     the Hausdorff bound applies; it also always contains the pair
 //     (q[0], t[0]), adding firstD by F4, and (q[m−1], t[n−1]),
 //     adding the last-cell distance when complete.
-//   - DTW: every point of t is matched at cost ≥ its min distance to
-//     q, and distinct path cells contribute distinct points (F1), so
-//     the cell-min sum is admissible; complete, each q[i] is matched
-//     at cost ≥ minD[i], giving the query-side sum. Each sum bounds
-//     the total independently, so their max is admissible.
+//   - DTW: the path cells are t's runs of sample points in order (F1:
+//     runs are consecutive and disjoint; F4: in t's order), so the run
+//     r(j) holding t[j] never decreases along t and steps by at most
+//     one. Map each pair (q[i], t[j]) of an optimal warping path to
+//     (q[i], cell r(j)). Every step of the warping path becomes either
+//     a repeat of the same pair or a step of a monotone path between q
+//     and the path cells that starts at (q[0], first cell). Dropping
+//     the repeats drops non-negative terms, and each kept term
+//     d(q[i], t[j]) is ≥ d(q[i], cell r(j)) by F3. extendCol computes,
+//     for every i, the cheapest such path ending at (q[i], last path
+//     cell). Incomplete, the alignment may end anywhere in q: the
+//     warping path up to its last pair in the last path cell maps to a
+//     path ending at some (q[i], last cell), and the rest of the
+//     warping path only adds cost, so min_i col[i] is admissible.
+//     Complete, the last path cell holds t[n−1] (F4), the warping path
+//     ends at (q[m−1], t[n−1]), and col[m−1] is admissible. The column
+//     is summed in path order, as dtwBounded sums it, and rounded
+//     addition is monotone in each argument, so the bound stays ≤
+//     dtwBounded's value in floating point too. It dominates the
+//     paper's cell-min sums: a mapped path pays at least each path
+//     cell's nearest-query-point distance, starts at (q[0], first
+//     cell), and, complete, pays at least each minD[i].
 //   - LCSS: q[i] can ε-match a point of t only if minD[i] ≤ ε
 //     (complete, F2+F3). With R such query points, LCSS ≤ min(R, m,
 //     n), and distance = 1 − LCSS/min(m, n) ≥ 1 − R/min(m, MinLen)
@@ -427,17 +525,10 @@ func (b *PathBounder) LBo(meta NodeMeta) float64 {
 		}
 		return lb
 	case DTW:
-		lb := math.Max(b.sumCellMin, b.firstD)
-		if complete {
-			s := 0.0
-			for _, d := range b.minD {
-				s += d
-			}
-			if s > lb {
-				lb = s
-			}
+		if complete && len(b.col) > 0 {
+			return b.col[len(b.col)-1]
 		}
-		return lb
+		return b.colMin
 	case LCSS:
 		if !complete {
 			return 0
@@ -501,10 +592,11 @@ func (b *PathBounder) LBo(meta NodeMeta) float64 {
 // segment. Complete (F2 in LBo's comment), every sample point of t —
 // hence of seg ⊆ t — lies in some path cell, so d(q[i], x) ≥ minD[i]
 // for every x ∈ seg; the query-side aggregates over minD therefore
-// still apply. Every candidate-side term (maxCellMin, sumCellMin,
+// still apply. Every candidate-side term (maxCellMin, DTW's column,
 // sumCellGap, farCells, firstD, lastD) asserts that seg covers
 // specific path cells, which a segment need not, so they are all
-// dropped:
+// dropped. minD is maintained for DTW only when the QueryBounds was
+// reset with segments:
 //
 //   - Hausdorff / Frechet: the directed distance q→seg (respectively
 //     any coupling) matches every q[i] at cost ≥ minD[i], so

@@ -34,37 +34,178 @@ func memberSeq(rng *rand.Rand, maxLen int) []geo.Point {
 	return out
 }
 
+// quickDTWCount is how many random cases the admissibility tests give
+// DTW on top of the all-measure pass: its bound is the warping-column
+// DP, the most intricate of the six.
+const quickDTWCount = 2000
+
 // TestBounderAdmissibleQuick walks a bounder down the reference path
 // of a random trajectory and checks, at every prefix, that LBo never
 // exceeds the exact distance — the node-bound half of the
 // admissibility contract documented in doc.go. The trajectory stands
 // for a subtree member whose path passes through every prefix node.
 func TestBounderAdmissibleQuick(t *testing.T) {
-	f := func(seed int64, bitsRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := grid.NewWithBits(boundRegion, int(bitsRaw)%4+2)
+	check := func(measures []Measure) func(seed int64, bitsRaw uint8) bool {
+		return func(seed int64, bitsRaw uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g, err := grid.NewWithBits(boundRegion, int(bitsRaw)%4+2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := memberSeq(rng, 10)
+			q := randomSeq(rng, 8)
+			zs := refPath(g, tr)
+			for _, m := range measures {
+				exact := Distance(m, q, tr, testParams)
+				b := NewBounder(m, q, g.HalfDiagonal(), testParams)
+				meta := NodeMeta{MinLen: len(tr), MaxLen: len(tr)}
+				for i, z := range zs {
+					b.Extend(g.CellByZ(z))
+					meta.MaxDepthBelow = len(zs) - 1 - i
+					if lb := b.LBo(meta); lb > exact+1e-9 {
+						t.Fatalf("%v: depth %d/%d LBo %v > exact %v", m, i+1, len(zs), lb, exact)
+					}
+				}
+			}
+			return true
+		}
+	}
+	if err := quick.Check(check(Measures()), &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(check([]Measure{DTW}), &quick.Config{MaxCount: quickDTWCount}); err != nil {
+		t.Error(err)
+	}
+}
+
+// cellSumDTW is the DTW one-side bound the warping column replaced:
+// the larger of the sum over path cells of the cell's distance to the
+// nearest query point and the first cell's distance to q[0], and, when
+// the path is complete, the sum over query points of the distance to
+// the nearest path cell.
+func cellSumDTW(q []geo.Point, cells []grid.Cell, complete bool) float64 {
+	sumCellMin := 0.0
+	minD := make([]float64, len(q))
+	for i := range minD {
+		minD[i] = math.Inf(1)
+	}
+	for _, c := range cells {
+		cmin := math.Inf(1)
+		for i, p := range q {
+			d := c.Rect.DistPoint(p)
+			cmin = math.Min(cmin, d)
+			minD[i] = math.Min(minD[i], d)
+		}
+		sumCellMin += cmin
+	}
+	lb := math.Max(sumCellMin, cells[0].Rect.DistPoint(q[0]))
+	if complete {
+		s := 0.0
+		for _, d := range minD {
+			s += d
+		}
+		lb = math.Max(lb, s)
+	}
+	return lb
+}
+
+// TestDTWPathBoundDominatesCellSums: at every depth of random
+// run-collapsed paths, complete or not, DTW's warping-column LBo is at
+// least the cell-min sums it replaced, and strictly larger on a
+// substantial share of them: the new bound only ever prunes more.
+func TestDTWPathBoundDominatesCellSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xD7A))
+	total, larger := 0, 0
+	for n := 0; n < 3000; n++ {
+		g, err := grid.NewWithBits(boundRegion, 2+rng.Intn(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := memberSeq(rng, 10)
+		tr := memberSeq(rng, 12)
 		q := randomSeq(rng, 8)
 		zs := refPath(g, tr)
-		for _, m := range Measures() {
-			exact := Distance(m, q, tr, testParams)
-			b := NewBounder(m, q, g.HalfDiagonal(), testParams)
-			meta := NodeMeta{MinLen: len(tr), MaxLen: len(tr)}
-			for i, z := range zs {
-				b.Extend(g.CellByZ(z))
-				meta.MaxDepthBelow = len(zs) - 1 - i
-				if lb := b.LBo(meta); lb > exact+1e-9 {
-					t.Fatalf("%v: depth %d/%d LBo %v > exact %v", m, i+1, len(zs), lb, exact)
+		cells := make([]grid.Cell, len(zs))
+		b := NewBounder(DTW, q, g.HalfDiagonal(), testParams)
+		for i, z := range zs {
+			cells[i] = g.CellByZ(z)
+			b.Extend(cells[i])
+			for _, below := range []int{len(zs) - 1 - i, 0} {
+				complete := below == 0
+				lb := b.LBo(NodeMeta{MinLen: len(tr), MaxLen: len(tr), MaxDepthBelow: below})
+				old := cellSumDTW(q, cells[:i+1], complete)
+				if lb < old-1e-9 {
+					t.Fatalf("case %d depth %d/%d complete=%v: LBo %v below the cell-min sums %v (|q|=%d)", n, i+1, len(zs), complete, lb, old, len(q))
+				}
+				total++
+				if lb > old+1e-9 {
+					larger++
 				}
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
+	share := float64(larger) / float64(total)
+	t.Logf("warping column strictly above the cell-min sums in %d of %d bounds (%.2f)", larger, total, share)
+	if share < 0.40 {
+		t.Fatalf("the warping column beat the cell-min sums in only %d of %d bounds", larger, total)
+	}
+}
+
+// TestDTWPathBoundEdgeShapes pins DTW's LBo where the warping column
+// has one row or one step. With one query point every alignment
+// matches it to every path cell, so the bound is the sum of its cell
+// distances, complete or not. On a one-cell path the column is the
+// prefix sums of the query's distances to that cell: q[0]'s distance
+// incomplete, the whole sum complete. Both equal the cell-min sums
+// exactly, and stay below the exact distance to members drawn from the
+// path.
+func TestDTWPathBoundEdgeShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x1CE11))
+	g, err := grid.NewWithBits(boundRegion, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 200; n++ {
+		var q []geo.Point
+		var zs []uint64
+		if n%2 == 0 {
+			q = randomSeq(rng, 1) // |q| = 1
+			zs = refPath(g, memberSeq(rng, 10))
+		} else {
+			q = randomSeq(rng, 8)
+			zs = []uint64{g.ZOf(memberSeq(rng, 1)[0])} // one-cell path
+		}
+		cells := make([]grid.Cell, len(zs))
+		b := NewBounder(DTW, q, g.HalfDiagonal(), testParams)
+		sum := 0.0
+		for i, z := range zs {
+			cells[i] = g.CellByZ(z)
+			b.Extend(cells[i])
+			sum += cells[i].Rect.DistPoint(q[0])
+			for _, complete := range []bool{false, true} {
+				meta := NodeMeta{MaxDepthBelow: 1}
+				if complete {
+					meta.MaxDepthBelow = 0
+				}
+				lb := b.LBo(meta)
+				want := sum
+				if len(zs) == 1 && complete {
+					want = 0
+					for _, p := range q {
+						want += cells[0].Rect.DistPoint(p)
+					}
+				}
+				if lb != want || lb != cellSumDTW(q, cells[:i+1], complete) {
+					t.Fatalf("case %d (|q|=%d, %d cells) depth %d complete=%v: LBo %v, want %v = the cell-min sums %v",
+						n, len(q), len(zs), i+1, complete, lb, want, cellSumDTW(q, cells[:i+1], complete))
+				}
+			}
+		}
+		leaf := b.LBt(LeafMeta{})
+		for _, mem := range leafMembers(rng, g, zs, 3) {
+			if exact := Distance(DTW, q, mem, testParams); leaf > exact+1e-9 {
+				t.Fatalf("case %d (|q|=%d, %d cells): LBt %v > exact %v", n, len(q), len(zs), leaf, exact)
+			}
+		}
 	}
 }
 
@@ -132,40 +273,45 @@ func leafMembers(rng *rand.Rand, g *grid.Grid, zs []uint64, count int) [][]geo.P
 // (including the metric Dmax term) never exceeds the exact distance
 // to any member: the leaf-bound half of the admissibility contract.
 func TestLeafBoundAdmissibleQuick(t *testing.T) {
-	f := func(seed int64, bitsRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := grid.NewWithBits(boundRegion, int(bitsRaw)%4+2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zs := refPath(g, memberSeq(rng, 8))
-		members := leafMembers(rng, g, zs, 1+rng.Intn(4))
-		refPts := g.ReferencePoints(zs)
-		q := randomSeq(rng, 8)
-		for _, m := range Measures() {
-			meta := LeafMeta{NodeMeta: NodeMeta{MinLen: math.MaxInt32, MaxLen: 0}}
-			for _, mem := range members {
-				meta.MinLen = min(meta.MinLen, len(mem))
-				meta.MaxLen = max(meta.MaxLen, len(mem))
-				if m.IsMetric() { // as rptrie's finalize does
-					meta.Dmax = math.Max(meta.Dmax, Distance(m, mem, refPts, testParams))
+	check := func(measures []Measure) func(seed int64, bitsRaw uint8) bool {
+		return func(seed int64, bitsRaw uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g, err := grid.NewWithBits(boundRegion, int(bitsRaw)%4+2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zs := refPath(g, memberSeq(rng, 8))
+			members := leafMembers(rng, g, zs, 1+rng.Intn(4))
+			refPts := g.ReferencePoints(zs)
+			q := randomSeq(rng, 8)
+			for _, m := range measures {
+				meta := LeafMeta{NodeMeta: NodeMeta{MinLen: math.MaxInt32, MaxLen: 0}}
+				for _, mem := range members {
+					meta.MinLen = min(meta.MinLen, len(mem))
+					meta.MaxLen = max(meta.MaxLen, len(mem))
+					if m.IsMetric() { // as rptrie's finalize does
+						meta.Dmax = math.Max(meta.Dmax, Distance(m, mem, refPts, testParams))
+					}
+				}
+				b := NewBounder(m, q, g.HalfDiagonal(), testParams)
+				for _, z := range zs {
+					b.Extend(g.CellByZ(z))
+				}
+				lb := b.LBt(meta)
+				for _, mem := range members {
+					if exact := Distance(m, q, mem, testParams); lb > exact+1e-9 {
+						t.Fatalf("%v: LBt %v > exact %v (|ref|=%d, Dmax=%v)",
+							m, lb, exact, len(zs), meta.Dmax)
+					}
 				}
 			}
-			b := NewBounder(m, q, g.HalfDiagonal(), testParams)
-			for _, z := range zs {
-				b.Extend(g.CellByZ(z))
-			}
-			lb := b.LBt(meta)
-			for _, mem := range members {
-				if exact := Distance(m, q, mem, testParams); lb > exact+1e-9 {
-					t.Fatalf("%v: LBt %v > exact %v (|ref|=%d, Dmax=%v)",
-						m, lb, exact, len(zs), meta.Dmax)
-				}
-			}
+			return true
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(check(Measures()), &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(check([]Measure{DTW}), &quick.Config{MaxCount: quickDTWCount}); err != nil {
 		t.Error(err)
 	}
 }
@@ -263,7 +409,7 @@ func TestCellMemoTableGrowth(t *testing.T) {
 	for _, m := range Measures() {
 		q := randomSeq(rng, 8)
 		kept := len(qb.table)
-		qb.Reset(m, q, g, testParams)
+		qb.Reset(m, q, g, testParams, false)
 		if len(qb.table) != kept || len(qb.cells) != 0 {
 			t.Fatalf("%v: Reset left a table of %d slots (was %d) and %d entries", m, len(qb.table), kept, len(qb.cells))
 		}
@@ -318,7 +464,7 @@ func TestCellMemoTableGrowth(t *testing.T) {
 func TestCellMemoCollidingZ(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC011))
 	q := randomSeq(rng, 6)
-	qb := NewQueryBounds(Hausdorff, q, nil, testParams)
+	qb := NewQueryBounds(Hausdorff, q, nil, testParams, false)
 	seen := map[uint64]int{}
 	var zs []uint64
 	for _, shift := range []uint{16, 32, 44} {

@@ -57,6 +57,17 @@
 //     rectangle form of the paper's "distance to the reference point
 //     minus the cell half-diagonal √2·δ/2", and is never looser.)
 //
+// Most bounds aggregate those distances without regard to order. DTW's
+// does not. A path cell is one run of a member's consecutive sample
+// points, so every warping path between the query and a member
+// collapses onto a monotone path between the query and the node's path
+// cells. The bound is therefore a warping DP over point-to-rectangle
+// costs: one column per path, advanced in O(|q|) per cell and forked
+// with the path. It dominates the paper's one-side DTW bound and is
+// checked against it (TestDTWPathBoundDominatesCellSums). The argument
+// is written out on LBo. It does not carry over to LCSS, EDR or ERP,
+// which match each point of a run one to one.
+//
 // The contract is enforced by tests: bound_test.go checks bounder
 // bounds against exact distances along randomly generated trie paths
 // (TestBounderAdmissibleQuick, TestLeafBoundAdmissibleQuick), and
@@ -73,8 +84,9 @@
 // [DistanceBoundedScratch]); the bound machinery shares one
 // [QueryBounds] per query, which memoizes point-to-cell distances by
 // z-value (each distinct cell pays its O(|q|) rectangle-distance scan
-// once per query) and recycles [PathBounder] states through an
-// internal arena (Fork/Release) instead of allocating clones. The memo
+// once per query) and recycles [PathBounder] states, DTW's warping
+// column included, through an internal arena (Fork/Release) instead of
+// allocating clones. The memo
 // is an open-addressed table of (z, entry index) slots — multiplicative
 // hash, linear probing, a power of two in size, doubled at load ½ and
 // cleared, not freed, between queries — because every node the search

@@ -125,7 +125,7 @@ func TestLBoSubAdmissibleQuick(t *testing.T) {
 		zs := refPath(g, tr)
 		for _, m := range Measures() {
 			exact, _, _ := bruteSub(m, q, tr, testParams, 1, 0)
-			b := NewQueryBounds(m, q, nil, testParams).Root()
+			b := NewQueryBounds(m, q, nil, testParams, true).Root()
 			meta := NodeMeta{MinLen: len(tr), MaxLen: len(tr)}
 			for i, z := range zs {
 				b.Extend(g.CellByZ(z))
@@ -156,7 +156,7 @@ func TestLBoSubNeverExceedsLBo(t *testing.T) {
 		q := randomSeq(rng, 8)
 		zs := refPath(g, tr)
 		for _, m := range Measures() {
-			b := NewQueryBounds(m, q, nil, testParams).Root()
+			b := NewQueryBounds(m, q, nil, testParams, true).Root()
 			for _, z := range zs {
 				b.Extend(g.CellByZ(z))
 			}

@@ -70,9 +70,10 @@
 //
 // Algorithm 2 puts every node it reaches through one priority queue.
 // Most of them need no ordering. A node with no '$' payload and exactly
-// one child — a link — can only ever push that child back, and under a
-// weak bound almost every node is a link: on the benchmark's T-drive
-// 1/16 corpus a DTW query used to pop 37,923 nodes to push 41,288. So
+// one child — a link — can only ever push that child back, and most
+// nodes a DTW query reaches are links: on the benchmark's T-drive 1/16
+// corpus a DTW query under the paper's cell-min bound used to pop
+// 37,923 nodes to push 41,288. So
 // expand, after extending a child's bound state and finding its bound
 // below the threshold, asks the child whether it is a link (searchNode's
 // only method, answered natively by each layout); if so it extends the
@@ -90,7 +91,10 @@
 // the chain and carries it down. Each term of those bounds only grows
 // along a path, so the replacing bound is never smaller, and the entry
 // stands in the queue where the last of the entries it replaces would
-// have. The threshold the walk compares against is the one expand
+// have. (DTW's warping column is no exception: every new column entry
+// extends some old one by a non-negative cost, so the column minimum
+// never falls, and a complete node's last entry is at least that
+// minimum.) The threshold the walk compares against is the one expand
 // started with; it can only have tightened by the time the queued walk
 // would have reached the same node, so the in-place walk may evaluate a
 // few nodes the queued one would have discarded at a pop (3 % more on
@@ -126,7 +130,11 @@
 // same order with the same exact computations as before while a DTW
 // query's expansions fall from 37,923 to 9,201 and its pushes from
 // 41,288 to 13,718; internal/cluster's TestChainWalkCountGate pins both
-// halves on a 1/256 fixture.
+// halves on a 1/256 fixture. DTW's order-aware bound (a warping DP
+// column per path, see internal/dist) later took the same query to
+// 5,992 expansions, 8,816 pushes and 889.6 exact computations (from
+// 2,090.5); the gate's pinned refinement counts are that bound's, and
+// TestDTWPathBoundCountGate holds its cut.
 //
 // # Parallel leaf refinement and the atomic threshold
 //

@@ -23,7 +23,7 @@ func searchRadius(ctx context.Context, cfg Config, st *state, sc *searchScratch,
 		return nil, err
 	}
 	rq.dqp = rq.queryPivots(q)
-	sc.qb.Reset(cfg.Measure, q, cfg.Grid, cfg.Params)
+	sc.qb.Reset(cfg.Measure, q, cfg.Grid, cfg.Params, rq.subseq)
 	sc.items = sc.items[:0]
 	// Pending inserts sit outside the trie: scan them exactly.
 	for _, tr := range rq.adds {

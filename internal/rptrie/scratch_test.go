@@ -2,6 +2,7 @@ package rptrie
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -89,6 +90,63 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 			if !bitIdentical(got, want) {
 				t.Fatalf("%v trial %d k=%d qlen=%d: pooled %v != fresh %v", m, trial, k, qlen, got, want)
 			}
+		}
+	}
+}
+
+// TestScratchSegmentBoundsDoNotLeak: under DTW a query maintains the
+// query-side minima LBoSub reads only when it asks for segment bounds.
+// On the chain corpus, every layout answers an interleaving of
+// whole-trajectory top-k, subtrajectory top-k, and plain and
+// subtrajectory radius queries through one search scratch, and every
+// answer is oracle-exact. A scratch that carried one query's "no segment
+// bounds" into the next subtrajectory query would prune its leaves on
+// minima that were never computed.
+func TestScratchSegmentBoundsDoNotLeak(t *testing.T) {
+	p := dist.Params{Epsilon: 0.5, Gap: geo.Point{}}
+	const seed = 0x5E6
+	w, rng := newChainWorld(t, dist.DTW, p, seed)
+	queries := chainQueries(rng, w.mirror.Slice(), 24)
+	for _, layout := range dynLayouts {
+		st := w.idxs[layout].(interface{ state() *state }).state()
+		sc := &searchScratch{qb: &dist.QueryBounds{}}
+		for qi, q := range queries {
+			k := 1 + rng.Intn(6)
+			sp := RefineSpec{Sub: true, MinSeg: 1 + rng.Intn(3), MaxSeg: 4 + rng.Intn(6)}
+			sub := SearchOptions{Refiner: NewRefiner(dist.DTW, p, sp)}
+			ctx := fmt.Sprintf("seed=%d layout=%s q[%d] k=%d", seed, layout, qi, k)
+
+			s := newSearcher(nil, w.cfg, st, sc, SearchOptions{})
+			got, _, err := s.run(st.core.rootRef(sc), q, k, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			assertExactTopK(t, ctx+" top-k", dist.DTW, p, w.mirror, q, k, got)
+
+			s = newSearcher(nil, w.cfg, st, sc, sub)
+			got, _, err = s.run(st.core.rootRef(sc), q, k, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			want := w.mirror.TopKRefined(dist.DTW, p, q, k, specOracle(sp))
+			assertRefinedTopK(t, ctx+" sub top-k", dist.DTW, p, w.mirror, q, specOracle(sp), got, want)
+
+			radius := w.mirror.TopK(dist.DTW, p, q, k)[0].Dist * (1 + rng.Float64())
+			got, err = searchRadius(nil, w.cfg, st, sc, q, radius, SearchOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			assertRefinedItems(t, ctx+fmt.Sprintf(" radius=%g", radius), got, w.mirror.Radius(dist.DTW, p, q, radius))
+
+			if len(want) == 0 {
+				t.Fatalf("%s: no segment qualifies, the sub queries test nothing", ctx)
+			}
+			radius = want[len(want)-1].Dist
+			got, err = searchRadius(nil, w.cfg, st, sc, q, radius, sub)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			assertRefinedItems(t, ctx+fmt.Sprintf(" sub radius=%g", radius), got, w.mirror.RadiusRefined(dist.DTW, p, q, radius, specOracle(sp)))
 		}
 	}
 }

@@ -285,7 +285,7 @@ func (s *searcher) boundWalk(root searchNode, q []geo.Point, stats *SearchStats)
 	sc.res.Reset(1)
 	dqp := s.queryPivots(q)
 	pq := &sc.pq
-	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params)
+	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params, s.subseq)
 	s.chainBudget = boundBudget
 	s.expand(root, sc.qb.Root(), pq, &sc.res, dqp, stats)
 	for pq.len() > 0 {
@@ -450,7 +450,7 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 	dqp := s.queryPivots(q)
 
 	pq := &sc.pq
-	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params)
+	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params, s.subseq)
 	s.chainBudget = math.MaxInt
 	s.expand(root, sc.qb.Root(), pq, results, dqp, &stats)
 
