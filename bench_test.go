@@ -193,6 +193,7 @@ func BenchmarkSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer idx.Close()
 		ctx := context.Background()
 		// Warm the per-partition scratch pools (and the pooled shared
 		// result heap) so allocs/op is the steady-state engine call —
@@ -392,6 +393,7 @@ func BenchmarkSearchRadius(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer idx.Close()
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -421,6 +423,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer idx.Close()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -464,6 +467,7 @@ func BenchmarkRefineWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer idx.Close()
 	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -24,8 +24,9 @@ import (
 //	idx, err := repose.Build(ds, repose.Options{}, repose.WithDurableDir("/var/lib/repose"))
 //
 // A later repose.OpenDurable(dir) recovers the index without the
-// dataset. Local engine only; remote workers persist with the
-// repose-worker binary's -data-dir flag instead.
+// dataset. It applies to Build, whose worker runs in this process;
+// BuildRemote ignores it, because a worker process persists its own
+// partitions (the repose-worker binary's -data-dir flag).
 func WithDurableDir(dir string) BuildOption {
 	return func(o *Options) { o.DurableDir = dir }
 }
@@ -93,11 +94,11 @@ func OpenDurable(dir string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := cluster.OpenLocalDurable(m.Spec, m.Opts.Partitions, m.Opts.Workers, dir)
+	eng, err := cluster.OpenInProcess(m.Spec, m.Opts.Partitions, m.Opts.Workers, dir)
 	if err != nil {
 		return nil, err
 	}
 	m.Opts.DurableDir = dir                 // the directory may have moved since the build
 	m.Opts.Partitions = eng.NumPartitions() // and split partitions since
-	return &Index{eng: engineLocal{eng}, region: m.Region, opts: m.Opts}, nil
+	return &Index{eng: eng, kind: "local", region: m.Region, opts: m.Opts}, nil
 }

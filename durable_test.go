@@ -126,9 +126,13 @@ func TestDurableReopenAfterSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved := idx.eng.(engineLocal).c.Indexes()[newPid].(interface{ LiveIDs() []int }).LiveIDs()
-	if len(moved) == 0 {
-		t.Fatal("split moved nothing")
+	inNew, err := idx.SearchRadius(ctx, ds[0], math.MaxFloat64, WithPartitions(newPid))
+	if err != nil || len(inNew) == 0 {
+		t.Fatalf("split moved nothing (err %v)", err)
+	}
+	var moved []int
+	for _, it := range inNew {
+		moved = append(moved, it.ID)
 	}
 	live := oracle.NewSet(ds)
 	rng := rand.New(rand.NewSource(23))

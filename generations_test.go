@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestHealthLocalEngine pins the local engine's Health surface: a
-// synthetic single-worker snapshot while open, marked down once the
-// index closes — so callers (the serve gateway's /healthz) need no
-// engine-specific branches.
+// TestHealthLocalEngine pins a local index's Health surface: its one
+// in-process worker, healthy while open and down once the index closes
+// — so callers (the serve gateway's /healthz) need no deployment-
+// specific branches.
 func TestHealthLocalEngine(t *testing.T) {
 	ds := testData(t, 40)
 	idx, err := Build(ds, Options{Partitions: 2})

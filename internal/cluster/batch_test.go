@@ -14,10 +14,7 @@ import (
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	ds, parts, spec := testWorld(t, 250, 6)
-	eng, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := inproc(t, spec, parts, 4, false)
 	queries := dataset.Queries(ds, 8, 5)
 	qpts := make([][]geo.Point, len(queries))
 	for i, q := range queries {
@@ -59,10 +56,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 
 func TestSearchBatchEmpty(t *testing.T) {
 	_, parts, spec := testWorld(t, 50, 2)
-	eng, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := inproc(t, spec, parts, 2, false)
 	out, report, err := eng.SearchBatch(context.Background(), nil, 5, QueryOptions{})
 	if err != nil || out != nil {
 		t.Errorf("empty batch: %v, %v", out, err)
@@ -76,10 +70,7 @@ func TestSearchBatchEmpty(t *testing.T) {
 // in mind: many queries over shared read-only indexes.
 func TestSearchBatchConcurrentSafety(t *testing.T) {
 	ds, parts, spec := testWorld(t, 150, 8)
-	eng, err := BuildLocal(spec, parts, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := inproc(t, spec, parts, 8, false)
 	queries := dataset.Queries(ds, 30, 7)
 	qpts := make([][]geo.Point, len(queries))
 	for i, q := range queries {
@@ -87,9 +78,6 @@ func TestSearchBatchConcurrentSafety(t *testing.T) {
 	}
 	if _, _, err := eng.SearchBatch(context.Background(), qpts, 5, QueryOptions{}); err != nil {
 		t.Fatal(err)
-	}
-	if got := len(eng.Indexes()); got != 8 {
-		t.Errorf("Indexes len = %d", got)
 	}
 }
 
@@ -114,10 +102,10 @@ func (gateIndex) SizeBytes() int { return 0 }
 // TestScanCapBoundsBatches: a batch's (query, partition) tasks take the
 // same scan slots as every other query on the engine. Before the fix a
 // batch ran on private goroutines, so two overlapping batches — or a
-// batch next to a Search — exceeded a Local engine's Workers cap, and a
-// worker's SetQueryWorkers cap did not bound the batched queries the
-// gateway's micro-batcher sends. With one slot, at most one scan may
-// ever be in flight, on a Local engine and on a Worker.
+// batch next to a Search — exceeded a Local's scan cap, and a worker's
+// SetQueryWorkers cap did not bound the batched queries the gateway's
+// micro-batcher sends. With one slot, at most one scan may ever be in
+// flight, on a Local and on a Worker.
 func TestScanCapBoundsBatches(t *testing.T) {
 	const nparts = 4
 	qs := [][]geo.Point{{{X: 1, Y: 1}}, {{X: 2, Y: 2}}, {{X: 3, Y: 3}}}
@@ -148,7 +136,7 @@ func TestScanCapBoundsBatches(t *testing.T) {
 		for i := range indexes {
 			indexes[i] = gateIndex{&inflight, &peak}
 		}
-		c := localView(indexes, nil, 1)
+		c := &Local{parts: indexes, sem: make(chan struct{}, 1)}
 		ctx := context.Background()
 		batch := func() error { _, _, err := c.SearchBatch(ctx, qs, 3, QueryOptions{}); return err }
 		search := func() error { _, _, err := c.Search(ctx, qs[0], 3, QueryOptions{}); return err }
@@ -159,7 +147,7 @@ func TestScanCapBoundsBatches(t *testing.T) {
 		w := NewWorker()
 		w.SetQueryWorkers(1)
 		for pid := 0; pid < nparts; pid++ {
-			w.indexes[pid] = gateIndex{&inflight, &peak}
+			w.swap(pid, gateIndex{&inflight, &peak})
 		}
 		batch := func() error {
 			args := &QueryArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Kind: KindTopK, Queries: qs, K: 3}

@@ -45,6 +45,53 @@ func testWorld(t *testing.T, n, nparts int) ([]*geo.Trajectory, [][]*geo.Traject
 	return ds, parts, idxSpec
 }
 
+// inproc builds spec on one in-process worker capped at workers
+// scan slots, every partition disk-backed when durable is set, and
+// closes the engine when the test ends.
+func inproc(t *testing.T, spec IndexSpec, parts [][]*geo.Trajectory, workers int, durable bool) *Remote {
+	t.Helper()
+	dir := ""
+	if durable {
+		dir = t.TempDir()
+	}
+	r, err := BuildInProcess(spec, parts, workers, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// remoteOn builds spec on the workers at addrs and closes the engine
+// when the test ends.
+func remoteOn(t *testing.T, spec IndexSpec, parts [][]*geo.Trajectory, addrs []string) *Remote {
+	t.Helper()
+	r, err := BuildRemote(spec, parts, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// buildOn builds part as partition pid on w.
+func buildOn(t *testing.T, w *Worker, pid int, spec IndexSpec, part []*geo.Trajectory) BuildReply {
+	t.Helper()
+	var br BuildReply
+	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: pid, Spec: spec, Trajectories: part}, &br); err != nil {
+		t.Fatal(err)
+	}
+	return br
+}
+
+// partIndex returns partition pid's index on an in-process engine's
+// worker.
+func partIndex(r *Remote, pid int) rptrie.Index {
+	r.worker.mu.Lock()
+	defer r.worker.mu.Unlock()
+	return r.worker.indexes[pid].(rptrie.Index)
+}
+
 // workerTopK asks w for the top-k of q over every partition it owns
 // with one direct Worker.Query and merges the reply's rows, as the
 // driver does.
@@ -87,10 +134,7 @@ func TestLocalClusterAllAlgorithms(t *testing.T) {
 	for _, a := range algos {
 		sp := spec
 		a.mod(&sp)
-		c, err := BuildLocal(sp, parts, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", a.name, err)
-		}
+		c := inproc(t, sp, parts, 4, false)
 		if c.Len() != len(ds) {
 			t.Fatalf("%s: Len %d want %d", a.name, c.Len(), len(ds))
 		}
@@ -155,15 +199,8 @@ func startWorkers(t *testing.T, n int) []string {
 func TestRemoteClusterMatchesLocal(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 8)
 	addrs := startWorkers(t, 3)
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	local, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := remoteOn(t, spec, parts, addrs)
+	local := inproc(t, spec, parts, 4, false)
 	if remote.Len() != local.Len() {
 		t.Fatalf("Len: remote %d local %d", remote.Len(), local.Len())
 	}
@@ -179,14 +216,7 @@ func TestRemoteClusterMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _, _ := local.Search(context.Background(), q.Points, 10, QueryOptions{})
-		if len(got) != len(want) {
-			t.Fatalf("len %d want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("rank %d: %+v vs %+v", i, got[i], want[i])
-			}
-		}
+		assertBitIdentical(t, "TCP vs in-process", 0, got, want)
 		if len(rep.PartitionTimes) != 8 {
 			t.Fatalf("report partitions = %d", len(rep.PartitionTimes))
 		}
@@ -225,10 +255,7 @@ func TestWorkerClearAndPing(t *testing.T) {
 		t.Error("empty worker search should fail")
 	}
 	_, parts, spec := testWorld(t, 40, 2)
-	var brep BuildReply
-	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &brep); err != nil {
-		t.Fatal(err)
-	}
+	brep := buildOn(t, w, 0, spec, parts[0])
 	if brep.Len != len(parts[0]) || brep.BuildNanos <= 0 {
 		t.Errorf("build reply %+v", brep)
 	}

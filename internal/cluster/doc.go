@@ -4,25 +4,31 @@
 // partition (the RpTraj pairing of data and index), queries broadcast
 // to all partitions, and the master merges local top-k results.
 //
-// This package reproduces that dataflow with two interchangeable
-// transports behind one Engine interface: an in-process engine that
-// runs partitions on goroutines (Local), and a multi-process engine
-// that ships partitions to worker processes over net/rpc + gob
-// (Remote) for multi-node simulation on one machine. Every query
-// method takes a context — deadlines and cancellations stop partition
-// scans mid-flight on either transport; the wire protocol carries
-// per-query ids and deadlines so the driver can abort straggler
-// workers remotely.
+// This package reproduces that dataflow with one engine and two
+// callers. The engine (Remote) is the driver: it places partitions on
+// Workers, routes mutations, scatters queries, and merges. A caller is
+// how it reaches a worker — net/rpc + gob over TCP to a worker process
+// (BuildRemote), for multi-node simulation on one machine, or a direct
+// call into a Worker in the same process (BuildInProcess, behind
+// repose.Build). Replication, failover, the prober, rebalancing and
+// splits therefore exist once, whichever caller carries the calls, and
+// an in-process caller can be wrapped to fault exactly the calls a test
+// names. Every query method takes a context — deadlines and
+// cancellations stop partition scans mid-flight; the wire protocol
+// carries per-query ids and deadlines so the driver can abort straggler
+// workers remotely, and an in-process call runs under the driver's
+// context itself.
 //
 // The query dataflow is written once (plan.go): a planner — partition
 // selection, re-planning after a concurrent split, the probe budget's
 // waves, the merge, the load tracker, the report — over a
 // partitionClient, whose one method runs a wave of partition-local
-// work (top-k, bound, or radius) for one or more queries. Local's wave
-// runs one task per (query, partition) on the engine's shared scan
-// slots; Remote's sends one Worker.Query per worker group through the
-// failover scatter; and Worker.Query runs Local's wave on a view of
-// the partitions the worker owns, so both engines scan the same way.
+// work (top-k, bound, or radius) for one or more queries. The engine's
+// wave sends one Worker.Query per worker group through the failover
+// scatter, and Worker.Query runs Local's wave — one task per (query,
+// partition) on the worker's scan slots — over the partitions the
+// worker owns. Local is also a read-only engine of its own (BuildLocal)
+// that runs its waves itself, which the paper-table experiments use.
 //
 // A partition holds a LocalIndex — Search, Len, SizeBytes: the least
 // any index offers, the baselines included. A REPOSE partition is
@@ -35,6 +41,12 @@
 // (closeDurable, destroyDurable, RecoveredPartitions) still asks for
 // *rptrie.Durable, because that is a question about the partition, not
 // about its layout.
+//
+// An application error a worker returns is surfaced, never failed
+// over: over TCP it arrives as an rpc.ServerError string, in process as
+// a workerError that keeps its errors.Is identity. Only transport
+// failures — a broken connection, a timeout, an injected fault — strike
+// a worker and move its partitions to their next replicas.
 //
 // The paper inherits fault tolerance from Spark's RDD lineage; this
 // engine replicates instead (IndexSpec.Replicas): each partition is
@@ -104,13 +116,17 @@
 // counts, and QueryReply's per-partition rows keep their meaning. The
 // planner creates the heap per query — per Search, where the probe
 // budget's survivor wave inherits the head wave's, and per query of a
-// SearchBatch — and Local's waves prune against it. A heap cannot
-// cross the wire: a worker creates its own per query of each
-// Worker.Query and shares it across the partitions it owns, so every
-// remote wave — a probe budget's survivor wave, a retried or hedged
-// call — starts from +∞ on each worker. Sharing is passive: a scan
-// never waits for another, and the scatter has no extra wave or
-// barrier. Splits are why the heap
+// SearchBatch. The heap crosses in-process calls but not the wire: an
+// in-process worker prunes against the driver's heap, so a retried or
+// hedged attempt inherits what earlier attempts found (every item in
+// the heap is a real trajectory at its true distance, so the threshold
+// stays admissible), while a worker process creates its own heap per
+// query of each Worker.Query and shares it across the partitions it
+// owns, so every wave over TCP starts from +∞ on each worker. A heap
+// the driver stopped waiting on — a timed-out, hedged or abandoned
+// in-process call may still be scanning with it — is never recycled.
+// Sharing is passive: a scan never waits for another, and the scatter
+// has no extra wave or barrier. Splits are why the heap
 // holds distinct ids: inside the install→prune window a moved
 // trajectory is offered from two partitions, and counting it twice
 // would tighten the threshold to the (k−1)-th distance. Splits are

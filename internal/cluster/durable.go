@@ -4,27 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strconv"
 	"time"
 
-	"repose/internal/geo"
-	"repose/internal/grid"
-	"repose/internal/partition"
 	"repose/internal/rptrie"
 	"repose/internal/storage"
 )
 
-// Disk-backed partitions: when an engine or worker is given a data
-// directory, every REPOSE partition index lives in its own
-// subdirectory ("p<pid>") as an rptrie.Durable — two alternating
-// checkpoint image slots + a WAL. A restarted process recovers each
-// partition from its own log (OpenDurable) instead of rebuilding from the
-// dataset or streaming an image from a peer; the driver's failure
-// detector only falls back to Worker.Restore when the recovered
-// generation is behind the authoritative one. Baseline indexes have
-// no persistence and pass through unchanged.
+// Disk-backed partitions: when a worker is given a data directory
+// (NewDurableWorker, or BuildInProcess with one), every REPOSE
+// partition index lives in its own subdirectory ("p<pid>") as an
+// rptrie.Durable — two alternating checkpoint image slots + a WAL. A
+// restarted process recovers each partition from its own log
+// (OpenDurable) instead of rebuilding from the dataset or streaming an
+// image from a peer; the driver's failure detector only falls back to
+// Worker.Restore when the recovered generation is behind the
+// authoritative one. Baseline indexes have no persistence and pass
+// through unchanged.
 
 // partDirName returns the subdirectory holding one partition's store.
 func partDirName(pid int) string { return "p" + strconv.Itoa(pid) }
@@ -105,43 +101,16 @@ func recoverDurablePartitions(dataDir string) (recovered map[int]*rptrie.Durable
 	return recovered, unrecoverable, nil
 }
 
-// BuildLocalDurable is BuildLocal with every REPOSE partition index
-// installed disk-backed under dataDir ("p<pid>" per partition). The
-// build returns only after every partition's initial checkpoint is on
-// disk.
-func BuildLocalDurable(spec IndexSpec, parts [][]*geo.Trajectory, workers int, dataDir string) (*Local, error) {
-	fs := storage.OSFS{}
-	if err := fs.MkdirAll(dataDir); err != nil {
-		return nil, err
-	}
-	c, err := BuildLocal(spec, parts, workers)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	indexes := c.parts()
-	for pid, idx := range indexes {
-		d, err := wrapDurablePartition(dataDir, pid, idx)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		indexes[pid] = d
-	}
-	c.setParts(indexes)
-	c.dataDir = dataDir
-	c.buildTime += time.Since(start)
-	return c, nil
-}
-
-// OpenLocalDurable recovers a BuildLocalDurable engine from its data
-// directory. The engine has as many partitions as the directory holds
-// recoverable stores — more than it was built with after a
+// OpenInProcess recovers a BuildInProcess engine from its data
+// directory onto a fresh in-process worker capped at workers concurrent
+// partition scans. The engine has as many partitions as the directory
+// holds recoverable stores — more than it was built with after a
 // SplitPartition — and they must be exactly p0..p<n-1>, with n at least
 // minPartitions: recovery is all-or-nothing. Each store replays its own
-// WAL to its exact pre-crash generation, and the mutation-routing
-// directory is rebuilt from the recovered live ids.
-func OpenLocalDurable(spec IndexSpec, minPartitions, workers int, dataDir string) (*Local, error) {
+// WAL to its exact pre-crash generation; the engine takes every
+// partition's generation, length and size from its recovered index and
+// rebuilds the mutation-routing directory from the recovered live ids.
+func OpenInProcess(spec IndexSpec, minPartitions, workers int, dataDir string) (*Remote, error) {
 	if minPartitions <= 0 {
 		return nil, errors.New("cluster: durable open needs a positive partition count")
 	}
@@ -167,22 +136,25 @@ func OpenLocalDurable(spec IndexSpec, minPartitions, workers int, dataDir string
 		}
 		indexes[pid] = d
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	dir, err := recoveredDirectory(spec, indexes)
 	if err != nil {
 		closeAll()
 		return nil, err
 	}
-	c := &Local{
-		sem:       make(chan struct{}, workers),
-		buildTime: time.Since(start),
-		dir:       dir,
-		dataDir:   dataDir,
+	r, err := connectInProcess(newDataWorker(dataDir, recovered), workers)
+	if err != nil {
+		closeAll()
+		return nil, err
 	}
-	c.setParts(indexes)
-	return c, nil
+	r.place(len(indexes))
+	for pid, d := range recovered {
+		r.curGen[pid], r.repGen[pid][0] = d.Generation(), d.Generation()
+		r.partLen[pid].Store(int64(d.Len()))
+		r.partSizes[pid] = d.SizeBytes()
+	}
+	r.buildTime = time.Since(start)
+	r.start(dir)
+	return r, nil
 }
 
 // recoveredDirectory rebuilds the driver-side routing directory from
@@ -197,22 +169,13 @@ func recoveredDirectory(spec IndexSpec, indexes []LocalIndex) (*directory, error
 	d := &directory{loc: make(map[int32]int), spec: spec}
 	for pid, idx := range indexes {
 		if dur, ok := idx.(*rptrie.Durable); ok {
-			ids := dur.LiveIDs()
-			sort.Ints(ids)
-			for _, id := range ids {
+			for _, id := range dur.LiveIDs() {
 				d.loc[int32(id)] = pid
 			}
 		}
 	}
-	g, err := grid.New(spec.Region, spec.Delta)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: recovered directory grid: %w", err)
+	if err := d.route(len(indexes)); err != nil {
+		return nil, fmt.Errorf("cluster: recovering: %w", err)
 	}
-	r, err := partition.NewOnlineRouter(spec.Strategy, g, len(indexes), spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: recovered directory router: %w", err)
-	}
-	d.grid = g
-	d.router = r
 	return d, nil
 }

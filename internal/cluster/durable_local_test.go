@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,9 +18,9 @@ import (
 	"repose/internal/storage"
 )
 
-// TestLocalDurableBuildOpen: the local engine's disk-backed mode, all
-// three layouts. Build installs every partition under the data
-// directory, mutations journal, Close flushes, and OpenLocalDurable
+// TestLocalDurableBuildOpen: the in-process engine's disk-backed mode,
+// all three layouts. BuildInProcess installs every partition under the
+// data directory, mutations journal, Close flushes, and OpenInProcess
 // recovers the engine — routing directory included — to bit-identical
 // answers, with mutation routing still working after recovery.
 func TestLocalDurableBuildOpen(t *testing.T) {
@@ -32,7 +33,7 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 			spec.Layout = layout
 			ctx := context.Background()
 
-			eng, err := BuildLocalDurable(spec, parts, 4, dir)
+			eng, err := BuildInProcess(spec, parts, 4, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,9 +62,9 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			re, err := OpenLocalDurable(spec, len(parts), 0, dir)
+			re, err := OpenInProcess(spec, len(parts), 0, dir)
 			if err != nil {
-				t.Fatalf("OpenLocalDurable: %v", err)
+				t.Fatalf("OpenInProcess: %v", err)
 			}
 			defer re.Close()
 			if re.NumPartitions() != len(parts) || re.Len() != wantLen {
@@ -101,8 +102,21 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 	}
 }
 
+// buildDurable builds spec in process under dir and closes it, leaving
+// the directory to reopen.
+func buildDurable(t *testing.T, spec IndexSpec, parts [][]*geo.Trajectory, dir string) {
+	t.Helper()
+	eng, err := BuildInProcess(spec, parts, 2, dir)
+	if err == nil {
+		err = eng.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLocalDurableBaselineAndErrors: baseline algorithms have no
-// persistence, so BuildLocalDurable passes them through without
+// persistence, so BuildInProcess passes them through without
 // creating stores; and the build/open paths surface real failures —
 // an unusable data-dir path, corrupted image slots, a partition in the
 // retired paged format, and partition stores that are not p0..p<n-1>.
@@ -112,14 +126,8 @@ func TestLocalDurableBaselineAndErrors(t *testing.T) {
 	dir := t.TempDir()
 	bspec := spec
 	bspec.Algorithm = LS
-	eng, err := BuildLocalDurable(bspec, parts, 2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLocalDurable(bspec, len(parts), 2, dir); err == nil {
+	buildDurable(t, bspec, parts, dir)
+	if _, err := OpenInProcess(bspec, len(parts), 2, dir); err == nil {
 		t.Fatal("baseline engine left recoverable stores behind")
 	}
 
@@ -127,28 +135,19 @@ func TestLocalDurableBaselineAndErrors(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildLocalDurable(spec, parts, 2, blocked); err == nil {
+	if _, err := BuildInProcess(spec, parts, 2, blocked); err == nil {
 		t.Fatal("build into a regular-file data dir succeeded")
 	}
 
 	dir2 := t.TempDir()
-	eng2, err := BuildLocalDurable(spec, parts, 2, dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	junk := make([]byte, 4096)
-	for i := range junk {
-		junk[i] = 0x5a
-	}
+	buildDurable(t, spec, parts, dir2)
+	junk := bytes.Repeat([]byte{0x5a}, 4096)
 	for _, slot := range []string{"image.0", "image.1"} {
 		if err := os.WriteFile(filepath.Join(dir2, partDirName(0), slot), junk, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := OpenLocalDurable(spec, len(parts), 2, dir2); !errors.Is(err, rptrie.ErrNoDurable) {
+	if _, err := OpenInProcess(spec, len(parts), 2, dir2); !errors.Is(err, rptrie.ErrNoDurable) {
 		t.Fatalf("open over corrupted image slots = %v, want ErrNoDurable", err)
 	}
 	// A partition left in the retired paged format is refused by name.
@@ -159,21 +158,15 @@ func TestLocalDurableBaselineAndErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(p0, "pages.db"), junk, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLocalDurable(spec, len(parts), 2, dir2); !errors.Is(err, rptrie.ErrNoDurable) || !strings.Contains(err.Error(), "pages.db") {
+	if _, err := OpenInProcess(spec, len(parts), 2, dir2); !errors.Is(err, rptrie.ErrNoDurable) || !strings.Contains(err.Error(), "pages.db") {
 		t.Fatalf("open over a pages.db partition = %v, want ErrNoDurable naming pages.db", err)
 	}
 
 	// The directory, not the caller, decides how many partitions there
 	// are: a smaller count opens all of them, and a gap fails.
 	dir3 := t.TempDir()
-	eng3, err := BuildLocalDurable(spec, parts, 2, dir3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenLocalDurable(spec, 1, 2, dir3)
+	buildDurable(t, spec, parts, dir3)
+	re, err := OpenInProcess(spec, 1, 2, dir3)
 	if err != nil {
 		t.Fatalf("open with fewer partitions than the directory holds: %v", err)
 	}
@@ -186,28 +179,22 @@ func TestLocalDurableBaselineAndErrors(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(dir3, partDirName(0))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLocalDurable(spec, 1, 2, dir3); err == nil {
+	if _, err := OpenInProcess(spec, 1, 2, dir3); err == nil {
 		t.Fatal("open of a directory missing p0 succeeded")
 	}
 }
 
-// TestOpenLocalDurableMissingPartition: recovery is all-or-nothing —
-// a data directory missing one partition's store must fail the open
-// rather than serve partial answers.
+// TestOpenLocalDurableMissingPartition: OpenInProcess's recovery is
+// all-or-nothing — a data directory missing one partition's store must
+// fail the open rather than serve partial answers.
 func TestOpenLocalDurableMissingPartition(t *testing.T) {
 	dir := t.TempDir()
 	_, parts, spec := testWorld(t, 80, 2)
-	eng, err := BuildLocalDurable(spec, parts, 2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLocalDurable(spec, len(parts)+1, 2, dir); err == nil {
+	buildDurable(t, spec, parts, dir)
+	if _, err := OpenInProcess(spec, len(parts)+1, 2, dir); err == nil {
 		t.Fatal("open with a missing partition store succeeded")
 	}
-	if _, err := OpenLocalDurable(spec, 0, 2, dir); err == nil {
+	if _, err := OpenInProcess(spec, 0, 2, dir); err == nil {
 		t.Fatal("open with zero partitions succeeded")
 	}
 }

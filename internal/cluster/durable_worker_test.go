@@ -31,10 +31,7 @@ func TestDurableWorkerRecoversLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pid, part := range parts {
-		var br BuildReply
-		if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: pid, Spec: spec, Trajectories: part}, &br); err != nil {
-			t.Fatalf("build partition %d: %v", pid, err)
-		}
+		buildOn(t, w, pid, spec, part)
 	}
 	rng := rand.New(rand.NewSource(21))
 	adds := freshTrajs(rng, 400_000, 6)
@@ -129,10 +126,7 @@ func TestDurableWorkerClearWipesDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br BuildReply
-	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
-		t.Fatal(err)
-	}
+	buildOn(t, w, 0, spec, parts[0])
 	if err := w.Clear(&ClearArgs{Version: ProtocolVersion}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,16 +248,9 @@ func TestWorkerRestartRejoinsViaLocalWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fleet.Close() })
-	remote, err := BuildRemote(spec, parts, fleet.Addrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
+	remote := remoteOn(t, spec, parts, fleet.Addrs())
 	remote.SetFailover(fastFailover)
-	twin, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	twin := inproc(t, spec, parts, 4, false)
 
 	// Mutate while everything is healthy; worker 0 journals these.
 	ctx := context.Background()

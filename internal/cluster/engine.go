@@ -4,79 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repose/internal/geo"
 	"repose/internal/rptrie"
 	"repose/internal/topk"
 )
 
-// Engine is the uniform driver-side query surface over the two
-// deployments: in-process partitions on goroutines (Local) and
-// partitions owned by worker processes over TCP (Remote). Every query
-// method takes a context — cancelling it or letting its deadline pass
-// stops partition scans mid-flight on both backends — and a
-// QueryOptions modulating the single query.
-type Engine interface {
-	// Search answers a distributed top-k query, merging per-partition
-	// local results (Section V-C), and reports its execution.
-	Search(ctx context.Context, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error)
-	// SearchRadius returns every trajectory within radius of q,
-	// ascending by (distance, id).
-	SearchRadius(ctx context.Context, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, QueryReport, error)
-	// SearchBatch answers all queries, each over all selected
-	// partitions; results are indexed like queries.
-	SearchBatch(ctx context.Context, qs [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error)
-	// Insert routes each trajectory to a partition (see
-	// partition.OnlineRouter) and applies it; queries issued after it
-	// returns see every inserted trajectory. It returns the new
-	// generations of the touched partitions.
-	Insert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions) (Gens, error)
-	// Delete removes ids from their owning partitions; queries issued
-	// after it returns never see them. It returns how many ids were
-	// live and the new generations of the touched partitions.
-	Delete(ctx context.Context, ids []int, opt MutateOptions) (int, Gens, error)
-	// Upsert inserts trajectories with replace semantics: a live id's
-	// replacement goes to its owning partition as one snapshot-atomic
-	// swap (no window where the id is absent), a new id routes like
-	// an Insert.
-	Upsert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions) (Gens, error)
-	// Compact folds every selected partition's pending delta back
-	// into its index (nil/empty partitions selects all), returning
-	// the new generations of the compacted partitions.
-	Compact(ctx context.Context, partitions []int) (Gens, error)
-	// Generations snapshots the authoritative per-partition
-	// generation vector (indexed by global partition id; immutable
-	// partition indexes report 0). Generations only advance, and a
-	// mutation's generations are visible here no later than the
-	// mutation call returns — the property an answer cache keys on
-	// (see QueryReport.Generations).
-	Generations() []uint64
-	// Len returns the total number of live indexed trajectories.
-	Len() int
-	// NumPartitions returns the global partition count.
-	NumPartitions() int
-	// IndexSizeBytes sums the index footprints across partitions.
-	IndexSizeBytes() int
-	// PartitionIndexBytes reports each partition's index footprint,
-	// indexed by global partition id. The local engine reads live
-	// values; the remote engine reports the sizes workers declared at
-	// build time.
-	PartitionIndexBytes() []int
-	// BuildTime returns the wall time of index construction.
-	BuildTime() time.Duration
-	// Close releases the engine's resources (for Remote, the worker
-	// connections; the workers themselves keep running).
-	Close() error
-}
-
-var (
-	_ Engine = (*Local)(nil)
-	_ Engine = (*Remote)(nil)
-)
-
-// QueryOptions modulates one query on either engine. The zero value
-// queries all partitions with every lower bound enabled.
+// QueryOptions modulates one query. The zero value queries all
+// partitions with every lower bound enabled.
 type QueryOptions struct {
 	// Partitions restricts the query to the given partition ids;
 	// nil or empty selects all of them.
@@ -127,7 +62,7 @@ func (o QueryOptions) minGen(pid int) uint64 {
 	return 0
 }
 
-// MutateOptions modulates one mutation batch on either engine.
+// MutateOptions modulates one mutation batch.
 type MutateOptions struct {
 	// AutoCompact, when positive, compacts any touched partition
 	// whose pending delta grew past this fraction of its live

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/rpc"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,26 +110,34 @@ func (r *Remote) failover() FailoverConfig {
 	return r.fo
 }
 
-// workerSlot is the driver's view of one worker process: its address,
-// the current connection (replaced by the prober after a reconnect),
-// and the circuit-breaker state.
+// caller is one connection to a worker: *rpc.Client for a worker
+// process reached over TCP, inProcess for a Worker in this process.
+type caller interface {
+	Go(serviceMethod string, args, reply any, done chan *rpc.Call) *rpc.Call
+	Close() error
+}
+
+// workerSlot is the driver's view of one worker: its address, how to
+// reach it, the current connection (replaced by the prober after a
+// reconnect), and the circuit-breaker state.
 type workerSlot struct {
 	addr   string
+	dial   func() (caller, error) // opens a fresh connection
 	mu     sync.Mutex
-	client *rpc.Client // nil while disconnected
-	fails  int         // consecutive transport failures
+	client caller // nil while disconnected
+	fails  int    // consecutive transport failures
 	down   atomic.Bool
 }
 
 // get returns the current connection, nil while disconnected.
-func (s *workerSlot) get() *rpc.Client {
+func (s *workerSlot) get() caller {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.client
 }
 
 // setClient installs a fresh connection, closing any previous one.
-func (s *workerSlot) setClient(c *rpc.Client) {
+func (s *workerSlot) setClient(c caller) {
 	s.mu.Lock()
 	old := s.client
 	s.client = c
@@ -140,7 +149,7 @@ func (s *workerSlot) setClient(c *rpc.Client) {
 
 // drop closes and clears the connection if c is still the current one
 // (a concurrent reconnect must not be clobbered).
-func (s *workerSlot) drop(c *rpc.Client) {
+func (s *workerSlot) drop(c caller) {
 	s.mu.Lock()
 	if s.client == c {
 		s.client = nil
@@ -165,7 +174,7 @@ func (s *workerSlot) noteFailure(threshold int, fatal bool) {
 	s.mu.Lock()
 	s.fails++
 	tripped := fatal || s.fails >= threshold
-	var old *rpc.Client
+	var old caller
 	if tripped {
 		s.down.Store(true)
 		old = s.client
@@ -202,11 +211,12 @@ type WorkerHealth struct {
 }
 
 // Health snapshots every worker's availability, for operators and
-// tests that must wait for the cluster to heal.
+// tests that must wait for the cluster to heal. A closed engine reaches
+// no worker, so it reports every one down.
 func (r *Remote) Health() []WorkerHealth {
 	out := make([]WorkerHealth, len(r.slots))
 	for i, s := range r.slots {
-		out[i] = WorkerHealth{Addr: s.addr, Down: s.down.Load()}
+		out[i] = WorkerHealth{Addr: s.addr, Down: s.down.Load() || r.closed.Load()}
 	}
 	r.genMu.Lock()
 	for pid, owners := range r.owners {
@@ -258,50 +268,81 @@ func (r *Remote) eligibleLocked(pid, j int) bool {
 	return g != genAbsent && g >= r.curGen[pid]
 }
 
+// group is one worker slot's share of a scatter round.
+type group struct {
+	slot int
+	pids []int
+}
+
 // plan assigns every partition in pids to the first eligible replica
-// not yet excluded for it, grouped per worker slot (ascending pids per
-// group). A partition with no assignable replica fails the plan with
-// ErrUnavailable.
-func (r *Remote) plan(pids []int, excluded map[int]map[int]bool) (map[int][]int, error) {
+// not yet excluded for it, grouped per worker slot in pids order, and
+// appends the groups to dst. A partition with no assignable replica
+// fails the plan with ErrUnavailable. When every partition lands on one
+// slot — always, on an unreplicated single-worker engine — that group
+// is pids itself.
+func (r *Remote) plan(dst []group, pids []int, excluded exclusions) ([]group, error) {
 	r.genMu.Lock()
 	defer r.genMu.Unlock()
-	groups := make(map[int][]int)
+	first, mixed := -1, false
 	for _, pid := range pids {
-		assigned := -1
-		for j, si := range r.owners[pid] {
-			if excluded[pid][si] || !r.eligibleLocked(pid, j) {
-				continue
-			}
-			assigned = si
-			break
-		}
-		if assigned < 0 {
+		si := r.assignLocked(pid, excluded)
+		if si < 0 {
 			return nil, fmt.Errorf("%w %d", ErrUnavailable, pid)
 		}
-		groups[assigned] = append(groups[assigned], pid)
+		if first < 0 {
+			first = si
+		}
+		mixed = mixed || si != first
 	}
-	for _, g := range groups {
-		sort.Ints(g)
+	if !mixed {
+		return append(dst, group{slot: first, pids: pids}), nil
+	}
+	groups := dst
+	for _, pid := range pids {
+		si := r.assignLocked(pid, excluded)
+		gi := slices.IndexFunc(groups, func(g group) bool { return g.slot == si })
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, group{slot: si})
+		}
+		groups[gi].pids = append(groups[gi].pids, pid)
 	}
 	return groups, nil
 }
 
-// exclude records that slot si must not be retried for pid.
-func exclude(excluded map[int]map[int]bool, pid, si int) {
-	m := excluded[pid]
-	if m == nil {
-		m = make(map[int]bool, 2)
-		excluded[pid] = m
+// assignLocked returns the slot of pid's first eligible replica not
+// excluded for it, -1 when there is none. Callers hold genMu.
+func (r *Remote) assignLocked(pid int, excluded exclusions) int {
+	for j, si := range r.owners[pid] {
+		if !excluded[[2]int{pid, si}] && r.eligibleLocked(pid, j) {
+			return si
+		}
 	}
-	m[si] = true
+	return -1
+}
+
+// exclusions holds the (partition, slot) pairs a scatter must not
+// retry.
+type exclusions map[[2]int]bool
+
+// add records that slot si must not be retried for pid, making the map
+// on first use.
+func (e exclusions) add(pid, si int) exclusions {
+	if e == nil {
+		e = make(exclusions)
+	}
+	e[[2]int{pid, si}] = true
+	return e
 }
 
 // isServerError reports an application-level error returned by a live
-// worker (net/rpc wraps those as rpc.ServerError). Such errors are
-// surfaced, not failed over: every replica would answer the same.
+// worker: an rpc.ServerError from a worker process, a workerError from
+// an in-process one. Such errors are surfaced, not failed over: every
+// replica would answer the same.
 func isServerError(err error) bool {
 	var se rpc.ServerError
-	return errors.As(err, &se)
+	var we workerError
+	return errors.As(err, &se) || errors.As(err, &we)
 }
 
 // notOwnerMsg is the worker-side diagnostic for a request naming a
@@ -337,7 +378,7 @@ func connFatal(err error) bool {
 // probeCall performs one synchronous prober RPC bounded by timeout and
 // the prober's stop channel, so a black-holed worker can never wedge
 // the probe loop or Close.
-func (r *Remote) probeCall(c *rpc.Client, method string, args, reply any, timeout time.Duration) error {
+func (r *Remote) probeCall(c caller, method string, args, reply any, timeout time.Duration) error {
 	call := c.Go(method, args, reply, make(chan *rpc.Call, 1))
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -371,14 +412,20 @@ func (r *Remote) probeLoop() {
 			return
 		case <-time.After(interval):
 		}
-		for si := range r.slots {
-			if r.slots[si].down.Load() {
-				r.reviveSlot(si)
-			}
-		}
-		r.reconcileOrphans()
-		r.syncStale()
+		r.probe()
 	}
+}
+
+// probe is one prober pass: revive tripped workers, re-anchor orphaned
+// partitions, and restore stale replicas.
+func (r *Remote) probe() {
+	for si := range r.slots {
+		if r.slots[si].down.Load() {
+			r.reviveSlot(si)
+		}
+	}
+	r.reconcileOrphans()
+	r.syncStale()
 }
 
 // reconcileOrphans re-establishes an authoritative generation for
@@ -454,9 +501,7 @@ func (r *Remote) reconcileOrphans() {
 			if g, held := st.Gens[pid]; held {
 				r.repGen[pid][j] = g
 				if g == maxGen {
-					if n, ok := st.Lens[pid]; ok {
-						r.partLen[pid].Store(int64(n))
-					}
+					r.adoptStatusLocked(pid, st)
 				}
 			} else {
 				r.repGen[pid][j] = genAbsent
@@ -475,13 +520,8 @@ func (r *Remote) reviveSlot(si int) {
 	s := r.slots[si]
 	c := s.get()
 	if c == nil {
-		nc, err := rpc.Dial("tcp", s.addr)
+		nc, err := r.connect(s)
 		if err != nil {
-			return
-		}
-		var hr HandshakeReply
-		if err := r.probeCall(nc, "Worker.Handshake", &HandshakeArgs{Version: ProtocolVersion}, &hr, probeTimeout); err != nil {
-			nc.Close()
 			return
 		}
 		s.setClient(nc)
@@ -519,9 +559,7 @@ func (r *Remote) reviveSlot(si int) {
 					r.curGen[pid] = gen
 				}
 				r.repGen[pid][j] = gen
-				if n, ok := st.Lens[pid]; ok {
-					r.partLen[pid].Store(int64(n))
-				}
+				r.adoptStatusLocked(pid, &st)
 			} else if !ok {
 				r.repGen[pid][j] = genAbsent
 			} else {
@@ -531,6 +569,18 @@ func (r *Remote) reviveSlot(si int) {
 	}
 	r.genMu.Unlock()
 	s.markUp()
+}
+
+// adoptStatusLocked takes pid's live length and index size from a
+// worker's Status reply at the authoritative generation. Callers hold
+// genMu.
+func (r *Remote) adoptStatusLocked(pid int, st *StatusReply) {
+	if n, ok := st.Lens[pid]; ok {
+		r.partLen[pid].Store(int64(n))
+	}
+	if b, ok := st.Sizes[pid]; ok {
+		r.partSizes[pid] = b
+	}
 }
 
 // syncStale restores every out-of-sync replica on a live worker from
@@ -638,19 +688,21 @@ func (r *Remote) scatter(ctx context.Context, req *QueryArgs) ([]QueryReply, err
 		// Already cancelled: skip serializing and shipping payloads.
 		return nil, fmt.Errorf("cluster: %s: %w", queryMethod, err)
 	}
-	excluded := make(map[int]map[int]bool)
+	var excluded exclusions     // made on the first failure
+	var groupBuf [1]group       // a round's groups and results: one
+	var resultBuf [1]fireResult // group, the common case, allocates neither
 	remaining := req.Partitions
 	var out []QueryReply
 	var lastErr error
 	for len(remaining) > 0 {
-		groups, err := r.plan(remaining, excluded)
+		groups, err := r.plan(groupBuf[:0], remaining, excluded)
 		if err != nil {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last replica failure: %v)", err, lastErr)
 			}
 			return nil, err
 		}
-		results := r.fire(ctx, groups, excluded, req, true)
+		results := r.fire(ctx, resultBuf[:0], groups, excluded, req, true)
 		remaining = remaining[:0:0]
 		for _, res := range results {
 			switch {
@@ -666,7 +718,7 @@ func (r *Remote) scatter(ctx context.Context, req *QueryArgs) ([]QueryReply, err
 				} else {
 					r.slots[res.slot].noteSuccess()
 				}
-				out = append(out, res.replies...)
+				out = extend(out, res.replies)
 			case ctx.Err() != nil:
 				// The query's own context ended; surface that (the
 				// abandoned-call diagnostic already wraps it, other
@@ -686,7 +738,7 @@ func (r *Remote) scatter(ctx context.Context, req *QueryArgs) ([]QueryReply, err
 					// reads the post-flip owner table, so the query
 					// completes with zero failed partitions.
 					lastErr = fmt.Errorf("cluster: %s on %s: %w", queryMethod, r.slots[res.slot].addr, res.err)
-					exclude(excluded, pid, res.slot)
+					excluded = excluded.add(pid, res.slot)
 					remaining = append(remaining, res.pids...)
 					continue
 				}
@@ -704,7 +756,7 @@ func (r *Remote) scatter(ctx context.Context, req *QueryArgs) ([]QueryReply, err
 				lastErr = fmt.Errorf("cluster: %s on %s: %w", queryMethod, r.slots[res.slot].addr, res.err)
 				r.slots[res.slot].noteFailure(r.failover().FailThreshold, connFatal(res.err))
 				for _, pid := range res.pids {
-					exclude(excluded, pid, res.slot)
+					excluded = excluded.add(pid, res.slot)
 				}
 				remaining = append(remaining, res.pids...)
 			}
@@ -716,67 +768,59 @@ func (r *Remote) scatter(ctx context.Context, req *QueryArgs) ([]QueryReply, err
 	return out, nil
 }
 
-// fire runs one round of group calls concurrently. A hedge goroutine
-// can outlive its round (the original call may win while the hedge is
-// still in flight), so hedges never touch the caller's live excluded
-// map: when hedging is possible, the round snapshots it once, up
-// front, synchronously — strictly before scatter's between-round
-// mutations can happen.
-func (r *Remote) fire(ctx context.Context, groups map[int][]int, excluded map[int]map[int]bool, req *QueryArgs, allowHedge bool) []fireResult {
-	var snapshot map[int]map[int]bool
+// fire runs one round of group calls — concurrently when there are
+// several groups, on the calling goroutine when there is one — and
+// appends their results to dst. A hedge goroutine can outlive its round
+// (the original call may win while the hedge is still in flight), so
+// hedges never touch the caller's live excluded map: when hedging is
+// possible, the round snapshots it once, up front, synchronously —
+// strictly before scatter's between-round mutations can happen.
+func (r *Remote) fire(ctx context.Context, dst []fireResult, groups []group, excluded exclusions, req *QueryArgs, allowHedge bool) []fireResult {
+	var snapshot exclusions // non-nil when the round may hedge
 	if allowHedge && r.failover().HedgeAfter > 0 {
-		snapshot = make(map[int]map[int]bool, len(excluded))
-		for pid, m := range excluded {
-			c := make(map[int]bool, len(m))
-			for k, v := range m {
-				c[k] = v
-			}
-			snapshot[pid] = c
-		}
+		snapshot = exclusions{}
+		maps.Copy(snapshot, excluded)
 	}
-	results := make([]fireResult, 0, len(groups))
+	if len(groups) == 1 {
+		return append(dst, r.fireGroup(ctx, groups[0], snapshot, req))
+	}
 	resCh := make(chan fireResult, len(groups))
-	for si, pids := range groups {
-		go func(si int, pids []int) {
-			var hedge func() ([]QueryReply, error)
-			if snapshot != nil {
-				hedge = func() ([]QueryReply, error) {
-					return r.hedgeAttempt(ctx, si, pids, snapshot, req)
-				}
-			}
-			replies, hedged, err := r.callGroup(ctx, si, pids, req, hedge)
-			resCh <- fireResult{slot: si, pids: pids, err: err, replies: replies, hedged: hedged}
-		}(si, pids)
+	for _, g := range groups {
+		go func(g group, snapshot exclusions) { resCh <- r.fireGroup(ctx, g, snapshot, req) }(g, snapshot)
 	}
 	for range groups {
-		results = append(results, <-resCh)
+		dst = append(dst, <-resCh)
 	}
-	return results
+	return dst
+}
+
+// fireGroup calls one group, hedged when snapshot is set.
+func (r *Remote) fireGroup(ctx context.Context, g group, snapshot exclusions, req *QueryArgs) fireResult {
+	var hedge func() ([]QueryReply, error)
+	if snapshot != nil {
+		hedge = func() ([]QueryReply, error) {
+			return r.hedgeAttempt(ctx, g.slot, g.pids, snapshot, req)
+		}
+	}
+	replies, hedged, err := r.callGroup(ctx, g.slot, g.pids, req, hedge)
+	return fireResult{slot: g.slot, pids: g.pids, err: err, replies: replies, hedged: hedged}
 }
 
 // hedgeAttempt answers pids on replicas other than the slow slot si,
 // without further hedging or retries: one alternative plan, one
 // round. snapshot is this round's private copy of the exclusion
 // state; it is never shared with scatter's live map.
-func (r *Remote) hedgeAttempt(ctx context.Context, si int, pids []int, snapshot map[int]map[int]bool, req *QueryArgs) ([]QueryReply, error) {
-	hx := make(map[int]map[int]bool, len(snapshot)+len(pids))
-	for pid, m := range snapshot {
-		hx[pid] = m
-	}
+func (r *Remote) hedgeAttempt(ctx context.Context, si int, pids []int, snapshot exclusions, req *QueryArgs) ([]QueryReply, error) {
+	hx := maps.Clone(snapshot)
 	for _, pid := range pids {
-		m := make(map[int]bool, len(hx[pid])+1)
-		for k, v := range hx[pid] {
-			m[k] = v
-		}
-		m[si] = true
-		hx[pid] = m
+		hx[[2]int{pid, si}] = true
 	}
-	groups, err := r.plan(pids, hx)
+	groups, err := r.plan(nil, pids, hx)
 	if err != nil {
 		return nil, err
 	}
 	var out []QueryReply
-	for _, res := range r.fire(ctx, groups, hx, req, false) {
+	for _, res := range r.fire(ctx, nil, groups, hx, req, false) {
 		if res.err != nil {
 			return nil, res.err
 		}
@@ -784,6 +828,9 @@ func (r *Remote) hedgeAttempt(ctx context.Context, si int, pids []int, snapshot 
 	}
 	return out, nil
 }
+
+// donePool recycles the done channels of answered query calls.
+var donePool = sync.Pool{New: func() any { return make(chan *rpc.Call, 1) }}
 
 // callGroup sends req to one worker for its assigned partitions,
 // honoring the per-attempt timeout, the query context (with the
@@ -795,10 +842,14 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryAr
 		return nil, false, fmt.Errorf("cluster: %w", rpc.ErrShutdown)
 	}
 	fo := r.failover()
+	// The copy keeps req's shared heaps and carries ctx: an in-process
+	// worker runs under both, and gob leaves them behind on the wire.
 	args := *req
 	args.QueryHeader = r.header(ctx, pids, req.MinGens)
-	reply := new(QueryReply)
-	call := c.Go(queryMethod, &args, reply, make(chan *rpc.Call, 1))
+	args.ctx = ctx
+	reply := make([]QueryReply, 1)
+	done := donePool.Get().(chan *rpc.Call)
+	call := c.Go(queryMethod, &args, &reply[0], done)
 
 	var timeoutC <-chan time.Time
 	if fo.CallTimeout > 0 {
@@ -817,13 +868,25 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryAr
 		err     error
 	}
 	var hedgeDone chan hedgeResult
+	answered := false
+	defer func() {
+		if answered {
+			donePool.Put(done) // its one send was received
+		}
+		// An original call or a hedge still running may be scanning in
+		// process with req's shared heaps: keep them out of the pool.
+		if (!answered || hedgeDone != nil) && req.shared != nil {
+			req.shared.abandoned.Store(true)
+		}
+	}()
 	for {
 		select {
 		case <-call.Done:
+			answered = true
 			if call.Error != nil {
 				return nil, false, call.Error
 			}
-			return []QueryReply{*reply}, false, nil
+			return reply, false, nil
 		case <-hedgeC:
 			hedgeC = nil
 			ch := make(chan hedgeResult, 1)
@@ -852,10 +915,11 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryAr
 			c.Go("Worker.Cancel", &CancelArgs{ID: args.ID}, &struct{}{}, make(chan *rpc.Call, 1))
 			select {
 			case <-call.Done:
+				answered = true
 				if call.Error != nil {
 					return nil, false, call.Error
 				}
-				return []QueryReply{*reply}, false, nil
+				return reply, false, nil
 			case <-time.After(cancelGrace):
 				return nil, false, fmt.Errorf("cluster: %s on %s abandoned after cancel: %w", queryMethod, s.addr, ctx.Err())
 			}
@@ -870,23 +934,35 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryAr
 // stops serving reads until the prober restores it); the mutation
 // itself succeeds as long as one replica acknowledges. newArgs must
 // return a fresh args value per replica (net/rpc encodes concurrently)
-// and ack extracts (generation, live length) from a reply.
+// and ack extracts the partition's state from a reply.
+//
+// Acknowledgements only move forward: a Compact, which does not hold
+// the directory lock, can be acknowledged before an Insert the worker
+// applied first, and the older reply must neither turn the replica
+// stale nor roll back the length and size the newer one reported.
 //
 // The shared rebalMu hold excludes rebalancing for the duration: a
 // migration must not flip a partition's owners while a mutation is
 // mid-flight to the old owner set, or the donor's generation could
 // advance past the snapshot the receiver restored. Mutations on
 // different partitions still run concurrently (RLock is shared).
-func (r *Remote) mutateReplicas(ctx context.Context, pid int, method string, newArgs func() any, newReply func() any, ack func(reply any) (uint64, int)) (uint64, error) {
+func (r *Remote) mutateReplicas(ctx context.Context, pid int, method string, newArgs func() any, newReply func() any, ack func(reply any) partState) (uint64, error) {
 	r.rebalMu.RLock()
 	defer r.rebalMu.RUnlock()
 	return r.mutateReplicasLocked(ctx, pid, method, newArgs, newReply, ack)
 }
 
+// partState is what a mutation reply reports of its partition.
+type partState struct {
+	gen  uint64
+	n    int // live trajectories
+	size int // index bytes
+}
+
 // mutateReplicasLocked is mutateReplicas for callers that already hold
 // rebalMu (shared or exclusive) — the split path prunes moved ids
 // while holding it exclusively.
-func (r *Remote) mutateReplicasLocked(ctx context.Context, pid int, method string, newArgs func() any, newReply func() any, ack func(reply any) (uint64, int)) (uint64, error) {
+func (r *Remote) mutateReplicasLocked(ctx context.Context, pid int, method string, newArgs func() any, newReply func() any, ack func(reply any) partState) (uint64, error) {
 	if r.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -944,16 +1020,19 @@ func (r *Remote) mutateReplicasLocked(ctx context.Context, pid int, method strin
 		switch {
 		case re.err == nil:
 			r.slots[si].noteSuccess()
-			gen, n := ack(re.reply)
+			st := ack(re.reply)
 			r.genMu.Lock()
-			r.repGen[pid][re.j] = gen
-			if gen > r.curGen[pid] {
-				r.curGen[pid] = gen
+			if g := r.repGen[pid][re.j]; g == genAbsent || st.gen > g {
+				r.repGen[pid][re.j] = st.gen
+			}
+			if st.gen >= r.curGen[pid] {
+				r.curGen[pid] = st.gen
+				r.partLen[pid].Store(int64(st.n))
+				r.partSizes[pid] = st.size
 			}
 			r.genMu.Unlock()
-			r.partLen[pid].Store(int64(n))
-			if !ackedAny || gen > acked {
-				acked = gen
+			if !ackedAny || st.gen > acked {
+				acked = st.gen
 			}
 			ackedAny = true
 		case isServerError(re.err):

@@ -44,11 +44,7 @@ func chaosWorld(t *testing.T, nTraj, nParts, nWorkers, replicas int, sched chaos
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fleet.Close() })
-	remote, err := BuildRemote(spec, parts, fleet.Addrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
+	remote := remoteOn(t, spec, parts, fleet.Addrs())
 	remote.SetFailover(fastFailover)
 	return ds, spec, fleet, remote
 }
@@ -102,11 +98,7 @@ func TestReplicatedPlacement(t *testing.T) {
 
 	spec.Replicas = 2
 	addrs := startWorkers(t, 3)
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, addrs)
 	if remote.Replicas() != 2 {
 		t.Fatalf("Replicas() = %d", remote.Replicas())
 	}
@@ -122,10 +114,7 @@ func TestReplicatedPlacement(t *testing.T) {
 		}
 	}
 	// Replication must not change answers or bookkeeping.
-	local, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := inproc(t, spec, parts, 2, false)
 	if remote.Len() != local.Len() || remote.IndexSizeBytes() != local.IndexSizeBytes() {
 		t.Fatalf("replicated bookkeeping diverged: len %d/%d size %d/%d",
 			remote.Len(), local.Len(), remote.IndexSizeBytes(), local.IndexSizeBytes())
@@ -321,19 +310,12 @@ func testWorkerRestartRejoinsViaRestore(t *testing.T, layout rptrie.Layout) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fleet.Close() })
-	remote, err := BuildRemote(spec, parts, fleet.Addrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
+	remote := remoteOn(t, spec, parts, fleet.Addrs())
 	remote.SetFailover(fastFailover)
-	// The fault-free twin: a local engine fed the same mutations is
-	// the oracle for partition-restricted queries (routing is
+	// The fault-free twin: an in-process engine fed the same mutations
+	// is the oracle for partition-restricted queries (routing is
 	// deterministic, so partition contents match exactly).
-	twin, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	twin := inproc(t, spec, parts, 4, false)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed + 7))
 
@@ -686,10 +668,7 @@ func TestMutationUnknownOutcomeReconciles(t *testing.T) {
 func TestWorkerStatusSnapshotRestoreRPCs(t *testing.T) {
 	_, parts, spec := testWorld(t, 80, 2)
 	w := NewWorker()
-	var br BuildReply
-	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
-		t.Fatal(err)
-	}
+	buildOn(t, w, 0, spec, parts[0])
 
 	var st StatusReply
 	if err := w.Status(&StatusArgs{Version: ProtocolVersion}, &st); err != nil {
@@ -751,9 +730,7 @@ func TestWorkerStatusSnapshotRestoreRPCs(t *testing.T) {
 		sspec := spec
 		sspec.Layout = layout
 		ws := NewWorker()
-		if err := ws.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 1, Spec: sspec, Trajectories: parts[1]}, &br); err != nil {
-			t.Fatal(err)
-		}
+		buildOn(t, ws, 1, sspec, parts[1])
 		if err := ws.Snapshot(&SnapshotArgs{Version: ProtocolVersion, PartitionID: 1}, &snap); err != nil {
 			t.Fatal(err)
 		}
@@ -787,11 +764,8 @@ func TestWorkerForceLayout(t *testing.T) {
 	_, parts, spec := testWorld(t, 80, 2)
 	plain, forced := NewWorker(), NewWorker()
 	forced.ForceLayout(rptrie.LayoutCompressed)
-	var br BuildReply
 	for _, w := range []*Worker{plain, forced} {
-		if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
-			t.Fatal(err)
-		}
+		buildOn(t, w, 0, spec, parts[0])
 	}
 	var snap SnapshotReply
 	if err := forced.Snapshot(&SnapshotArgs{Version: ProtocolVersion, PartitionID: 0}, &snap); err != nil {

@@ -31,11 +31,7 @@ func TestWorkerDiesMidSession(t *testing.T) {
 		addrs = append(addrs, ln.Addr().String())
 		go Serve(ln, NewWorker())
 	}
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, addrs)
 
 	q := []geo.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}
 	if _, _, err := remote.Search(context.Background(), q, 5, QueryOptions{}); err != nil {
@@ -71,11 +67,7 @@ func TestWorkerDiesMidSessionWithReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fleet.Close() })
-	remote, err := BuildRemote(spec, parts, fleet.Addrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, fleet.Addrs())
 	remote.SetFailover(fastFailover)
 
 	q := ds[7].Points
@@ -118,11 +110,7 @@ func TestSearchErrorPropagatesFromWorker(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	go Serve(ln, w)
 
-	remote, err := BuildRemote(spec, parts, []string{ln.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, []string{ln.Addr().String()})
 
 	// Sabotage: clear the worker's partitions out-of-band.
 	if err := w.Clear(&ClearArgs{Version: ProtocolVersion}, &struct{}{}); err != nil {
@@ -148,10 +136,7 @@ func TestEmptyPartitionsTolerated(t *testing.T) {
 		Region:    geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 2, Y: 2}},
 		Delta:     0.1,
 	}
-	c, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := inproc(t, spec, parts, 2, false)
 	got, _, err := c.Search(context.Background(), ds[0].Points, 5, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -27,6 +27,10 @@ func fuzzSeedMessages(f *testing.F) {
 		&DeleteArgs{Version: ProtocolVersion, PartitionID: 0, IDs: []int{1, 2, 3}},
 		&CompactArgs{Version: ProtocolVersion, Partitions: []int{0}},
 		&CancelArgs{ID: 42},
+		&InsertReply{Gen: 4, Len: 61, SizeBytes: 9120},
+		&DeleteReply{Removed: 1, Gen: 5, Len: 60, SizeBytes: 9048},
+		&CompactReply{Gens: map[int]uint64{0: 6}, Lens: map[int]int{0: 60}, Sizes: map[int]int{0: 8800}},
+		&StatusReply{Gens: map[int]uint64{0: 6, 2: 1}, Lens: map[int]int{0: 60, 2: 7}, Sizes: map[int]int{0: 8800, 2: 1312}},
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
@@ -37,8 +41,8 @@ func fuzzSeedMessages(f *testing.F) {
 }
 
 // FuzzRPCDecode feeds arbitrary bytes through gob decoding into every
-// wire message type the worker accepts, and into the query reply the
-// driver accepts. Decoding must fail cleanly —
+// wire message type the worker accepts, and into the query, mutation
+// and status replies the driver accepts. Decoding must fail cleanly —
 // never panic, never run away — no matter the input; this is the
 // worker's exposure to a malicious or corrupted driver connection.
 func FuzzRPCDecode(f *testing.F) {
@@ -57,6 +61,10 @@ func FuzzRPCDecode(f *testing.F) {
 			func() any { return new(CompactArgs) },
 			func() any { return new(CancelArgs) },
 			func() any { return new(QueryHeader) },
+			func() any { return new(InsertReply) },
+			func() any { return new(DeleteReply) },
+			func() any { return new(CompactReply) },
+			func() any { return new(StatusReply) },
 		}
 		for _, mk := range targets {
 			// A fresh decoder per message: gob streams are stateful

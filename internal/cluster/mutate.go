@@ -9,17 +9,15 @@ import (
 	"repose/internal/geo"
 	"repose/internal/grid"
 	"repose/internal/partition"
-	"repose/internal/rptrie"
 )
 
 // Online mutations route through a driver-side directory: the driver
 // knows every live trajectory's owning partition (seeded from the
 // batch partitioning, maintained across mutations), so Inserts are
-// validated for duplicate ids globally, Deletes go only to the owning
-// partition instead of a broadcast, and both engines behave
-// identically. The directory assumes this driver is the only writer —
-// the deployment model of both engines (workers are driven, they do
-// not accept out-of-band mutations).
+// validated for duplicate ids globally, and Deletes go only to the
+// owning partition instead of a broadcast. The directory assumes this
+// driver is the only writer — the engine's deployment model (workers
+// are driven, they do not accept out-of-band mutations).
 
 // directory tracks id → owning partition plus the online router that
 // assigns partitions to new arrivals. One mutex serializes engine-
@@ -27,9 +25,8 @@ import (
 type directory struct {
 	mu     sync.Mutex
 	loc    map[int32]int
-	router *partition.OnlineRouter
-	spec   IndexSpec  // retained for router rebuilds after a split
-	grid   *grid.Grid // shared by router rebuilds; nil without routing
+	router *partition.OnlineRouter // nil when the spec cannot route
+	spec   IndexSpec               // retained for router rebuilds after a split
 }
 
 // newDirectory seeds the directory from the batch partitioning. When
@@ -43,39 +40,36 @@ func newDirectory(spec IndexSpec, parts [][]*geo.Trajectory) *directory {
 			d.loc[int32(tr.ID)] = pid
 		}
 	}
-	if g, err := grid.New(spec.Region, spec.Delta); err == nil {
-		if r, err := partition.NewOnlineRouter(spec.Strategy, g, len(parts), spec.Seed); err == nil {
-			d.grid = g
-			d.router = r
-		}
-	}
+	_ = d.route(len(parts))
 	return d
 }
 
-// rebuildRouterLocked re-derives the online router for n partitions
-// after a split grew the partition count. The rebuilt router restarts
-// its placement counters — the same heuristic drift recovery accepts
-// (see recoveredDirectory); the loc map stays the routing truth.
-// Caller holds d.mu.
-func (d *directory) rebuildRouterLocked(n int) error {
-	if d.grid == nil {
-		return ErrImmutable
-	}
-	r, err := partition.NewOnlineRouter(d.spec.Strategy, d.grid, n, d.spec.Seed)
+// route gives d an online router for n partitions — after a split grew
+// the count, a fresh one whose placement counters restart, the same
+// heuristic drift recovery accepts (see recoveredDirectory); the loc
+// map stays the routing truth. It fails when the spec cannot route.
+// Caller holds d.mu or owns d.
+func (d *directory) route(n int) error {
+	g, err := grid.New(d.spec.Region, d.spec.Delta)
 	if err != nil {
-		return fmt.Errorf("cluster: split router rebuild: %w", err)
+		return fmt.Errorf("cluster: directory grid: %w", err)
+	}
+	r, err := partition.NewOnlineRouter(d.spec.Strategy, g, n, d.spec.Seed)
+	if err != nil {
+		return fmt.Errorf("cluster: directory router: %w", err)
 	}
 	d.router = r
 	return nil
 }
 
-// insert validates trs, routes each to a partition, applies the
-// per-partition groups through apply (in ascending partition order),
-// and records the new owners. Validation is all-or-nothing; the
-// per-partition applies are not transactional across partitions — an
-// apply error leaves earlier partitions mutated and reported in the
-// returned Gens.
-func (d *directory) insert(trs []*geo.Trajectory, apply func(pid int, trs []*geo.Trajectory) (uint64, error)) (Gens, error) {
+// insert validates trs, routes each to a partition — a live id to its
+// owner when replace is set (an upsert), every other id through the
+// router — applies the per-partition groups through apply (in
+// ascending partition order), and records the owners. Validation is
+// all-or-nothing; the per-partition applies are not transactional
+// across partitions — an apply error leaves earlier partitions mutated
+// and reported in the returned Gens.
+func (d *directory) insert(trs []*geo.Trajectory, replace bool, apply func(pid int, trs []*geo.Trajectory) (uint64, error)) (Gens, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.router == nil {
@@ -90,14 +84,17 @@ func (d *directory) insert(trs []*geo.Trajectory, apply func(pid int, trs []*geo
 		if _, dup := seen[tid]; dup {
 			return nil, fmt.Errorf("%w: id %d duplicated in batch", ErrDuplicateID, tr.ID)
 		}
-		if _, live := d.loc[tid]; live {
+		if _, live := d.loc[tid]; live && !replace {
 			return nil, fmt.Errorf("%w: id %d", ErrDuplicateID, tr.ID)
 		}
 		seen[tid] = struct{}{}
 	}
 	groups := make(map[int][]*geo.Trajectory)
 	for _, tr := range trs {
-		pid := d.router.Assign(tr)
+		pid, live := d.loc[int32(tr.ID)]
+		if !live {
+			pid = d.router.Assign(tr)
+		}
 		groups[pid] = append(groups[pid], tr)
 	}
 	gens := make(Gens, len(groups))
@@ -155,51 +152,6 @@ func (d *directory) delete(ids []int, numPartitions int, apply func(pid int, ids
 	return removed, gens, nil
 }
 
-// upsert routes each trajectory to its owning partition (live ids) or
-// a router-assigned one (new ids) and applies the groups with replace
-// semantics; fresh counts how many of a group's ids were new. The
-// per-partition apply is one snapshot-atomic swap, so no query ever
-// observes a replaced id as absent.
-func (d *directory) upsert(trs []*geo.Trajectory, apply func(pid int, trs []*geo.Trajectory, fresh int) (uint64, error)) (Gens, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.router == nil {
-		return nil, ErrImmutable
-	}
-	for i, tr := range trs {
-		if tr == nil || len(tr.Points) == 0 {
-			return nil, fmt.Errorf("cluster: cannot insert an empty trajectory")
-		}
-		for _, prev := range trs[:i] {
-			if prev.ID == tr.ID {
-				return nil, fmt.Errorf("%w: id %d duplicated in batch", ErrDuplicateID, tr.ID)
-			}
-		}
-	}
-	groups := make(map[int][]*geo.Trajectory)
-	freshIn := make(map[int]int)
-	for _, tr := range trs {
-		pid, live := d.loc[int32(tr.ID)]
-		if !live {
-			pid = d.router.Assign(tr)
-			freshIn[pid]++
-		}
-		groups[pid] = append(groups[pid], tr)
-	}
-	gens := make(Gens, len(groups))
-	for _, pid := range sortedKeys(groups) {
-		gen, err := apply(pid, groups[pid], freshIn[pid])
-		if err != nil {
-			return gens, err
-		}
-		gens[pid] = gen
-		for _, tr := range groups[pid] {
-			d.loc[int32(tr.ID)] = pid
-		}
-	}
-	return gens, nil
-}
-
 func sortedKeys[V any](m map[int]V) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
@@ -209,159 +161,64 @@ func sortedKeys[V any](m map[int]V) []int {
 	return out
 }
 
-// mutable resolves partition pi's index as an rptrie.Index — the only
-// kind that supports online updates.
-func (c *Local) mutable(pi int) (rptrie.Index, error) {
-	idx := c.parts()[pi]
-	x, ok := idx.(rptrie.Index)
-	if !ok {
-		return nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pi, idx)
-	}
-	return x, nil
-}
+// Mutations fan out to every in-sync replica of the touched partition
+// (mutateReplicas, failover.go): the mutation succeeds as long as one
+// replica acknowledges; a replica that fails its call stops serving
+// reads until the background prober restores it from an acknowledged
+// peer, so readers never observe the missed write's absence. A ctx
+// error means "outcome unknown" — a worker may have applied a mutation
+// whose reply the driver stopped waiting for — and the retry/repair
+// contract covers it: routing is deterministic, and Delete broadcasts
+// ids the directory does not know.
 
-// Insert implements Engine.
-func (c *Local) Insert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions) (Gens, error) {
-	if len(trs) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: insert: %w", err)
-	}
-	if c.dir == nil {
-		return nil, ErrImmutable
-	}
-	return c.dir.insert(trs, func(pid int, trs []*geo.Trajectory) (uint64, error) {
-		m, err := c.mutable(pid)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.Insert(trs...); err != nil {
-			return 0, err
-		}
-		if err := maybeCompact(m, opt.AutoCompact); err != nil {
-			return 0, err
-		}
-		return m.Generation(), nil
-	})
-}
-
-// Delete implements Engine.
-func (c *Local) Delete(ctx context.Context, ids []int, opt MutateOptions) (int, Gens, error) {
-	if len(ids) == 0 {
-		return 0, nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, fmt.Errorf("cluster: delete: %w", err)
-	}
-	if c.dir == nil {
-		return 0, nil, ErrImmutable
-	}
-	return c.dir.delete(ids, c.NumPartitions(), func(pid int, ids []int) (int, uint64, error) {
-		m, err := c.mutable(pid)
-		if err != nil {
-			return 0, 0, err
-		}
-		n := m.Delete(ids...)
-		if err := maybeCompact(m, opt.AutoCompact); err != nil {
-			return 0, 0, err
-		}
-		return n, m.Generation(), nil
-	})
-}
-
-// Upsert implements Engine.
-func (c *Local) Upsert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions) (Gens, error) {
-	if len(trs) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: upsert: %w", err)
-	}
-	if c.dir == nil {
-		return nil, ErrImmutable
-	}
-	return c.dir.upsert(trs, func(pid int, trs []*geo.Trajectory, _ int) (uint64, error) {
-		m, err := c.mutable(pid)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.Upsert(trs...); err != nil {
-			return 0, err
-		}
-		if err := maybeCompact(m, opt.AutoCompact); err != nil {
-			return 0, err
-		}
-		return m.Generation(), nil
-	})
-}
-
-// Compact implements Engine.
-func (c *Local) Compact(ctx context.Context, partitions []int) (Gens, error) {
-	sel, err := selectPartitions(partitions, c.NumPartitions())
-	if err != nil {
-		return nil, err
-	}
-	gens := make(Gens, len(sel))
-	for _, pid := range sel {
-		if err := ctx.Err(); err != nil {
-			return gens, fmt.Errorf("cluster: compact: %w", err)
-		}
-		m, err := c.mutable(pid)
-		if err != nil {
-			return gens, err
-		}
-		if err := m.Compact(); err != nil {
-			return gens, err
-		}
-		gens[pid] = m.Generation()
-	}
-	return gens, nil
-}
-
-// Remote mutations fan out to every in-sync replica of the touched
-// partition (mutateReplicas, failover.go): the mutation succeeds as
-// long as one replica acknowledges; a replica that fails its call
-// stops serving reads until the background prober restores it from an
-// acknowledged peer, so readers never observe the missed write's
-// absence. A ctx error still means "outcome unknown" — the workers
-// may have applied a mutation whose reply the driver stopped waiting
-// for — with the same retry/repair contract as before (deterministic
-// routing, Delete broadcast for unknown ids).
-
-// Insert implements Engine for the remote deployment: the driver
-// validates and routes exactly as the local engine does, then ships
-// each partition's group to all of its in-sync replicas.
+// Insert routes each trajectory to a partition (see
+// partition.OnlineRouter) and ships each partition's group to all of
+// its in-sync replicas; queries issued after it returns see every
+// inserted trajectory. It returns the new generations of the touched
+// partitions.
 func (r *Remote) Insert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions) (Gens, error) {
+	return r.insert(ctx, trs, opt, false)
+}
+
+// Upsert inserts trajectories with replace semantics: a live id's
+// replacement goes to its owning partition as one snapshot-atomic swap
+// (no window where the id is absent), and a new id routes like an
+// Insert.
+func (r *Remote) Upsert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions) (Gens, error) {
+	return r.insert(ctx, trs, opt, true)
+}
+
+// insert is Insert, or Upsert with replace set: every group rides
+// Worker.Insert, its Replace flag set for an upsert.
+func (r *Remote) insert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions, replace bool) (Gens, error) {
 	if len(trs) == 0 {
 		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: insert: %w", err)
 	}
-	if r.dir == nil {
-		return nil, ErrImmutable
-	}
-	return r.dir.insert(trs, func(pid int, trs []*geo.Trajectory) (uint64, error) {
+	return r.dir.insert(trs, replace, func(pid int, trs []*geo.Trajectory) (uint64, error) {
 		return r.mutateReplicas(ctx, pid, "Worker.Insert",
 			func() any {
-				return &InsertArgs{Version: ProtocolVersion, PartitionID: pid, Trajectories: trs, AutoCompact: opt.AutoCompact}
+				return &InsertArgs{Version: ProtocolVersion, PartitionID: pid, Trajectories: trs, Replace: replace, AutoCompact: opt.AutoCompact}
 			},
 			func() any { return new(InsertReply) },
-			func(reply any) (uint64, int) { ir := reply.(*InsertReply); return ir.Gen, ir.Len })
+			func(reply any) partState {
+				ir := reply.(*InsertReply)
+				return partState{ir.Gen, ir.Len, ir.SizeBytes}
+			})
 	})
 }
 
-// Delete implements Engine for the remote deployment.
+// Delete removes ids from their owning partitions; queries issued after
+// it returns never see them. It returns how many ids were live and the
+// new generations of the touched partitions.
 func (r *Remote) Delete(ctx context.Context, ids []int, opt MutateOptions) (int, Gens, error) {
 	if len(ids) == 0 {
 		return 0, nil, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, nil, fmt.Errorf("cluster: delete: %w", err)
-	}
-	if r.dir == nil {
-		return 0, nil, ErrImmutable
 	}
 	return r.dir.delete(ids, r.NumPartitions(), func(pid int, ids []int) (int, uint64, error) {
 		removed := 0
@@ -370,42 +227,26 @@ func (r *Remote) Delete(ctx context.Context, ids []int, opt MutateOptions) (int,
 				return &DeleteArgs{Version: ProtocolVersion, PartitionID: pid, IDs: ids, AutoCompact: opt.AutoCompact}
 			},
 			func() any { return new(DeleteReply) },
-			func(reply any) (uint64, int) {
-				dr := reply.(*DeleteReply)
-				removed = dr.Removed // identical on every in-sync replica
-				return dr.Gen, dr.Len
+			func(reply any) partState {
+				removed = reply.(*DeleteReply).Removed // identical on every in-sync replica
+				return deleteAck(reply)
 			})
 		return removed, gen, err
 	})
 }
 
-// Upsert implements Engine for the remote deployment: replace groups
-// ride the Insert RPC with the Replace flag set.
-func (r *Remote) Upsert(ctx context.Context, trs []*geo.Trajectory, opt MutateOptions) (Gens, error) {
-	if len(trs) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: upsert: %w", err)
-	}
-	if r.dir == nil {
-		return nil, ErrImmutable
-	}
-	return r.dir.upsert(trs, func(pid int, trs []*geo.Trajectory, _ int) (uint64, error) {
-		return r.mutateReplicas(ctx, pid, "Worker.Insert",
-			func() any {
-				return &InsertArgs{Version: ProtocolVersion, PartitionID: pid, Trajectories: trs, Replace: true, AutoCompact: opt.AutoCompact}
-			},
-			func() any { return new(InsertReply) },
-			func(reply any) (uint64, int) { ir := reply.(*InsertReply); return ir.Gen, ir.Len })
-	})
+// deleteAck reads a DeleteReply's partition state.
+func deleteAck(reply any) partState {
+	dr := reply.(*DeleteReply)
+	return partState{dr.Gen, dr.Len, dr.SizeBytes}
 }
 
-// Compact implements Engine for the remote deployment: every in-sync
-// replica of each selected partition folds its delta, keeping the
-// replica generations aligned. Partitions compact concurrently —
-// compaction is a rebuild, and serializing P×R round trips would make
-// CompactNow latency linear in the partition count.
+// Compact folds every selected partition's pending delta back into its
+// index (nil/empty partitions selects all) on every in-sync replica,
+// keeping the replica generations aligned, and returns the new
+// generations of the compacted partitions. Partitions compact
+// concurrently — compaction is a rebuild, and serializing P×R round
+// trips would make CompactNow latency linear in the partition count.
 func (r *Remote) Compact(ctx context.Context, partitions []int) (Gens, error) {
 	sub, err := selectPartitions(partitions, r.NumPartitions())
 	if err != nil {
@@ -425,8 +266,9 @@ func (r *Remote) Compact(ctx context.Context, partitions []int) (Gens, error) {
 			gen, err := r.mutateReplicas(ctx, pid, "Worker.Compact",
 				func() any { return &CompactArgs{Version: ProtocolVersion, Partitions: []int{pid}} },
 				func() any { return new(CompactReply) },
-				func(reply any) (uint64, int) {
-					return reply.(*CompactReply).Gens[pid], int(r.partLen[pid].Load())
+				func(reply any) partState {
+					cr := reply.(*CompactReply)
+					return partState{cr.Gens[pid], cr.Lens[pid], cr.Sizes[pid]}
 				})
 			mu.Lock()
 			defer mu.Unlock()

@@ -26,9 +26,10 @@ func freshTrajs(rng *rand.Rand, base, n int) []*geo.Trajectory {
 }
 
 // TestOnlineMutationsLocalRemoteParity drives the same mutation
-// script against a local and a remote engine and pins both to the
-// oracle after every phase: an inserted trajectory is returned by the
-// next query, a deleted one never is, on both engines.
+// script through an in-process worker and through TCP workers — every
+// mutation message once in process and once through gob — and pins
+// both to the oracle after every phase: an inserted trajectory is
+// returned by the next query, a deleted one never is.
 func TestOnlineMutationsLocalRemoteParity(t *testing.T) {
 	ds, local, remote := remotePair(t, 200, 5, 2)
 	ctx := context.Background()
@@ -36,43 +37,40 @@ func TestOnlineMutationsLocalRemoteParity(t *testing.T) {
 	mirror := oracle.NewSet(ds)
 	spec := testSpecOf(t)
 
-	engines := []struct {
-		name string
-		eng  Engine
-	}{{"local", local}, {"remote", remote}}
+	engines := map[string]*Remote{"local": local, "remote": remote}
 
 	check := func(phase string) {
 		t.Helper()
 		q := freshTrajs(rng, -1, 1)[0]
 		want := mirror.TopK(spec.Measure, spec.Params, q.Points, 10)
-		for _, e := range engines {
-			got, _, err := e.eng.Search(ctx, q.Points, 10, QueryOptions{})
+		for name, eng := range engines {
+			got, _, err := eng.Search(ctx, q.Points, 10, QueryOptions{})
 			if err != nil {
-				t.Fatalf("%s %s: %v", phase, e.name, err)
+				t.Fatalf("%s %s: %v", phase, name, err)
 			}
-			assertSameDistances(t, phase+" "+e.name, got, want)
+			assertSameDistances(t, phase+" "+name, got, want)
 		}
 	}
 
 	apply := func(phase string, adds []*geo.Trajectory, dels []int) {
 		t.Helper()
-		for _, e := range engines {
+		for name, eng := range engines {
 			if len(adds) > 0 {
-				gens, err := e.eng.Insert(ctx, adds, MutateOptions{})
+				gens, err := eng.Insert(ctx, adds, MutateOptions{})
 				if err != nil {
-					t.Fatalf("%s %s insert: %v", phase, e.name, err)
+					t.Fatalf("%s %s insert: %v", phase, name, err)
 				}
 				if len(gens) == 0 {
-					t.Fatalf("%s %s insert reported no generations", phase, e.name)
+					t.Fatalf("%s %s insert reported no generations", phase, name)
 				}
 			}
 			if len(dels) > 0 {
-				n, _, err := e.eng.Delete(ctx, dels, MutateOptions{})
+				n, _, err := eng.Delete(ctx, dels, MutateOptions{})
 				if err != nil {
-					t.Fatalf("%s %s delete: %v", phase, e.name, err)
+					t.Fatalf("%s %s delete: %v", phase, name, err)
 				}
 				if wantN := countLive(mirror, dels); n != wantN {
-					t.Fatalf("%s %s delete removed %d, want %d", phase, e.name, n, wantN)
+					t.Fatalf("%s %s delete removed %d, want %d", phase, name, n, wantN)
 				}
 			}
 		}
@@ -91,48 +89,48 @@ func TestOnlineMutationsLocalRemoteParity(t *testing.T) {
 	ups := freshTrajs(rng, 0, 1)
 	ups[0].ID = ds[10].ID
 	ups = append(ups, freshTrajs(rng, 30_000, 1)...)
-	for _, e := range engines {
-		gens, err := e.eng.Upsert(ctx, ups, MutateOptions{})
+	for name, eng := range engines {
+		gens, err := eng.Upsert(ctx, ups, MutateOptions{})
 		if err != nil {
-			t.Fatalf("%s upsert: %v", e.name, err)
+			t.Fatalf("%s upsert: %v", name, err)
 		}
 		if len(gens) == 0 {
-			t.Fatalf("%s upsert reported no generations", e.name)
+			t.Fatalf("%s upsert reported no generations", name)
 		}
 	}
 	mirror.Insert(ups...)
 	check("upsert")
 
 	// Compact everywhere; answers must not change.
-	for _, e := range engines {
-		gens, err := e.eng.Compact(ctx, nil)
+	for name, eng := range engines {
+		gens, err := eng.Compact(ctx, nil)
 		if err != nil {
-			t.Fatalf("%s compact: %v", e.name, err)
+			t.Fatalf("%s compact: %v", name, err)
 		}
 		if len(gens) != 5 {
-			t.Fatalf("%s compact touched %d partitions, want 5", e.name, len(gens))
+			t.Fatalf("%s compact touched %d partitions, want 5", name, len(gens))
 		}
 	}
 	check("compacted")
 
 	// Engine bookkeeping agrees across backends and with the oracle.
-	for _, e := range engines {
-		if e.eng.Len() != mirror.Len() {
-			t.Fatalf("%s Len %d, oracle %d", e.name, e.eng.Len(), mirror.Len())
+	for name, eng := range engines {
+		if eng.Len() != mirror.Len() {
+			t.Fatalf("%s Len %d, oracle %d", name, eng.Len(), mirror.Len())
 		}
 	}
 
 	// Duplicate inserts fail identically on both engines.
-	for _, e := range engines {
+	for name, eng := range engines {
 		err := func() error {
-			_, err := e.eng.Insert(ctx, []*geo.Trajectory{ds[10]}, MutateOptions{})
+			_, err := eng.Insert(ctx, []*geo.Trajectory{ds[10]}, MutateOptions{})
 			return err
 		}()
 		if !errors.Is(err, ErrDuplicateID) {
-			t.Fatalf("%s duplicate insert: %v", e.name, err)
+			t.Fatalf("%s duplicate insert: %v", name, err)
 		}
-		if _, err := e.eng.Insert(ctx, []*geo.Trajectory{{ID: 1}}, MutateOptions{}); err == nil {
-			t.Fatalf("%s empty insert should fail", e.name)
+		if _, err := eng.Insert(ctx, []*geo.Trajectory{{ID: 1}}, MutateOptions{}); err == nil {
+			t.Fatalf("%s empty insert should fail", name)
 		}
 	}
 }
@@ -156,42 +154,31 @@ func testSpecOf(t *testing.T) IndexSpec {
 }
 
 // TestGenerationPin: a pin above the current generation fails with
-// rptrie.ErrStale locally; a satisfied pin (taken from a mutation's
-// Gens) succeeds on both engines.
+// rptrie.ErrStale — the in-process worker's error keeps its identity —
+// and a satisfied pin (taken from a mutation's Gens) succeeds.
 func TestGenerationPin(t *testing.T) {
-	ds, local, remote := remotePair(t, 120, 3, 2)
+	ds, parts, spec := testWorld(t, 120, 3)
+	eng := inproc(t, spec, parts, 2, false)
 	ctx := context.Background()
 
 	// Future pin on an untouched partition fails.
-	_, _, err := local.Search(ctx, ds[0].Points, 3, QueryOptions{MinGens: []uint64{9}})
+	_, _, err := eng.Search(ctx, ds[0].Points, 3, QueryOptions{MinGens: []uint64{9}})
 	if !errors.Is(err, rptrie.ErrStale) {
 		t.Fatalf("future pin: err = %v", err)
 	}
 
-	// A pin derived from a real mutation succeeds on both engines.
-	adds := freshTrajs(rand.New(rand.NewSource(7)), 50_000, 9)
-	for _, eng := range []Engine{local, remote} {
-		gens, err := eng.Insert(ctx, adds, MutateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pins := make([]uint64, eng.NumPartitions())
-		for pid, gen := range gens {
-			pins[pid] = gen
-		}
-		if _, _, err := eng.Search(ctx, ds[0].Points, 3, QueryOptions{MinGens: pins}); err != nil {
-			t.Fatalf("satisfied pin: %v", err)
-		}
-		adds = cloneWithIDs(adds, 60_000) // fresh ids for the second engine
+	// A pin derived from a real mutation succeeds.
+	gens, err := eng.Insert(ctx, freshTrajs(rand.New(rand.NewSource(7)), 50_000, 9), MutateOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func cloneWithIDs(trs []*geo.Trajectory, base int) []*geo.Trajectory {
-	out := make([]*geo.Trajectory, len(trs))
-	for i, tr := range trs {
-		out[i] = &geo.Trajectory{ID: base + i, Points: tr.Points}
+	pins := make([]uint64, eng.NumPartitions())
+	for pid, gen := range gens {
+		pins[pid] = gen
 	}
-	return out
+	if _, _, err := eng.Search(ctx, ds[0].Points, 3, QueryOptions{MinGens: pins}); err != nil {
+		t.Fatalf("satisfied pin: %v", err)
+	}
 }
 
 // TestImmutableBaseline: mutations on a baseline-algorithm engine
@@ -199,10 +186,7 @@ func cloneWithIDs(trs []*geo.Trajectory, base int) []*geo.Trajectory {
 func TestImmutableBaseline(t *testing.T) {
 	_, parts, spec := testWorld(t, 80, 2)
 	spec.Algorithm = LS
-	c, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := inproc(t, spec, parts, 2, false)
 	ctx := context.Background()
 	tr := &geo.Trajectory{ID: 7777, Points: []geo.Point{{X: 1, Y: 1}}}
 	if _, err := c.Insert(ctx, []*geo.Trajectory{tr}, MutateOptions{}); !errors.Is(err, ErrImmutable) {
@@ -217,10 +201,7 @@ func TestImmutableBaseline(t *testing.T) {
 // delta crosses the threshold compacts during the mutation call.
 func TestAutoCompactThreshold(t *testing.T) {
 	ds, parts, spec := testWorld(t, 60, 1) // one partition: deterministic routing
-	local, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := inproc(t, spec, parts, 2, false)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 
@@ -228,7 +209,7 @@ func TestAutoCompactThreshold(t *testing.T) {
 	if _, err := local.Insert(ctx, freshTrajs(rng, 90_000, 8), MutateOptions{AutoCompact: 0.01}); err != nil {
 		t.Fatal(err)
 	}
-	m := local.Indexes()[0].(rptrie.Index)
+	m := partIndex(local, 0)
 	if m.DeltaLen() == 0 {
 		t.Fatal("tiny delta should not have compacted")
 	}
@@ -251,17 +232,14 @@ func TestAutoCompactThreshold(t *testing.T) {
 // worker-side ghost cannot become permanent.
 func TestDeleteRepairsDirectoryDesync(t *testing.T) {
 	_, parts, spec := testWorld(t, 80, 3)
-	local, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := inproc(t, spec, parts, 2, false)
 	ctx := context.Background()
 
 	// Simulate the desync: a trajectory lands in a partition index
 	// without going through the engine (as if the driver lost the
 	// RPC's reply after the worker applied it).
 	ghost := &geo.Trajectory{ID: 555_555, Points: []geo.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}}
-	if err := local.Indexes()[1].(rptrie.Index).Insert(ghost); err != nil {
+	if err := partIndex(local, 1).Insert(ghost); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := local.Search(ctx, ghost.Points, 1, QueryOptions{})
@@ -297,10 +275,7 @@ func TestDeleteRepairsDirectoryDesync(t *testing.T) {
 // in a second partition, and a retried Upsert is idempotent.
 func TestRetryAfterLostInsertOutcome(t *testing.T) {
 	_, parts, spec := testWorld(t, 90, 4)
-	local, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := inproc(t, spec, parts, 2, false)
 	ctx := context.Background()
 	tr := &geo.Trajectory{ID: 777_000, Points: []geo.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}}
 	if _, err := local.Insert(ctx, []*geo.Trajectory{tr}, MutateOptions{}); err != nil {
@@ -339,10 +314,7 @@ func TestRetryAfterLostInsertOutcome(t *testing.T) {
 func TestWorkerMutationRPCs(t *testing.T) {
 	w := NewWorker()
 	_, parts, spec := testWorld(t, 60, 2)
-	var br BuildReply
-	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
-		t.Fatal(err)
-	}
+	buildOn(t, w, 0, spec, parts[0])
 
 	var ir InsertReply
 	args := &InsertArgs{Version: ProtocolVersion, PartitionID: 0, Trajectories: []*geo.Trajectory{{ID: 9999, Points: []geo.Point{{X: 1, Y: 1}}}}}
@@ -379,15 +351,12 @@ func TestWorkerMutationRPCs(t *testing.T) {
 }
 
 // TestQueriesDuringMutations races engine-level queries against
-// mutations on the local engine and checks every answer is internally
-// consistent (sorted, deduplicated, only ever-known ids). Run under
-// -race in CI.
+// mutations on an in-process engine and checks every answer is
+// internally consistent (sorted, deduplicated, only ever-known ids).
+// Run under -race in CI.
 func TestQueriesDuringMutations(t *testing.T) {
 	ds, parts, spec := testWorld(t, 150, 4)
-	local, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := inproc(t, spec, parts, 4, false)
 	ctx := context.Background()
 
 	known := make(map[int]bool, len(ds))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repose/internal/geo"
@@ -14,15 +15,14 @@ import (
 
 // The query planner writes Section V-C's one dataflow — broadcast the
 // query to the selected partitions, search each one locally, collect
-// and merge — once for both engines. An engine contributes a
-// partitionClient that runs one wave of partition-local work: Local
-// runs the wave's tasks on its scan slots, Remote ships it to the
-// workers as one Worker.Query per worker group (with failover), and a
-// worker answers that call with the same Local.wave over the
-// partitions it owns. Everything around the waves lives here: the
-// partition selection, the re-plan after a concurrent split, the probe
-// budget's head / bound / survivor waves, the merge, the load tracker,
-// and the report.
+// and merge — once. A planned engine contributes a partitionClient that
+// runs one wave of partition-local work: Remote ships it to its workers
+// as one Worker.Query per worker group (with failover), over TCP or in
+// process, and a worker answers that call with Local.wave over the
+// partitions it owns; a BuildLocal engine runs Local.wave itself.
+// Everything around the waves lives here: the partition selection, the
+// re-plan after a concurrent split, the probe budget's head / bound /
+// survivor waves, the merge, the load tracker, and the report.
 
 // partitionClient runs one wave of partition-local work: req.Kind over
 // the global partition ids req.Partitions for every query in
@@ -54,12 +54,11 @@ type QueryReport struct {
 	// Generations is the per-partition generation floor of the
 	// answer: the engine's authoritative generation vector snapshotted
 	// at dispatch, before any partition was scanned. Every partition's
-	// snapshot-isolated scan observed at least this generation (on the
-	// local engine the scan reads the then-current state; on the
-	// remote engine only replicas at or above the authoritative
-	// generation serve reads), so an answer cache keyed by this vector
-	// can never serve a result missing a mutation that was
-	// acknowledged before the cached query began.
+	// snapshot-isolated scan observed at least this generation (only
+	// replicas at or above the authoritative generation serve reads,
+	// and a scan reads its replica's then-current state), so an answer
+	// cache keyed by this vector can never serve a result missing a
+	// mutation that was acknowledged before the cached query began.
 	Generations []uint64
 	// CacheEligible reports that the answer is canonical for
 	// (query, k) — it covered every partition, either by scanning it
@@ -68,10 +67,9 @@ type QueryReport struct {
 	// skipped partitions in best-effort mode, answers a sub-question
 	// that must not be cached as the full answer.
 	CacheEligible bool
-	// IndexBytes is the per-partition index footprint at dispatch,
-	// indexed by global partition id (like Generations). The local
-	// engine reports live sizes; the remote engine reports the sizes
-	// workers declared at build time.
+	// IndexBytes is the per-partition index footprint when the query
+	// finished, indexed by global partition id (like Generations), as
+	// the workers last reported it.
 	IndexBytes []int
 	// ExactComputations is the number of exact (or refined) distance
 	// computations the top-k query cost, summed over its partition
@@ -122,7 +120,7 @@ type BatchReport struct {
 	TotalWork time.Duration   // summed partition compute
 }
 
-// search answers one top-k query (Engine.Search) on e.
+// search answers one top-k query on e.
 func search(ctx context.Context, e plannedEngine, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
 	a, err := run(ctx, e, QueryArgs{Kind: KindTopK, Queries: [][]geo.Point{q}, K: k}, opt)
 	if err != nil {
@@ -131,7 +129,7 @@ func search(ctx context.Context, e plannedEngine, q []geo.Point, k int, opt Quer
 	return a.lists[0], a.report, nil
 }
 
-// searchRadius answers one range query (Engine.SearchRadius) on e.
+// searchRadius answers one range query on e.
 func searchRadius(ctx context.Context, e plannedEngine, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, QueryReport, error) {
 	// Radius queries have no probe-budget phase: neutralize the
 	// top-k-only fields so they can neither alter execution nor leak
@@ -144,9 +142,9 @@ func searchRadius(ctx context.Context, e plannedEngine, q []geo.Point, radius fl
 	return a.lists[0], a.report, nil
 }
 
-// searchBatch answers a batch of top-k queries (Engine.SearchBatch) on
-// e as one wave of (query, partition) tasks; each query is merged and
-// fed to the load tracker like a single Search.
+// searchBatch answers a batch of top-k queries on e as one wave of
+// (query, partition) tasks; each query is merged and fed to the load
+// tracker like a single Search.
 func searchBatch(ctx context.Context, e plannedEngine, qs [][]geo.Point, k int, opt QueryOptions) ([][]topk.Item, BatchReport, error) {
 	if len(qs) == 0 {
 		return nil, BatchReport{}, nil
@@ -200,8 +198,9 @@ func runOver(ctx context.Context, e plannedEngine, n int, args QueryArgs, opt Qu
 	start := time.Now()
 	if args.Kind == KindTopK {
 		// One heap per query for all of its waves: the survivor wave
-		// starts from the k-th distance the head wave reached. Only
-		// Local.wave can use them; a worker heaps its own share per call.
+		// starts from the k-th distance the head wave reached. Local.wave
+		// and in-process workers prune against them; a worker process
+		// heaps its own share per call.
 		args.shared = acquireHeaps(nq, args.K)
 		defer releaseHeaps(args.shared)
 	}
@@ -333,31 +332,45 @@ func mergeDedup(k int, lists [][]topk.Item) []topk.Item {
 	return out
 }
 
-// sharedPool recycles the per-query result heaps that a query's
-// partition scans share (see rptrie.SharedTopK), keeping the engine
-// call's steady-state allocation count where it was.
-var sharedPool = sync.Pool{New: func() any { return new(rptrie.SharedTopK) }}
-
-// acquireHeaps returns one shared result heap per query for a top-k
-// wave. A non-positive k (the wire does not validate it) answers
-// nothing and shares nothing: its entries are nil.
-func acquireHeaps(nq, k int) []*rptrie.SharedTopK {
-	hs := make([]*rptrie.SharedTopK, nq)
-	if k > 0 {
-		for i := range hs {
-			hs[i] = sharedPool.Get().(*rptrie.SharedTopK)
-			hs[i].Reset(k)
-		}
-	}
-	return hs
+// heapSet is a top-k request's result heaps, one per query, that all of
+// the query's partition scans share (see rptrie.SharedTopK). Sets are
+// pooled, keeping the engine call's steady-state allocation count flat.
+type heapSet struct {
+	hs []*rptrie.SharedTopK
+	// abandoned keeps the set out of the pool: a worker call the driver
+	// stopped waiting for may still be scanning with it in process.
+	abandoned atomic.Bool
 }
 
-// releaseHeaps recycles hs once every scan they were handed to has
-// returned — Local.wave joins its tasks first.
-func releaseHeaps(hs []*rptrie.SharedTopK) {
-	for _, h := range hs {
-		if h != nil {
-			sharedPool.Put(h)
+var heapPool = sync.Pool{New: func() any { return new(heapSet) }}
+
+// acquireHeaps returns a reset set of nq heaps for a top-k request. A
+// non-positive k (the wire does not validate it) answers nothing and
+// shares nothing: its entries are nil.
+func acquireHeaps(nq, k int) *heapSet {
+	s := heapPool.Get().(*heapSet)
+	if cap(s.hs) < nq {
+		s.hs = append(s.hs[:cap(s.hs)], make([]*rptrie.SharedTopK, nq-cap(s.hs))...)
+	}
+	s.hs = s.hs[:nq]
+	for i := range s.hs {
+		if k <= 0 {
+			s.hs[i] = nil
+			continue
 		}
+		if s.hs[i] == nil {
+			s.hs[i] = new(rptrie.SharedTopK)
+		}
+		s.hs[i].Reset(k)
+	}
+	return s
+}
+
+// releaseHeaps recycles s once every scan it was handed to has
+// returned — Local.wave joins its tasks first, and the driver marks a
+// set it stopped waiting on abandoned.
+func releaseHeaps(s *heapSet) {
+	if !s.abandoned.Load() {
+		heapPool.Put(s)
 	}
 }

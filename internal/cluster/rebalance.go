@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-
-	"repose/internal/rptrie"
 )
 
 // Online rebalancing: migrating a hot partition's replica to an
@@ -197,11 +195,11 @@ func (r *Remote) SplitPartition(ctx context.Context, pid int) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("cluster: split: %w", err)
 	}
-	if r.dir == nil {
-		return 0, ErrImmutable
-	}
 	r.dir.mu.Lock()
 	defer r.dir.mu.Unlock()
+	if r.dir.router == nil {
+		return 0, ErrImmutable
+	}
 	r.rebalMu.Lock()
 	defer r.rebalMu.Unlock()
 
@@ -214,10 +212,9 @@ func (r *Remote) SplitPartition(ctx context.Context, pid int) (int, error) {
 		return 0, err
 	}
 	newPid := n
-	// Rebuild the router for n+1 partitions up front: it is the only
-	// step that can fail for structural reasons (no grid), and failing
-	// before any worker state changed keeps the abort trivial.
-	if err := r.dir.rebuildRouterLocked(n + 1); err != nil {
+	// Rebuild the router for n+1 partitions up front: failing before
+	// any worker state changed keeps the abort trivial.
+	if err := r.dir.route(n + 1); err != nil {
 		return 0, err
 	}
 
@@ -234,7 +231,7 @@ func (r *Remote) SplitPartition(ctx context.Context, pid int) (int, error) {
 	slots := append([]int(nil), r.owners[pid]...)
 	r.genMu.Unlock()
 	if len(targets) == 0 {
-		_ = r.dir.rebuildRouterLocked(n)
+		_ = r.dir.route(n)
 		return 0, fmt.Errorf("%w %d", ErrUnavailable, pid)
 	}
 	gens := make(map[int]uint64, len(targets)) // replica index → installed gen
@@ -262,7 +259,7 @@ func (r *Remote) SplitPartition(ctx context.Context, pid int) (int, error) {
 				_ = r.probeCall(c, "Worker.Drop", &DropArgs{Version: ProtocolVersion, PartitionID: newPid}, &struct{}{}, restoreTimeout)
 			}
 		}
-		_ = r.dir.rebuildRouterLocked(n)
+		_ = r.dir.route(n)
 		return 0, err
 	}
 
@@ -311,98 +308,9 @@ func (r *Remote) SplitPartition(ctx context.Context, pid int) (int, error) {
 		func() any {
 			return &DeleteArgs{Version: ProtocolVersion, PartitionID: pid, IDs: moveIDs}
 		},
-		func() any { return new(DeleteReply) },
-		func(reply any) (uint64, int) { dr := reply.(*DeleteReply); return dr.Gen, dr.Len })
+		func() any { return new(DeleteReply) }, deleteAck)
 	if err != nil {
 		return newPid, fmt.Errorf("cluster: split: pruning partition %d: %w", pid, err)
-	}
-	return newPid, nil
-}
-
-// SplitPartition carves the upper half (by id) of partition pid into a
-// new partition and returns the new partition's id. The grown
-// partition slice is published before the source is pruned, so a
-// concurrent query sees a moved trajectory in one or both partitions —
-// never in neither — and the merge dedups the overlap.
-func (c *Local) SplitPartition(ctx context.Context, pid int) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("cluster: split: %w", err)
-	}
-	if c.dir == nil {
-		return 0, ErrImmutable
-	}
-	c.dir.mu.Lock()
-	defer c.dir.mu.Unlock()
-
-	parts := c.parts()
-	n := len(parts)
-	if pid < 0 || pid >= n {
-		return 0, fmt.Errorf("cluster: split: partition %d out of range [0,%d)", pid, n)
-	}
-	moveIDs, err := splitMoveIDs(c.dir, pid)
-	if err != nil {
-		return 0, err
-	}
-	newPid := n
-	if err := c.dir.rebuildRouterLocked(n + 1); err != nil {
-		return 0, err
-	}
-
-	clone, err := cloneLocalIndex(parts[pid])
-	if err != nil {
-		_ = c.dir.rebuildRouterLocked(n)
-		return 0, fmt.Errorf("cluster: split partition %d: %w", pid, err)
-	}
-	mm, ok := clone.(rptrie.Index)
-	if !ok {
-		_ = c.dir.rebuildRouterLocked(n)
-		return 0, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, clone)
-	}
-	keep := make(map[int]struct{}, len(moveIDs))
-	for _, id := range moveIDs {
-		keep[id] = struct{}{}
-	}
-	var drop []int
-	for _, id := range liveIDs(clone) {
-		if _, kept := keep[id]; !kept {
-			drop = append(drop, id)
-		}
-	}
-	sort.Ints(drop)
-	if len(drop) > 0 {
-		mm.Delete(drop...)
-	}
-	if err := mm.Compact(); err != nil {
-		_ = c.dir.rebuildRouterLocked(n)
-		return 0, fmt.Errorf("cluster: split partition %d: compact clone: %w", pid, err)
-	}
-	idx := clone
-	if c.dataDir != "" {
-		idx, err = wrapDurablePartition(c.dataDir, newPid, clone)
-		if err != nil {
-			_ = c.dir.rebuildRouterLocked(n)
-			return 0, fmt.Errorf("cluster: split partition %d: %w", pid, err)
-		}
-	}
-
-	// Publish the grown slice (a fresh backing array — in-flight
-	// queries hold the old snapshot) before pruning the source, so the
-	// moved ids are never unreachable.
-	grown := make([]LocalIndex, n+1)
-	copy(grown, parts)
-	grown[newPid] = idx
-	c.setParts(grown)
-
-	m, err := c.mutable(pid)
-	if err != nil {
-		return newPid, err
-	}
-	m.Delete(moveIDs...)
-	if err := m.Compact(); err != nil {
-		return newPid, fmt.Errorf("cluster: split partition %d: compact source: %w", pid, err)
-	}
-	for _, id := range moveIDs {
-		c.dir.loc[int32(id)] = newPid
 	}
 	return newPid, nil
 }

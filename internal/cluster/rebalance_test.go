@@ -11,7 +11,6 @@ import (
 	"repose/internal/dataset"
 	"repose/internal/geo"
 	"repose/internal/oracle"
-	"repose/internal/rptrie"
 )
 
 // TestProbeBudgetBitIdenticalAllLayouts: a probe-budgeted Search must
@@ -21,22 +20,11 @@ import (
 func TestProbeBudgetBitIdenticalAllLayouts(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 8)
 	queries := dataset.Queries(ds, 5, 13)
-	layouts := []struct {
-		name string
-		mod  func(*IndexSpec)
-	}{
-		{"pointer", func(s *IndexSpec) {}},
-		{"succinct", func(s *IndexSpec) { s.Layout = rptrie.LayoutSuccinct }},
-		{"compressed", func(s *IndexSpec) { s.Layout = rptrie.LayoutCompressed }},
-	}
 	ctx := context.Background()
-	for _, lo := range layouts {
+	for _, lo := range sharedLayouts {
 		sp := spec
 		lo.mod(&sp)
-		c, err := BuildLocal(sp, parts, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", lo.name, err)
-		}
+		c := inproc(t, sp, parts, 4, false)
 		// A few full queries teach the tracker its reward/cost scores;
 		// budgets are exercised both cold (first loop pass) and warm.
 		for pass := 0; pass < 2; pass++ {
@@ -72,10 +60,7 @@ func TestProbeBudgetBitIdenticalAllLayouts(t *testing.T) {
 // answer equals an explicit query over the probed partitions.
 func TestProbeBudgetBestEffort(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 8)
-	c, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := inproc(t, spec, parts, 4, false)
 	ctx := context.Background()
 	queries := dataset.Queries(ds, 4, 17)
 	for _, q := range queries { // warm the tracker
@@ -108,11 +93,7 @@ func TestProbeBudgetBestEffort(t *testing.T) {
 func TestRemoteProbeBudgetMatchesLocal(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 6)
 	addrs := startWorkers(t, 3)
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, addrs)
 	ctx := context.Background()
 	for pass := 0; pass < 2; pass++ {
 		for qi, q := range dataset.Queries(ds, 4, 19) {
@@ -140,15 +121,12 @@ func TestRemoteProbeBudgetMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestLocalSplitPartition: an online split conserves the trajectory
-// set, keeps answers bit-identical to the oracle, and routes
-// subsequent mutations to the new partition.
+// TestLocalSplitPartition: an online split on an in-process engine
+// conserves the trajectory set, keeps answers bit-identical to the
+// oracle, and routes subsequent mutations to the new partition.
 func TestLocalSplitPartition(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 4)
-	c, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := inproc(t, spec, parts, 4, false)
 	ctx := context.Background()
 	lenBefore := c.Len()
 
@@ -202,11 +180,7 @@ func TestRemoteSplitPartition(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 4)
 	spec.Replicas = 2
 	addrs := startWorkers(t, 3)
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, addrs)
 	ctx := context.Background()
 	lenBefore := remote.Len()
 
@@ -267,11 +241,7 @@ func TestRemoteSplitPartition(t *testing.T) {
 func TestRemoteRebalanceMigratesHotPartition(t *testing.T) {
 	ds, parts, spec := testWorld(t, 300, 4)
 	addrs := startWorkers(t, 3)
-	remote, err := BuildRemote(spec, parts, addrs) // p0,p3 → w0; p1 → w1; p2 → w2
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, addrs) // p0,p3 → w0; p1 → w1; p2 → w2
 	ctx := context.Background()
 	queries := dataset.Queries(ds, 6, 31)
 
@@ -398,11 +368,7 @@ func TestReviveSlotAdoptsNewerGeneration(t *testing.T) {
 	ds, parts, spec := testWorld(t, 120, 2)
 	spec.Replicas = 2
 	addrs := startWorkers(t, 2)
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, addrs)
 	remote.SetFailover(fastFailover)
 
 	// Apply a mutation to worker 0's replica of partition 0 behind the
@@ -469,7 +435,7 @@ func TestRecoveredDirectoryErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexes := c.parts()
+	indexes := c.Indexes()
 
 	bad := spec
 	bad.Delta = -1

@@ -76,9 +76,10 @@ func assertRefinedProfile(t *testing.T, ctx string, refine func(*geo.Trajectory)
 
 // TestRefinedQueriesMatchOracleAcrossEngines pins the refined query
 // modes — subtrajectory, time-windowed, and their composition — to the
-// brute-force oracle on all three layouts, through BOTH engines (the
-// remote one exercises protocol v7's RefineSpec plumbing and the
-// worker-side refiner dispatch), top-k and radius.
+// brute-force oracle on all three layouts and a disk-backed one, top-k
+// and radius, in process and, for the pointer layout, over TCP (where
+// protocol v7's RefineSpec crosses the wire to the worker-side refiner
+// dispatch).
 func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 	ds, parts, spec := testWorld(t, 200, 4)
 	attachClusterTimes(11, ds)
@@ -94,14 +95,14 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 	}
 	queries := dataset.Queries(ds, 4, 13)
 	ctx := context.Background()
-	for _, lay := range radiusLayouts {
+	remote := remoteOn(t, spec, parts, startWorkers(t, 3))
+	for li, lay := range radiusLayouts {
 		sp := spec
 		sp.Layout = lay.layout
-		local, remote := enginePair(t, sp, parts, 3, lay.durable)
-		engines := []struct {
-			name string
-			e    Engine
-		}{{"local", local}, {"remote", remote}}
+		engines := map[string]*Remote{"local": inproc(t, sp, parts, 4, lay.durable)}
+		if li == 0 {
+			engines["remote"] = remote
+		}
 		for qi, q := range queries {
 			for _, rs := range modes {
 				osp := oracleSpecOf(rs)
@@ -109,9 +110,9 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 					return osp.Refine(sp.Measure, sp.Params, q.Points, tr)
 				}
 				want := oracle.TopKRefined(sp.Measure, sp.Params, ds, q.Points, 6, osp)
-				for _, eng := range engines {
-					label := lay.name + "/" + eng.name
-					got, rep, err := eng.e.Search(ctx, q.Points, 6, QueryOptions{Refine: rs})
+				for name, eng := range engines {
+					label := lay.name + "/" + name
+					got, rep, err := eng.Search(ctx, q.Points, 6, QueryOptions{Refine: rs})
 					if err != nil {
 						t.Fatalf("%s q%d spec=%+v: Search: %v", label, qi, rs, err)
 					}
@@ -121,7 +122,7 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 					}
 					radius := 0.8
 					wantR := oracle.RadiusRefined(sp.Measure, sp.Params, ds, q.Points, radius, osp)
-					gotR, _, err := eng.e.SearchRadius(ctx, q.Points, radius, QueryOptions{Refine: rs})
+					gotR, _, err := eng.SearchRadius(ctx, q.Points, radius, QueryOptions{Refine: rs})
 					if err != nil {
 						t.Fatalf("%s q%d spec=%+v: SearchRadius: %v", label, qi, rs, err)
 					}
@@ -212,11 +213,7 @@ func TestBudgetedSearchSurvivesBoundFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fleet.Close() })
-	remote, err := BuildRemote(spec, parts, fleet.Addrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
+	remote := remoteOn(t, spec, parts, fleet.Addrs())
 	remote.SetFailover(fastFailover)
 
 	ctx := context.Background()
@@ -258,9 +255,7 @@ func TestBudgetedLocalSearchSurvivesBoundFailure(t *testing.T) {
 	}
 	// Swap partition 2's index for one whose BoundContext always
 	// errors while its search path still answers.
-	swapped := append([]LocalIndex(nil), *local.partsPtr.Load()...)
-	swapped[2] = &boundErrIndex{LocalIndex: swapped[2]}
-	local.partsPtr.Store(&swapped)
+	local.parts[2] = &boundErrIndex{LocalIndex: local.parts[2]}
 
 	ctx := context.Background()
 	q := dataset.Queries(ds, 1, 5)[0]
@@ -300,58 +295,43 @@ func (b *boundErrIndex) BoundContext(ctx context.Context, q []geo.Point, opt rpt
 // TestRadiusIgnoresProbeBudgetAndStaysCacheEligible: radius queries
 // have no probe-budget phase, so WithProbeBudget/WithBestEffortProbes
 // must neither change the answer nor cost the report its cache
-// eligibility — on both engines. Guards the serve cache against a
-// future best-effort radius silently poisoning it.
+// eligibility. Guards the serve cache against a future best-effort
+// radius silently poisoning it.
 func TestRadiusIgnoresProbeBudgetAndStaysCacheEligible(t *testing.T) {
 	ds, parts, spec := testWorld(t, 150, 4)
-	local, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := BuildRemote(spec, parts, startWorkers(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-
+	eng := inproc(t, spec, parts, 4, false)
 	ctx := context.Background()
 	q := dataset.Queries(ds, 1, 9)[0]
-	engines := []struct {
-		name string
-		e    Engine
-	}{{"local", local}, {"remote", remote}}
-	for _, eng := range engines {
-		plain, plainRep, err := eng.e.SearchRadius(ctx, q.Points, 0.6, QueryOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
-		}
-		if len(plain) == 0 {
-			t.Fatalf("%s: degenerate case, no in-range trajectories", eng.name)
-		}
-		if !plainRep.CacheEligible {
-			t.Fatalf("%s: plain full-scatter radius must be cache-eligible", eng.name)
-		}
-		budgeted, rep, err := eng.e.SearchRadius(ctx, q.Points, 0.6, QueryOptions{ProbeBudget: 1, BestEffort: true})
-		if err != nil {
-			t.Fatalf("%s with budget: %v", eng.name, err)
-		}
-		assertBitIdentical(t, eng.name+" radius under probe-budget options", 9, budgeted, plain)
-		if !rep.CacheEligible {
-			t.Fatalf("%s: radius ignores probe budgets, so the answer is exact and must stay cache-eligible", eng.name)
-		}
-		if len(rep.SkippedPartitions) != 0 || len(rep.PrunedPartitions) != 0 {
-			t.Fatalf("%s: radius must not skip or prune: %+v", eng.name, rep)
-		}
-		assertReportCovers(t, eng.name+" plain radius", plainRep, []int{0, 1, 2, 3}, 4)
-		assertReportCovers(t, eng.name+" radius under probe-budget options", rep, []int{0, 1, 2, 3}, 4)
-		// Partition-restricted radius answers remain ineligible.
-		_, rep, err = eng.e.SearchRadius(ctx, q.Points, 0.6, QueryOptions{Partitions: []int{2, 0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.CacheEligible {
-			t.Fatalf("%s: partition-restricted radius must not be cache-eligible", eng.name)
-		}
-		assertReportCovers(t, eng.name+" restricted radius", rep, []int{2, 0}, 4)
+	plain, plainRep, err := eng.SearchRadius(ctx, q.Points, 0.6, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(plain) == 0 {
+		t.Fatal("degenerate case, no in-range trajectories")
+	}
+	if !plainRep.CacheEligible {
+		t.Fatal("plain full-scatter radius must be cache-eligible")
+	}
+	budgeted, rep, err := eng.SearchRadius(ctx, q.Points, 0.6, QueryOptions{ProbeBudget: 1, BestEffort: true})
+	if err != nil {
+		t.Fatalf("with budget: %v", err)
+	}
+	assertBitIdentical(t, "radius under probe-budget options", 9, budgeted, plain)
+	if !rep.CacheEligible {
+		t.Fatal("radius ignores probe budgets, so the answer is exact and must stay cache-eligible")
+	}
+	if len(rep.SkippedPartitions) != 0 || len(rep.PrunedPartitions) != 0 {
+		t.Fatalf("radius must not skip or prune: %+v", rep)
+	}
+	assertReportCovers(t, "plain radius", plainRep, []int{0, 1, 2, 3}, 4)
+	assertReportCovers(t, "radius under probe-budget options", rep, []int{0, 1, 2, 3}, 4)
+	// Partition-restricted radius answers remain ineligible.
+	_, rep, err = eng.SearchRadius(ctx, q.Points, 0.6, QueryOptions{Partitions: []int{2, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CacheEligible {
+		t.Fatal("partition-restricted radius must not be cache-eligible")
+	}
+	assertReportCovers(t, "restricted radius", rep, []int{2, 0}, 4)
 }

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net"
 	"net/rpc"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,74 +21,40 @@ import (
 	"repose/internal/topk"
 )
 
-// The RPC transport simulates the paper's multi-node deployment on
-// one machine: worker processes own partitions, the driver ships
-// trajectories + an IndexSpec at build time and broadcasts queries,
-// and each worker answers for the partitions it owns. Everything is
-// stdlib net/rpc with gob encoding.
+// The wire protocol simulates the paper's multi-node deployment on one
+// machine: worker processes own partitions, the driver ships
+// trajectories and an IndexSpec at build time and queries at run time,
+// and each worker answers for the partitions it owns — stdlib net/rpc
+// with gob encoding. An in-process worker (inproc.go) receives the same
+// messages as Go values. The endpoints, and the version each arrived in:
 //
-// Protocol v2 adds a version handshake, radius and batch search
-// endpoints, and per-query cancellation: every query carries a
-// salted unique ID plus an optional time budget, and the driver
-// fires Worker.Cancel for in-flight IDs when its context is
-// cancelled, so a straggler worker stops computing instead of
-// burning cores on an answer nobody is waiting for.
+//   - Handshake (v2) refuses a peer of another version; every request
+//     carries its Version as well.
+//   - Query (v8, folding the per-shape endpoints of v2–v7) runs a Kind —
+//     top-k, radius, or bound (v6: the probe budget's admissible lower
+//     bound) — for one or more queries under an optional RefineSpec (v7:
+//     plain data; each worker builds the refiner from its partition's
+//     own configuration), answering one row per (query, partition).
+//     Each query carries a salted id and a time budget, Cancel (v2)
+//     aborts it early, and per-partition generation pins (v3) give
+//     read-your-writes.
+//   - Insert, Delete and Compact (v3) apply a routed mutation; their
+//     replies carry the partition's generation, length and, since v9,
+//     index size, so the driver's PartitionIndexBytes stays live.
+//   - Status, Snapshot and Restore (v4) let the failure detector
+//     reconcile a rejoining worker and stream it a peer's partition;
+//     Split and Drop (v6) split and migrate partitions online.
 //
-// Protocol v3 adds online index maintenance: Insert/Delete/Compact
-// endpoints targeting one partition (the driver routes; workers
-// apply), and per-partition generation pins in the query header so a
-// driver can demand read-your-writes snapshots.
-//
-// Protocol v4 adds replication and recovery: Worker.Status reports
-// which partitions a worker holds at which generations (the driver's
-// failure detector reconciles a rejoining worker against it),
-// Worker.Snapshot streams one partition's serialized index out of a
-// healthy replica, and Worker.Restore installs such a stream into a
-// recovering worker — the state transfer that lets a restarted worker
-// rejoin without replaying the build. Query headers are otherwise
-// unchanged; replication is entirely driver-side policy (placement,
-// per-replica generation tracking, failover routing — see
-// failover.go).
-//
-// Protocol v6 adds live rebalancing and score-guided probing: the
-// search reply carries each partition's unmerged result list and cost
-// counters (the driver's load tracker and split-window dedup need
-// per-partition attribution, not a per-worker merge), Worker.Bound
-// answers the probe budget's admissible lower-bound check without a
-// full scan, Worker.Split clones the moved half of a partition into a
-// new partition id on the same worker, and Worker.Drop discards a
-// partition after its replica migrated away. A worker now also errors
-// on a query naming a partition it does not hold (it used to answer
-// silently from the intersection): the driver always asks exactly
-// what it believes the worker owns, so a miss means the plan raced an
-// ownership change and the driver must retry elsewhere rather than
-// accept a silently incomplete answer.
-//
-// Protocol v7 adds refined query modes: the four query arg shapes
-// (top-k, bound, radius, batch) gain a rptrie.RefineSpec
-// selecting subtrajectory and/or time-windowed scoring. The worker
-// builds the refiner per partition from the partition's own index
-// configuration, so the spec travels as plain data — no measure or
-// parameters on the wire. A zero spec encodes the pre-v7 behaviour,
-// and reply shapes are unchanged (topk.Item already carries the
-// matched [Start, End) segment).
-//
-// Protocol v8 folds the four query endpoints into one, Worker.Query:
-// a QueryArgs names its Kind — top-k, bound, or radius — and carries
-// one or more queries, and a QueryReply answers with one row per
-// (query, partition) in slices indexed [qi*len(Partitions)+si]: the
-// result list or bound, scan nanoseconds, completion offset, and refine
-// count. The worker runs the in-process engine's own wave over the
-// partitions it owns, so a batch now reports per partition like a
-// single search (the driver's load tracker learns from batched
-// traffic), and the per-worker merged list v6 sent beside the
-// per-partition lists is gone — the driver never read it. A worker
-// rejects a Kind it does not know.
+// A worker refuses a request naming a partition it does not own rather
+// than answering from the intersection (v6; Compact since v9): the
+// driver asks for exactly what it believes the worker owns, so a miss
+// means the plan raced an ownership change and must be retried
+// elsewhere.
 
 // ProtocolVersion is the driver↔worker wire protocol version. The
 // worker rejects requests from a driver speaking a different version
 // rather than mis-decoding them.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // checkVersion rejects a peer speaking a different protocol version.
 func checkVersion(v int) error {
@@ -188,9 +156,12 @@ type QueryArgs struct {
 	RefineWorkers int
 	Refine        rptrie.RefineSpec
 
-	// shared holds one result heap per query for an in-process top-k
-	// wave (see Local.wave). Unexported, so it never crosses the wire.
-	shared []*rptrie.SharedTopK
+	// An in-process worker receives the driver's own context and
+	// result heaps (one per top-k query, see Local.wave): its scans stop
+	// when the query's context ends and prune against the driver's
+	// threshold. Unexported, neither crosses the wire.
+	ctx    context.Context
+	shared *heapSet
 }
 
 // QueryReply answers a QueryArgs with one row per (query, partition)
@@ -255,8 +226,9 @@ type InsertArgs struct {
 
 // InsertReply reports the partition's post-insert state.
 type InsertReply struct {
-	Gen uint64
-	Len int
+	Gen       uint64
+	Len       int
+	SizeBytes int
 }
 
 // DeleteArgs removes ids from one partition the worker owns.
@@ -270,9 +242,10 @@ type DeleteArgs struct {
 // DeleteReply reports how many ids were live and the partition's
 // post-delete state.
 type DeleteReply struct {
-	Removed int
-	Gen     uint64
-	Len     int
+	Removed   int
+	Gen       uint64
+	Len       int
+	SizeBytes int
 }
 
 // CompactArgs folds the pending deltas of the selected partitions the
@@ -282,9 +255,12 @@ type CompactArgs struct {
 	Partitions []int
 }
 
-// CompactReply carries the compacted partitions' new generations.
+// CompactReply carries each compacted partition's new generation,
+// live length and index size.
 type CompactReply struct {
-	Gens map[int]uint64
+	Gens  map[int]uint64
+	Lens  map[int]int
+	Sizes map[int]int
 }
 
 // ClearArgs empties a worker between experiments.
@@ -298,12 +274,13 @@ type StatusArgs struct {
 }
 
 // StatusReply reports the worker's partitions: each one's index
-// generation and live trajectory count. The driver's failure detector
-// compares these against the authoritative generations to decide what
-// a rejoining worker must be restored.
+// generation, live trajectory count and index size. The driver's
+// failure detector compares these against the authoritative
+// generations to decide what a rejoining worker must be restored.
 type StatusReply struct {
-	Gens map[int]uint64
-	Lens map[int]int
+	Gens  map[int]uint64
+	Lens  map[int]int
+	Sizes map[int]int
 }
 
 // SnapshotArgs asks a worker to serialize one partition it owns.
@@ -367,10 +344,15 @@ type DropArgs struct {
 	PartitionID int
 }
 
-// Worker is the RPC service hosted by a worker process.
+// Worker is the RPC service hosted by a worker process, or called
+// directly in process (see inProcess).
 type Worker struct {
-	mu       sync.Mutex
-	indexes  map[int]LocalIndex
+	mu      sync.Mutex
+	indexes map[int]LocalIndex
+	// view answers queries over every owned partition. publishLocked
+	// rebuilds it whenever indexes or the scan cap change, so a query
+	// takes it as is.
+	view     *Local
 	inflight map[uint64]context.CancelFunc
 	// cancelled holds ids whose Worker.Cancel arrived before the
 	// query registered (net/rpc runs handlers concurrently, so the
@@ -399,28 +381,75 @@ type Worker struct {
 	// the knob for memory-constrained workers in a heterogeneous
 	// fleet. Safe because every layout answers queries bit-identically.
 	forceLayout *rptrie.Layout
-	// queryWorkers/qsem, when set, cap the worker's total
-	// partition-scan concurrency across all in-flight queries (the
-	// default is GOMAXPROCS per query view, which hides per-worker
-	// saturation when many workers share one test machine).
-	queryWorkers int
-	qsem         chan struct{}
+	// qsem, when set, caps the worker's total partition-scan
+	// concurrency across all in-flight queries (the default is
+	// GOMAXPROCS per query, which hides per-worker saturation when many
+	// workers share one test machine).
+	qsem chan struct{}
 }
 
 // SetQueryWorkers caps this worker's total partition-scan concurrency
 // across all in-flight queries. Call before serving; n <= 0 restores
-// the default (GOMAXPROCS per query view). The cap is what makes one
+// the default (GOMAXPROCS per query). The cap is what makes one
 // worker's overload observable — and a migration's relief measurable
 // — when several workers share a machine.
 func (w *Worker) SetQueryWorkers(n int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if n <= 0 {
-		w.queryWorkers, w.qsem = 0, nil
-		return
+	w.qsem = nil
+	if n > 0 {
+		w.qsem = make(chan struct{}, n)
 	}
-	w.queryWorkers = n
-	w.qsem = make(chan struct{}, n)
+	w.publishLocked()
+}
+
+// publishLocked rebuilds the query view over every owned partition, in
+// ascending partition id order. Caller holds w.mu.
+func (w *Worker) publishLocked() {
+	pids := make([]int, 0, len(w.indexes))
+	for pid := range w.indexes {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids)
+	parts := make([]LocalIndex, len(pids))
+	for i, pid := range pids {
+		parts[i] = w.indexes[pid]
+	}
+	w.view = &Local{parts: parts, gpids: pids, sem: w.qsem}
+}
+
+// swap installs idx as partition pid (nil uninstalls it), publishes
+// the new view, and returns what the worker held before.
+func (w *Worker) swap(pid int, idx LocalIndex) LocalIndex {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	old := w.indexes[pid]
+	if idx == nil {
+		delete(w.indexes, pid)
+	} else {
+		w.indexes[pid] = idx
+	}
+	w.publishLocked()
+	return old
+}
+
+// install makes idx partition pid, replacing whatever the worker held
+// for it, and returns the installed index — disk-backed under dataDir
+// when the worker has one. The old index is uninstalled before its
+// store is closed and its directory wiped: if the durable install
+// fails, the partition must read as absent (the driver rebuilds or
+// restores it), not be served by a closed index whose on-disk state is
+// gone.
+func (w *Worker) install(pid int, idx LocalIndex) (LocalIndex, error) {
+	closeDurable(w.swap(pid, nil)) // release the store before WrapDurable wipes its directory
+	if w.dataDir != "" {
+		var err error
+		if idx, err = wrapDurablePartition(w.dataDir, pid, idx); err != nil {
+			return nil, err
+		}
+	}
+	w.swap(pid, idx)
+	return idx, nil
 }
 
 // maxPendingCancels bounds the early-cancel tombstone set.
@@ -439,11 +468,13 @@ func (w *Worker) ForceLayout(l rptrie.Layout) {
 
 // NewWorker returns an empty worker service.
 func NewWorker() *Worker {
-	return &Worker{
+	w := &Worker{
 		indexes:   make(map[int]LocalIndex),
 		inflight:  make(map[uint64]context.CancelFunc),
 		cancelled: make(map[uint64]struct{}),
 	}
+	w.publishLocked()
+	return w
 }
 
 // NewRejoinWorker returns an empty worker that announces itself as a
@@ -472,13 +503,21 @@ func NewDurableWorker(dataDir string, rejoin bool) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
+	w := newDataWorker(dataDir, recovered)
+	w.awaitRestore = rejoin && len(recovered) == 0
+	return w, nil
+}
+
+// newDataWorker returns a worker that keeps its partitions under
+// dataDir, serving the already recovered ones.
+func newDataWorker(dataDir string, recovered map[int]*rptrie.Durable) *Worker {
 	w := NewWorker()
 	w.dataDir = dataDir
-	w.awaitRestore = rejoin && len(recovered) == 0
 	for pid, d := range recovered {
 		w.indexes[pid] = d
 	}
-	return w, nil
+	w.publishLocked()
+	return w
 }
 
 // RecoveredPartitions lists the partitions a NewDurableWorker opened
@@ -540,22 +579,10 @@ func (w *Worker) Build(args *BuildArgs, reply *BuildReply) error {
 	if err != nil {
 		return err
 	}
-	// Uninstall the old index before closing its store and wiping its
-	// directory: if the durable install below fails, the partition
-	// must read as absent (the driver rebuilds or restores it), not be
-	// served by a closed index whose on-disk state is gone.
-	w.mu.Lock()
-	old := w.indexes[args.PartitionID]
-	delete(w.indexes, args.PartitionID)
-	w.mu.Unlock()
-	closeDurable(old) // release the store before WrapDurable wipes its directory
-	if w.dataDir != "" {
-		if idx, err = wrapDurablePartition(w.dataDir, args.PartitionID, idx); err != nil {
-			return err
-		}
+	if idx, err = w.install(args.PartitionID, idx); err != nil {
+		return err
 	}
 	w.mu.Lock()
-	w.indexes[args.PartitionID] = idx
 	w.awaitRestore = false
 	w.mu.Unlock()
 	reply.SizeBytes = idx.SizeBytes()
@@ -564,52 +591,46 @@ func (w *Worker) Build(args *BuildArgs, reply *BuildReply) error {
 	return nil
 }
 
-// view snapshots the worker's indexes for the selected partitions (in
-// ascending partition-id order) as a query-ready Local.
-func (w *Worker) view(subset []int) (*Local, []int, error) {
+// queryView returns the view a query over subset runs on, and the
+// partitions it names: every owned one for an empty subset, else subset
+// ascending without duplicates (a duplicated id must not double-count a
+// partition's results). A requested partition this worker does not hold
+// is an error, not a silent intersection: the driver asks exactly what
+// it believes the worker owns, so a miss means the plan raced a
+// migration or split and the driver must retry the partition elsewhere
+// — answering without it would return a silently incomplete result.
+func (w *Worker) queryView(subset []int) (*Local, []int, error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.indexes) == 0 {
-		if w.awaitRestore {
+	v, awaiting := w.view, w.awaitRestore
+	w.mu.Unlock()
+	if len(v.parts) == 0 {
+		if awaiting {
 			return nil, nil, errors.New("cluster: worker awaiting state restore (started with -rejoin)")
 		}
 		return nil, nil, errors.New("cluster: worker has no partitions")
 	}
-	var pids []int
-	if len(subset) == 0 {
-		for id := range w.indexes {
-			pids = append(pids, id)
-		}
-	} else {
-		// Defensive dedup: a duplicated id must not double-count a
-		// partition's results. A requested partition this worker does
-		// not hold is an error, not a silent intersection: the driver
-		// asks exactly what it believes the worker owns, so a miss
-		// means the plan raced a migration or split and the driver
-		// must retry the partition elsewhere — answering without it
-		// would return a silently incomplete result.
-		seen := make(map[int]bool, len(subset))
-		for _, id := range subset {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if _, ok := w.indexes[id]; !ok {
-				return nil, nil, fmt.Errorf("cluster: worker "+notOwnerMsg+" %d", id)
-			}
-			pids = append(pids, id)
+	pids := subset
+	if len(pids) == 0 {
+		pids = v.gpids
+	}
+	for i := 1; i < len(pids); i++ {
+		if pids[i-1] >= pids[i] { // not ascending: dedup a sorted copy
+			pids = append([]int(nil), subset...)
+			sort.Ints(pids)
+			pids = slices.Compact(pids)
+			break
 		}
 	}
-	sort.Ints(pids)
-	indexes := make([]LocalIndex, len(pids))
-	for i, id := range pids {
-		indexes[i] = w.indexes[id]
+	for _, pid := range pids {
+		if _, ok := slices.BinarySearch(v.gpids, pid); !ok {
+			return nil, nil, fmt.Errorf("cluster: worker "+notOwnerMsg+" %d", pid)
+		}
 	}
-	v := localView(indexes, pids, w.queryWorkers)
-	if w.qsem != nil {
-		// Share one semaphore across every in-flight query's view so
-		// the cap bounds the worker, not each query.
-		v.sem = w.qsem
+	if v.sem == nil {
+		// No worker-wide cap: this query gets scan slots of its own.
+		own := *v
+		own.sem = make(chan struct{}, runtime.GOMAXPROCS(0))
+		v = &own
 	}
 	return v, pids, nil
 }
@@ -675,19 +696,24 @@ func (w *Worker) Cancel(args *CancelArgs, _ *struct{}) error {
 }
 
 // Query answers one wave of partition-local work over the selected
-// partitions this worker owns: the in-process engine's own wave, run on
-// a view that shares the worker's scan cap, with a fresh result heap per
-// top-k query.
+// partitions this worker owns: Local.wave on the worker's view, under
+// the worker's scan cap. An in-process call runs under the driver's
+// context and prunes against its result heaps; a call over the wire
+// gets a context from its header (cancellable by Worker.Cancel) and
+// fresh heaps per top-k query.
 func (w *Worker) Query(args *QueryArgs, reply *QueryReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	ctx, stop := w.queryContext(args.QueryHeader)
-	defer stop()
-	view, pids, err := w.view(args.Partitions)
+	view, pids, err := w.queryView(args.Partitions)
 	if err != nil {
 		return err
 	}
+	ctx, stop := args.ctx, func() {}
+	if ctx == nil {
+		ctx, stop = w.queryContext(args.QueryHeader)
+	}
+	defer stop()
 	args.Partitions = pids
 	*reply, err = view.wave(ctx, args)
 	return err
@@ -729,8 +755,7 @@ func (w *Worker) Insert(args *InsertArgs, reply *InsertReply) error {
 	if err := maybeCompact(m, args.AutoCompact); err != nil {
 		return err
 	}
-	reply.Gen = m.Generation()
-	reply.Len = m.Len()
+	reply.Gen, reply.Len, reply.SizeBytes = m.Generation(), m.Len(), m.SizeBytes()
 	return nil
 }
 
@@ -747,32 +772,25 @@ func (w *Worker) Delete(args *DeleteArgs, reply *DeleteReply) error {
 	if err := maybeCompact(m, args.AutoCompact); err != nil {
 		return err
 	}
-	reply.Gen = m.Generation()
-	reply.Len = m.Len()
+	reply.Gen, reply.Len, reply.SizeBytes = m.Generation(), m.Len(), m.SizeBytes()
 	return nil
 }
 
-// Compact folds the pending deltas of the selected owned partitions.
+// Compact folds the pending deltas of the selected owned partitions
+// (nil selects every owned one).
 func (w *Worker) Compact(args *CompactArgs, reply *CompactReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	w.mu.Lock()
-	var pids []int
-	if len(args.Partitions) == 0 {
-		for pid := range w.indexes {
-			pids = append(pids, pid)
-		}
-	} else {
-		for _, pid := range args.Partitions {
-			if _, ok := w.indexes[pid]; ok {
-				pids = append(pids, pid)
-			}
-		}
+	pids := args.Partitions
+	if len(pids) == 0 {
+		w.mu.Lock()
+		pids = w.view.gpids
+		w.mu.Unlock()
 	}
-	w.mu.Unlock()
-	sort.Ints(pids)
 	reply.Gens = make(map[int]uint64, len(pids))
+	reply.Lens = make(map[int]int, len(pids))
+	reply.Sizes = make(map[int]int, len(pids))
 	for _, pid := range pids {
 		m, err := w.ownedMutable(pid)
 		if err != nil {
@@ -781,7 +799,7 @@ func (w *Worker) Compact(args *CompactArgs, reply *CompactReply) error {
 		if err := m.Compact(); err != nil {
 			return err
 		}
-		reply.Gens[pid] = m.Generation()
+		reply.Gens[pid], reply.Lens[pid], reply.Sizes[pid] = m.Generation(), m.Len(), m.SizeBytes()
 	}
 	return nil
 }
@@ -794,6 +812,7 @@ func (w *Worker) Clear(args *ClearArgs, _ *struct{}) error {
 	w.mu.Lock()
 	dropped := w.indexes
 	w.indexes = make(map[int]LocalIndex)
+	w.publishLocked()
 	w.mu.Unlock()
 	// Wipe dropped stores so a restart does not resurrect them.
 	for _, idx := range dropped {
@@ -819,13 +838,13 @@ func (w *Worker) Status(args *StatusArgs, reply *StatusReply) error {
 	defer w.mu.Unlock()
 	reply.Gens = make(map[int]uint64, len(w.indexes))
 	reply.Lens = make(map[int]int, len(w.indexes))
+	reply.Sizes = make(map[int]int, len(w.indexes))
 	for pid, idx := range w.indexes {
 		gen := uint64(0)
 		if m, ok := idx.(rptrie.Index); ok {
 			gen = m.Generation()
 		}
-		reply.Gens[pid] = gen
-		reply.Lens[pid] = idx.Len()
+		reply.Gens[pid], reply.Lens[pid], reply.Sizes[pid] = gen, idx.Len(), idx.SizeBytes()
 	}
 	return nil
 }
@@ -861,7 +880,7 @@ var errNoSnapshot = errors.New("cluster: index does not support snapshots")
 
 // encodeIndex serializes an rptrie.Index (pending delta folded in) with
 // its layout and generation — the payload of Snapshot and the first
-// half of a clone.
+// half of Split's clone.
 func encodeIndex(idx LocalIndex) ([]byte, rptrie.Layout, uint64, error) {
 	x, ok := idx.(rptrie.Index)
 	if !ok {
@@ -875,25 +894,8 @@ func encodeIndex(idx LocalIndex) ([]byte, rptrie.Layout, uint64, error) {
 }
 
 // decodeIndex materializes an encodeIndex/Snapshot image.
-func decodeIndex(layout rptrie.Layout, data []byte) (LocalIndex, uint64, error) {
-	x, err := rptrie.ReadIndex(layout, bytes.NewReader(data))
-	if err != nil {
-		return nil, 0, err
-	}
-	return x, x.Generation(), nil
-}
-
-// cloneLocalIndex deep-copies an index through a Save/Read round trip,
-// preserving layout and generation. A Durable source clones to its
-// in-memory layout; the caller decides whether the clone gets its own
-// store.
-func cloneLocalIndex(idx LocalIndex) (LocalIndex, error) {
-	data, layout, _, err := encodeIndex(idx)
-	if err != nil {
-		return nil, err
-	}
-	clone, _, err := decodeIndex(layout, data)
-	return clone, err
+func decodeIndex(layout rptrie.Layout, data []byte) (rptrie.Index, error) {
+	return rptrie.ReadIndex(layout, bytes.NewReader(data))
 }
 
 // Restore installs a partition image produced by Snapshot, replacing
@@ -903,40 +905,18 @@ func (w *Worker) Restore(args *RestoreArgs, reply *RestoreReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	idx, gen, err := decodeIndex(args.Layout, args.Data)
+	x, err := decodeIndex(args.Layout, args.Data)
 	if err != nil {
 		return err
 	}
-	// As in Build: uninstall before wiping, so a failed durable
-	// install leaves the partition absent rather than installed with a
-	// closed store and a destroyed directory.
-	w.mu.Lock()
-	old := w.indexes[args.PartitionID]
-	delete(w.indexes, args.PartitionID)
-	w.mu.Unlock()
-	closeDurable(old) // release the store before WrapDurable wipes its directory
-	if w.dataDir != "" {
-		var err error
-		if idx, err = wrapDurablePartition(w.dataDir, args.PartitionID, idx); err != nil {
-			return err
-		}
+	if _, err = w.install(args.PartitionID, x); err != nil {
+		return err
 	}
 	w.mu.Lock()
-	w.indexes[args.PartitionID] = idx
 	w.awaitRestore = false
 	w.restores++
 	w.mu.Unlock()
-	reply.Gen = gen
-	reply.Len = idx.Len()
-	return nil
-}
-
-// liveIDs lists an index's live trajectory ids, nil when the index
-// cannot enumerate them (baselines).
-func liveIDs(idx LocalIndex) []int {
-	if x, ok := idx.(rptrie.Index); ok {
-		return x.LiveIDs()
-	}
+	reply.Gen, reply.Len = x.Generation(), x.Len()
 	return nil
 }
 
@@ -962,20 +942,22 @@ func (w *Worker) Split(args *SplitArgs, reply *SplitReply) error {
 	if taken {
 		return fmt.Errorf("cluster: split target partition %d already exists", args.NewPartitionID)
 	}
-	clone, err := cloneLocalIndex(idx)
+	// Clone through a Save/Read round trip, which keeps layout and
+	// generation; a Durable source clones to its in-memory layout.
+	data, layout, _, err := encodeIndex(idx)
 	if err != nil {
 		return err
 	}
-	m, ok := clone.(rptrie.Index)
-	if !ok {
-		return fmt.Errorf("%w (partition %d, %T)", ErrImmutable, args.PartitionID, clone)
+	m, err := decodeIndex(layout, data)
+	if err != nil {
+		return err
 	}
 	keep := make(map[int]bool, len(args.MoveIDs))
 	for _, id := range args.MoveIDs {
 		keep[id] = true
 	}
 	var drop []int
-	for _, id := range liveIDs(clone) {
+	for _, id := range m.LiveIDs() {
 		if !keep[id] {
 			drop = append(drop, id)
 		}
@@ -987,6 +969,7 @@ func (w *Worker) Split(args *SplitArgs, reply *SplitReply) error {
 	if err := m.Compact(); err != nil {
 		return err
 	}
+	var clone LocalIndex = m
 	if w.dataDir != "" {
 		if clone, err = wrapDurablePartition(w.dataDir, args.NewPartitionID, clone); err != nil {
 			return err
@@ -999,12 +982,9 @@ func (w *Worker) Split(args *SplitArgs, reply *SplitReply) error {
 		return fmt.Errorf("cluster: split target partition %d already exists", args.NewPartitionID)
 	}
 	w.indexes[args.NewPartitionID] = clone
+	w.publishLocked()
 	w.mu.Unlock()
-	if mm, ok := clone.(rptrie.Index); ok {
-		reply.Gen = mm.Generation()
-	}
-	reply.Len = clone.Len()
-	reply.SizeBytes = clone.SizeBytes()
+	reply.Gen, reply.Len, reply.SizeBytes = m.Generation(), m.Len(), m.SizeBytes()
 	return nil
 }
 
@@ -1017,13 +997,7 @@ func (w *Worker) Drop(args *DropArgs, _ *struct{}) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	w.mu.Lock()
-	idx := w.indexes[args.PartitionID]
-	delete(w.indexes, args.PartitionID)
-	w.mu.Unlock()
-	if idx != nil {
-		destroyDurable(idx)
-	}
+	destroyDurable(w.swap(args.PartitionID, nil))
 	return nil
 }
 
@@ -1043,18 +1017,25 @@ func Serve(ln net.Listener, w *Worker) error {
 	}
 }
 
-// Remote is the driver side of the multi-process engine. With
-// IndexSpec.Replicas > 1 it places each partition on several workers,
-// routes every query to one in-sync replica per partition, fails a
-// partition over to its next replica when a worker dies mid-call, and
-// heals recovering workers in the background (see failover.go).
+// Remote is the engine: the driver over a set of workers, reached over
+// TCP (BuildRemote) or called in this process (BuildInProcess,
+// OpenInProcess). With IndexSpec.Replicas > 1 it places each partition
+// on several workers, routes every query to one in-sync replica per
+// partition, fails a partition over to its next replica when a worker
+// dies mid-call, and heals recovering workers in the background (see
+// failover.go).
 type Remote struct {
 	slots    []*workerSlot
 	owners   [][]int // partition → worker slots, primary first
 	replicas int
+	// worker is the in-process worker the engine was built on, nil over
+	// TCP; Close also closes its disk stores.
+	worker *Worker
 
 	buildTime time.Duration
-	partSizes []int // per-partition index bytes, as reported at build
+	// partSizes holds each partition's index bytes as last reported by
+	// a worker (build reply, then every mutation reply), like partLen.
+	partSizes []int
 	// partLen holds each partition's live trajectory count as last
 	// reported by a worker (build reply, then every mutation
 	// reply). Worker-authoritative numbers rather than driver-side
@@ -1101,58 +1082,108 @@ func BuildRemote(spec IndexSpec, parts [][]*geo.Trajectory, addrs []string) (*Re
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no worker addresses")
 	}
-	replicas := spec.Replicas
+	slots := make([]*workerSlot, len(addrs))
+	for i, addr := range addrs {
+		addr := addr
+		slots[i] = &workerSlot{addr: addr, dial: func() (caller, error) {
+			c, err := rpc.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return c, nil
+		}}
+	}
+	r, err := newRemote(slots, spec.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.build(spec, parts); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// newRemote connects a driver to slots — a dial and a protocol
+// handshake each — for partitions placed with replicas copies.
+func newRemote(slots []*workerSlot, replicas int) (*Remote, error) {
 	if replicas <= 0 {
 		replicas = 1
 	}
-	if replicas > len(addrs) {
-		return nil, fmt.Errorf("cluster: replication factor %d needs at least %d workers, have %d", replicas, replicas, len(addrs))
+	if replicas > len(slots) {
+		return nil, fmt.Errorf("cluster: replication factor %d needs at least %d workers, have %d", replicas, replicas, len(slots))
 	}
 	r := &Remote{
+		slots:     slots,
 		replicas:  replicas,
 		qidSalt:   uint64(rand.Uint32()) << 32,
 		probeStop: make(chan struct{}),
 	}
 	r.fo = FailoverConfig{}.withDefaults(replicas)
-	for _, addr := range addrs {
-		r.slots = append(r.slots, &workerSlot{addr: addr})
-	}
-	for _, s := range r.slots {
-		c, err := rpc.Dial("tcp", s.addr)
+	for _, s := range slots {
+		c, err := r.connect(s)
 		if err != nil {
 			r.Close()
-			return nil, fmt.Errorf("cluster: dial %s: %w", s.addr, err)
+			return nil, err
 		}
 		s.setClient(c)
-		var hr HandshakeReply
-		err = c.Call("Worker.Handshake", &HandshakeArgs{Version: ProtocolVersion}, &hr)
-		if err == nil {
-			err = checkVersion(hr.Version) // a peer that accepted a version it does not speak
-		}
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("cluster: handshake with %s: %w", s.addr, err)
-		}
 	}
-	r.owners = make([][]int, len(parts))
-	for pid := range parts {
-		for j := 0; j < replicas; j++ {
-			r.owners[pid] = append(r.owners[pid], (pid+j)%len(addrs))
-		}
+	return r, nil
+}
+
+// connect opens a connection to slot s and verifies the protocol
+// handshake, refusing a peer that accepted a version it does not speak.
+func (r *Remote) connect(s *workerSlot) (caller, error) {
+	c, err := s.dial()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: dial %s: %w", s.addr, err)
 	}
+	var hr HandshakeReply
+	err = r.probeCall(c, "Worker.Handshake", &HandshakeArgs{Version: ProtocolVersion}, &hr, probeTimeout)
+	if err == nil {
+		err = checkVersion(hr.Version)
+	}
+	if err != nil {
+		c.Close()
+		return nil, fmt.Errorf("cluster: handshake with %s: %w", s.addr, err)
+	}
+	return c, nil
+}
+
+// place sizes the partition tables for n partitions, replica j of
+// partition p on slot (p+j) mod len(slots).
+func (r *Remote) place(n int) {
+	r.owners = make([][]int, n)
+	r.repGen = make([][]uint64, n)
+	r.curGen = make([]uint64, n)
+	r.partLen = make([]atomic.Int64, n)
+	r.partSizes = make([]int, n)
+	for pid := range r.owners {
+		for j := 0; j < r.replicas; j++ {
+			r.owners[pid] = append(r.owners[pid], (pid+j)%len(r.slots))
+		}
+		r.repGen[pid] = make([]uint64, r.replicas)
+	}
+}
+
+// build places parts, builds every replica of every partition in
+// parallel, and starts serving them.
+func (r *Remote) build(spec IndexSpec, parts [][]*geo.Trajectory) error {
 	start := time.Now()
+	r.place(len(parts))
 	var wg sync.WaitGroup
 	errs := make([][]error, len(parts))
 	replies := make([][]BuildReply, len(parts))
 	for pid, part := range parts {
-		errs[pid] = make([]error, replicas)
-		replies[pid] = make([]BuildReply, replicas)
+		errs[pid] = make([]error, r.replicas)
+		replies[pid] = make([]BuildReply, r.replicas)
 		for j, si := range r.owners[pid] {
 			wg.Add(1)
 			go func(pid, j, si int, part []*geo.Trajectory) {
 				defer wg.Done()
 				args := &BuildArgs{Version: ProtocolVersion, PartitionID: pid, Spec: spec, Trajectories: part}
-				errs[pid][j] = r.slots[si].get().Call("Worker.Build", args, &replies[pid][j])
+				call := <-r.slots[si].get().Go("Worker.Build", args, &replies[pid][j], make(chan *rpc.Call, 1)).Done
+				errs[pid][j] = call.Error
 			}(pid, j, si, part)
 		}
 	}
@@ -1160,26 +1191,26 @@ func BuildRemote(spec IndexSpec, parts [][]*geo.Trajectory, addrs []string) (*Re
 	for pid := range errs {
 		for j, err := range errs[pid] {
 			if err != nil {
-				r.Close()
-				return nil, fmt.Errorf("cluster: build partition %d replica %d on %s: %w", pid, j, r.slots[r.owners[pid][j]].addr, err)
+				return fmt.Errorf("cluster: build partition %d replica %d on %s: %w", pid, j, r.slots[r.owners[pid][j]].addr, err)
 			}
 		}
 	}
-	r.partLen = make([]atomic.Int64, len(parts))
-	r.partSizes = make([]int, len(parts))
-	r.repGen = make([][]uint64, len(parts))
-	r.curGen = make([]uint64, len(parts))
 	for pid := range replies {
 		r.partSizes[pid] = replies[pid][0].SizeBytes
 		r.partLen[pid].Store(int64(replies[pid][0].Len))
-		r.repGen[pid] = make([]uint64, replicas)
 	}
 	r.buildTime = time.Since(start)
-	r.dir = newDirectory(spec, parts)
-	r.loads = newLoadTracker(len(parts))
+	r.start(newDirectory(spec, parts))
+	return nil
+}
+
+// start serves the placed partitions: the mutation directory, the load
+// tracker, and the background prober.
+func (r *Remote) start(dir *directory) {
+	r.dir = dir
+	r.loads = newLoadTracker(len(r.owners))
 	r.probeWG.Add(1)
 	go r.probeLoop()
-	return r, nil
 }
 
 // header prepares the common query preamble for one broadcast.
@@ -1236,14 +1267,19 @@ func (r *Remote) tracker() *loadTracker { return r.loads }
 
 // wave implements partitionClient: one Worker.Query per worker group
 // through the failover scatter, each reply's rows placed at their
-// partition's position in req.Partitions. The request's shared heaps
-// stay behind: each worker call heaps its own share, so every wave —
-// a probe budget's survivor wave included — starts from +∞ on every
-// worker.
+// partition's position in req.Partitions — a lone reply that already
+// covers req.Partitions in order is the answer as is. An in-process
+// worker prunes against the request's shared heaps, so a probe budget's
+// survivor wave inherits the head wave's threshold; the heaps stay
+// behind on the wire, where each worker call heaps its own share and
+// every wave starts from +∞ on every worker.
 func (r *Remote) wave(ctx context.Context, req *QueryArgs) (QueryReply, error) {
 	replies, err := r.scatter(ctx, req)
 	if err != nil {
 		return QueryReply{}, err
+	}
+	if len(replies) == 1 && slices.Equal(replies[0].Partitions, req.Partitions) && replies[0].shaped(req) {
+		return replies[0], nil
 	}
 	out := newQueryReply(req)
 	np, pos := len(req.Partitions), make(map[int]int, len(req.Partitions))
@@ -1274,7 +1310,7 @@ func (r *Remote) wave(ctx context.Context, req *QueryArgs) (QueryReply, error) {
 	return out, nil
 }
 
-// Generations implements Engine: a copy of the authoritative
+// Generations returns a copy of the authoritative
 // generation vector (curGen — the newest generation any replica
 // acknowledged per partition). Replicas behind it never serve reads,
 // so it is a valid answer floor for queries dispatched afterwards.
@@ -1309,10 +1345,9 @@ func (r *Remote) IndexSizeBytes() int {
 	return sz
 }
 
-// PartitionIndexBytes reports each partition's index footprint as
-// declared by its primary replica at build (or split) time, indexed
-// by partition id. Online mutations are not reflected until a
-// rebuild.
+// PartitionIndexBytes reports each partition's index footprint, indexed
+// by partition id, as the worker holding its newest generation last
+// reported it — after the latest mutation, compaction, split or heal.
 func (r *Remote) PartitionIndexBytes() []int {
 	r.genMu.Lock()
 	defer r.genMu.Unlock()
@@ -1340,8 +1375,9 @@ func (r *Remote) LoadStats() []PartitionLoad {
 func (r *Remote) Replicas() int { return r.replicas }
 
 // Close stops the background prober and releases all worker
-// connections (the workers keep running). Safe to call concurrently
-// with in-flight queries, which fail fast once the clients are gone.
+// connections. Worker processes keep running; an in-process worker's
+// disk stores are flushed and closed. Safe to call concurrently with
+// in-flight queries, which fail fast once the clients are gone.
 func (r *Remote) Close() error {
 	if r.closed.Swap(true) {
 		return nil
@@ -1359,6 +1395,9 @@ func (r *Remote) Close() error {
 				first = err
 			}
 		}
+	}
+	if r.worker != nil {
+		r.worker.CloseData()
 	}
 	return first
 }

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
+	"math/rand"
 	"net/rpc"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,10 +87,7 @@ func TestPreviousProtocolVersionRefused(t *testing.T) {
 		}
 	}
 	w := NewWorker()
-	var br BuildReply
-	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
-		t.Fatal(err)
-	}
+	buildOn(t, w, 0, spec, parts[0])
 	old := &QueryArgs{QueryHeader: QueryHeader{Version: ProtocolVersion - 1}, Kind: KindTopK, Queries: [][]geo.Point{parts[0][0].Points}, K: 3}
 	err := w.Query(old, &QueryReply{})
 	if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") || !strings.Contains(err.Error(), prev) || !strings.Contains(err.Error(), cur) {
@@ -102,10 +100,7 @@ func TestPreviousProtocolVersionRefused(t *testing.T) {
 func TestQueryRejectsUnknownKind(t *testing.T) {
 	_, parts, spec := testWorld(t, 40, 1)
 	w := NewWorker()
-	var br BuildReply
-	if err := w.Build(&BuildArgs{Version: ProtocolVersion, PartitionID: 0, Spec: spec, Trajectories: parts[0]}, &br); err != nil {
-		t.Fatal(err)
-	}
+	buildOn(t, w, 0, spec, parts[0])
 	for _, kind := range []QueryKind{0, KindRadius + 1} {
 		args := &QueryArgs{QueryHeader: QueryHeader{Version: ProtocolVersion}, Kind: kind, Queries: [][]geo.Point{parts[0][0].Points}, K: 3}
 		if err := w.Query(args, &QueryReply{}); err == nil || !strings.Contains(err.Error(), "unknown query kind") {
@@ -114,26 +109,17 @@ func TestQueryRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-// remotePair builds the same spec locally and on TCP workers.
-func remotePair(t *testing.T, n, nparts, nworkers int) ([]*geo.Trajectory, *Local, *Remote) {
+// remotePair builds the same spec on an in-process worker and on TCP
+// workers.
+func remotePair(t *testing.T, n, nparts, nworkers int) ([]*geo.Trajectory, *Remote, *Remote) {
 	t.Helper()
 	ds, parts, spec := testWorld(t, n, nparts)
-	local, err := BuildLocal(spec, parts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, nworkers)
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-	return ds, local, remote
+	remote := remoteOn(t, spec, parts, startWorkers(t, nworkers))
+	return ds, inproc(t, spec, parts, 4, false), remote
 }
 
 // radiusLayouts is the layout axis of the radius and refined matrices:
-// every rptrie layout, and the succinct one wrapped in rptrie.Durable on
-// both engines.
+// every rptrie layout, and the succinct one wrapped in rptrie.Durable.
 var radiusLayouts = []struct {
 	name    string
 	layout  rptrie.Layout
@@ -145,68 +131,54 @@ var radiusLayouts = []struct {
 	{"durable-succinct", rptrie.LayoutSuccinct, true},
 }
 
-// enginePair builds spec in-process and on nworkers TCP workers, every
-// partition disk-backed when durable is set.
-func enginePair(t *testing.T, spec IndexSpec, parts [][]*geo.Trajectory, nworkers int, durable bool) (*Local, *Remote) {
-	t.Helper()
-	if !durable {
-		local, err := BuildLocal(spec, parts, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		remote, err := BuildRemote(spec, parts, startWorkers(t, nworkers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { remote.Close() })
-		return local, remote
-	}
-	local, err := BuildLocalDurable(spec, parts, 4, t.TempDir())
-	if err != nil {
+// TestPartitionIndexBytesFollowMutations: after an Insert and a
+// compaction on TCP workers, the driver's per-partition index sizes —
+// what Stats and every QueryReport carry — are what the workers'
+// indexes report, not the sizes they declared at build time.
+func TestPartitionIndexBytesFollowMutations(t *testing.T) {
+	_, parts, spec := testWorld(t, 120, 3)
+	workers := []*Worker{NewWorker(), NewWorker()}
+	remote := remoteOn(t, spec, parts, []string{startWorkerService(t, workers[0]), startWorkerService(t, workers[1])})
+	built := remote.PartitionIndexBytes()
+	ctx := context.Background()
+	if _, err := remote.Insert(ctx, freshTrajs(rand.New(rand.NewSource(4)), 700_000, 40), MutateOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { local.Close() })
-	addrs := make([]string, nworkers)
-	for i := range addrs {
-		w, err := NewDurableWorker(t.TempDir(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close(); w.CloseData() })
-		go Serve(ln, w)
-		addrs[i] = ln.Addr().String()
-	}
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
+	if _, err := remote.Compact(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { remote.Close() })
-	return local, remote
+	got := remote.PartitionIndexBytes()
+	for pid, b := range got {
+		w := workers[remote.owners[pid][0]]
+		w.mu.Lock()
+		want := w.indexes[pid].SizeBytes()
+		w.mu.Unlock()
+		if b != want {
+			t.Fatalf("partition %d: driver reports %d index bytes, its worker %d (built at %d)", pid, b, want, built[pid])
+		}
+	}
+	if slices.Equal(got, built) {
+		t.Fatalf("index sizes %v did not move after 40 inserts and a compaction", got)
+	}
 }
 
+// TestRemoteRadiusMatchesLocal: range queries through the engine's
+// worker path are bit-identical to internal/oracle on every layout,
+// disk-backed included.
 func TestRemoteRadiusMatchesLocal(t *testing.T) {
 	ds, parts, spec := testWorld(t, 250, 6)
 	ctx := context.Background()
 	for _, lay := range radiusLayouts {
 		spec.Layout = lay.layout
-		local, remote := enginePair(t, spec, parts, 3, lay.durable)
+		eng := inproc(t, spec, parts, 4, lay.durable)
 		for _, q := range dataset.Queries(ds, 3, 21) {
 			for _, radius := range []float64{0.2, 0.6} {
 				want := oracle.Radius(spec.Measure, spec.Params, ds, q.Points, radius)
-				got, _, err := local.SearchRadius(ctx, q.Points, radius, QueryOptions{})
+				got, rep, err := eng.SearchRadius(ctx, q.Points, radius, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, fmt.Sprintf("%s local radius %g", lay.name, radius), 21, got, want)
-				got, rep, err := remote.SearchRadius(ctx, q.Points, radius, QueryOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, fmt.Sprintf("%s remote radius %g", lay.name, radius), 21, got, want)
+				assertBitIdentical(t, fmt.Sprintf("%s radius %g", lay.name, radius), 21, got, want)
 				if len(rep.PartitionTimes) != 6 {
 					t.Errorf("%s: report partitions = %d", lay.name, len(rep.PartitionTimes))
 				}
@@ -235,14 +207,7 @@ func TestRemoteBatchMatchesLocal(t *testing.T) {
 		t.Fatalf("batch len %d want %d", len(got), len(want))
 	}
 	for qi := range want {
-		if len(got[qi]) != len(want[qi]) {
-			t.Fatalf("query %d: len %d want %d", qi, len(got[qi]), len(want[qi]))
-		}
-		for i := range want[qi] {
-			if got[qi][i] != want[qi][i] {
-				t.Fatalf("query %d rank %d: %+v want %+v", qi, i, got[qi][i], want[qi][i])
-			}
-		}
+		assertBitIdentical(t, fmt.Sprintf("batch query %d", qi), 0, got[qi], want[qi])
 	}
 	if rep.Makespan <= 0 || rep.TotalWork <= 0 || len(rep.PerQuery) != len(queries) {
 		t.Errorf("batch report %+v", rep)
@@ -268,14 +233,7 @@ func TestPartitionSubset(t *testing.T) {
 	if len(rrep.PartitionTimes) != len(subset) {
 		t.Errorf("remote subset report %d partitions", len(rrep.PartitionTimes))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("len %d want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d: %+v want %+v", i, got[i], want[i])
-		}
-	}
+	assertBitIdentical(t, "partition subset", 0, got, want)
 	// Duplicated ids must not double-count a partition on either
 	// backend (the wire path dedups before broadcasting).
 	dupWant, _, err := local.Search(ctx, q, 9, QueryOptions{Partitions: []int{3, 3, 0, 3}})
@@ -331,31 +289,17 @@ func TestNoPivotsMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range []Engine{local, remote} {
+		for _, eng := range []*Remote{local, remote} {
 			got, _, err := eng.Search(ctx, q.Points, 6, QueryOptions{NoPivots: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("len %d want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("rank %d: %+v want %+v", i, got[i], want[i])
-				}
-			}
+			assertBitIdentical(t, "without pivots", 0, got, want)
 			gotR, _, err := eng.SearchRadius(ctx, q.Points, 0.5, QueryOptions{NoPivots: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(gotR) != len(wantR) {
-				t.Fatalf("radius len %d want %d", len(gotR), len(wantR))
-			}
-			for i := range gotR {
-				if gotR[i] != wantR[i] {
-					t.Fatalf("radius rank %d: %+v want %+v", i, gotR[i], wantR[i])
-				}
-			}
+			assertBitIdentical(t, "radius without pivots", 0, gotR, wantR)
 		}
 	}
 }
@@ -366,11 +310,7 @@ func TestNoPivotsMatchesDefault(t *testing.T) {
 func TestMoreWorkersThanPartitions(t *testing.T) {
 	ds, parts, spec := testWorld(t, 120, 2)
 	addrs := startWorkers(t, 3) // worker 2 gets no partitions
-	remote, err := BuildRemote(spec, parts, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := remoteOn(t, spec, parts, addrs)
 	local, err := BuildLocal(spec, parts, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -385,14 +325,7 @@ func TestMoreWorkersThanPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("len %d want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d: %+v want %+v", i, got[i], want[i])
-		}
-	}
+	assertBitIdentical(t, "with an idle worker", 0, got, want)
 	if len(rep.PartitionTimes) != 2 {
 		t.Errorf("report partitions = %d", len(rep.PartitionTimes))
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -128,13 +129,9 @@ func runSharedScatterCase(t *testing.T, m dist.Measure, layout string, mod func(
 	ctx := context.Background()
 
 	workers := []int{1, 2, 8}
-	engines := make([]*Local, len(workers))
+	engines := make([]*Remote, len(workers))
 	for i, w := range workers {
-		c, err := BuildLocal(spec, parts, w)
-		if err != nil {
-			t.Fatalf("seed=%d %v/%s workers=%d: %v", seed, m, layout, w, err)
-		}
-		engines[i] = c
+		engines[i] = inproc(t, spec, parts, w, false)
 	}
 
 	check := func(phase string, i int) {
@@ -190,7 +187,7 @@ func runSharedScatterCase(t *testing.T, m dist.Measure, layout string, mod func(
 		}
 	}
 
-	mutate := func(step int, fn func(*Local) error) {
+	mutate := func(step int, fn func(*Remote) error) {
 		for ei, eng := range engines {
 			if err := fn(eng); err != nil {
 				t.Fatalf("seed=%d %v/%s workers=%d step %d: %v", seed, m, layout, workers[ei], step, err)
@@ -207,27 +204,27 @@ func runSharedScatterCase(t *testing.T, m dist.Measure, layout string, mod func(
 		case r < 4:
 			fresh := freshTrajs(rng, nextID, 1+rng.Intn(3))
 			nextID += len(fresh)
-			mutate(step, func(c *Local) error { _, err := c.Insert(ctx, fresh, MutateOptions{}); return err })
+			mutate(step, func(c *Remote) error { _, err := c.Insert(ctx, fresh, MutateOptions{}); return err })
 			mirror.Insert(fresh...)
 		case r < 7:
 			ids := mirror.IDs()
 			victims := []int{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]}
-			mutate(step, func(c *Local) error { _, _, err := c.Delete(ctx, victims, MutateOptions{}); return err })
+			mutate(step, func(c *Remote) error { _, _, err := c.Delete(ctx, victims, MutateOptions{}); return err })
 			mirror.Delete(victims...)
 		case r < 9:
 			ids := mirror.IDs()
 			repl := freshTrajs(rng, ids[rng.Intn(len(ids))], 1)
-			mutate(step, func(c *Local) error { _, err := c.Upsert(ctx, repl, MutateOptions{}); return err })
+			mutate(step, func(c *Remote) error { _, err := c.Upsert(ctx, repl, MutateOptions{}); return err })
 			mirror.Insert(repl...)
 		default:
 			sel := []int{rng.Intn(nparts), rng.Intn(nparts)}
-			mutate(step, func(c *Local) error { _, err := c.Compact(ctx, sel); return err })
+			mutate(step, func(c *Remote) error { _, err := c.Compact(ctx, sel); return err })
 		}
 		if step%2 == 1 {
 			check("mut", step)
 		}
 	}
-	mutate(-1, func(c *Local) error { _, err := c.Compact(ctx, nil); return err })
+	mutate(-1, func(c *Remote) error { _, err := c.Compact(ctx, nil); return err })
 	for i := 0; i < 4; i++ {
 		check("post", i)
 	}
@@ -240,7 +237,7 @@ func runSharedScatterCase(t *testing.T, m dist.Measure, layout string, mod func(
 // is already full of tied candidates with larger ids when the
 // partitions holding the winners are scanned. Pruning or abandoning at
 // "≥ the shared k-th distance" would drop them; the answer must equal
-// internal/oracle including id order, on both engines.
+// internal/oracle including id order, in process and over TCP.
 func TestSharedTopKCrossPartitionTies(t *testing.T) {
 	const nparts, clones = 8, 5
 	ds, parts, spec := testWorld(t, 300, nparts)
@@ -272,24 +269,16 @@ func TestSharedTopKCrossPartitionTies(t *testing.T) {
 	ctx := context.Background()
 	type namedEngine struct {
 		name string
-		eng  Engine
+		eng  *Remote
 	}
 	var engines []namedEngine
 	for _, w := range []int{1, 4} {
-		local, err := BuildLocal(spec, parts, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, namedEngine{fmt.Sprintf("local/workers=%d", w), local})
+		engines = append(engines, namedEngine{fmt.Sprintf("local/workers=%d", w), inproc(t, spec, parts, w, false)})
 	}
-	// Two workers own four partitions each: the tie group straddles
-	// both, so each worker shares a heap over its own members only and
-	// the driver merges.
-	remote, err := BuildRemote(spec, parts, startWorkers(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
+	// Two TCP workers own four partitions each: the tie group straddles
+	// both, and heaps do not cross the wire, so each worker shares a
+	// heap over its own members only and the driver merges.
+	remote := remoteOn(t, spec, parts, startWorkers(t, 2))
 	engines = append(engines, namedEngine{"remote", remote})
 
 	for cut := 1; cut < clones; cut++ {
@@ -341,7 +330,7 @@ func TestSharedHeapCountsAnIDOnce(t *testing.T) {
 		}
 		indexes = append(indexes, idx)
 	}
-	view := localView(indexes, []int{0, 1, 2}, 1)
+	view := &Local{parts: indexes, sem: make(chan struct{}, 1)}
 	got, _, err := view.Search(context.Background(), q, 4, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -350,86 +339,60 @@ func TestSharedHeapCountsAnIDOnce(t *testing.T) {
 }
 
 // TestSharedSearchDuringSplits races top-k queries against a chain of
-// SplitPartition calls on both engines. Inside every install→prune
-// window the moved trajectories are offered to a shared heap from two
-// partitions, and a query planned before a split may reach the source
-// after its prune (the planner re-plans it); every answer must still
-// be bit-identical to the oracle — splits do not change the live set.
+// SplitPartition calls. Inside every install→prune window the moved
+// trajectories are offered to a shared heap from two partitions, and a
+// query planned before a split may reach the source after its prune
+// (the planner re-plans it); every answer must still be bit-identical
+// to the oracle — splits do not change the live set.
 func TestSharedSearchDuringSplits(t *testing.T) {
 	ds, parts, spec := testWorld(t, 400, 2)
-	local, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := BuildRemote(spec, parts, startWorkers(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
+	eng := inproc(t, spec, parts, 2, false)
 	queries := dataset.Queries(ds, 6, 29)
 	want := make([][]topk.Item, len(queries))
 	for i, q := range queries {
 		want[i] = oracle.TopK(spec.Measure, spec.Params, ds, q.Points, 10)
 	}
-	type splitter interface {
-		Engine
-		SplitPartition(ctx context.Context, pid int) (int, error)
-	}
-	for name, eng := range map[string]splitter{"local": local, "remote": remote} {
-		ctx := context.Background()
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		errs := make(chan error, 3)
-		for g := 0; g < 3; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					qi := i % len(queries)
-					got, _, err := eng.Search(ctx, queries[qi].Points, 10, QueryOptions{})
-					if err == nil && !equalItems(got, want[qi]) {
-						err = fmt.Errorf("query %d mid-split: got %v, oracle %v", qi, got, want[qi])
-					}
-					if err != nil {
-						errs <- err
-						return
-					}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}(g)
-		}
-		for i := 0; i < 8; i++ {
-			if _, err := eng.SplitPartition(ctx, i%eng.NumPartitions()); err != nil {
-				t.Errorf("%s: split %d: %v", name, i, err)
-				break
+				qi := i % len(queries)
+				got, _, err := eng.Search(ctx, queries[qi].Points, 10, QueryOptions{})
+				if err == nil && !slices.Equal(got, want[qi]) {
+					err = fmt.Errorf("query %d mid-split: got %v, oracle %v", qi, got, want[qi])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
 			}
-		}
-		close(stop)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if eng.NumPartitions() != 10 {
-			t.Fatalf("%s: %d partitions after 8 splits of 2", name, eng.NumPartitions())
+		}(g)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := eng.SplitPartition(ctx, i%eng.NumPartitions()); err != nil {
+			t.Errorf("split %d: %v", i, err)
+			break
 		}
 	}
-}
-
-func equalItems(a, b []topk.Item) bool {
-	if len(a) != len(b) {
-		return false
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if eng.NumPartitions() != 10 {
+		t.Fatalf("%d partitions after 8 splits of 2", eng.NumPartitions())
 	}
-	return true
 }
 
 // TestSharedSearchCancellation: sharing is passive — no scan ever waits
@@ -438,10 +401,7 @@ func equalItems(a, b []topk.Item) bool {
 func TestSharedSearchCancellation(t *testing.T) {
 	dspec := dataset.Spec{Name: "t", Cardinality: 1500, AvgLen: 40, SpanX: 4, SpanY: 4, Hotspots: 6, Seed: 3}
 	ds, parts, spec := sharedWorld(t, dspec, dist.DTW, 0.1, 16, 0)
-	c, err := BuildLocal(spec, parts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := inproc(t, spec, parts, 2, false)
 	q := ds[0].Points
 	if _, _, err := c.Search(context.Background(), q, 10, QueryOptions{}); err != nil {
 		t.Fatal(err)
@@ -600,29 +560,10 @@ func TestDTWPathBoundCountGate(t *testing.T) {
 	}
 }
 
-// trackedEngine is an Engine whose load tracker a test reads.
-type trackedEngine interface {
-	Engine
-	LoadStats() []PartitionLoad
-}
-
-// startScanCappedWorkers is startWorkers with every worker's scan
-// concurrency capped at slots (Worker.SetQueryWorkers).
-func startScanCappedWorkers(t *testing.T, n, slots int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		w := NewWorker()
-		w.SetQueryWorkers(slots)
-		addrs[i] = startWorkerService(t, w)
-	}
-	return addrs
-}
-
 // TestSearchBatchFeedsLoadTracker: a batched query loads its
-// partitions like a single one, on both engines. Before the fix the
-// local SearchBatch recorded nothing, and the remote one could not — its
-// reply merged each worker's partitions into one list — so
+// partitions like a single one, in process and over TCP. Before the fix
+// the in-process SearchBatch recorded nothing, and the remote one could
+// not — its reply merged each worker's partitions into one list — so
 // micro-batched gateway traffic was invisible to LoadStats, the
 // learned probe order, and the rebalancer.
 func TestSearchBatchFeedsLoadTracker(t *testing.T) {
@@ -636,29 +577,20 @@ func TestSearchBatchFeedsLoadTracker(t *testing.T) {
 	// One scan slot — Workers: 1 in-process, SetQueryWorkers(1) on every
 	// worker — makes the scan order, and with it every shared threshold
 	// and refine count, deterministic.
-	engines := []struct {
-		name  string
-		build func(t *testing.T) trackedEngine
-	}{
-		{"local", func(t *testing.T) trackedEngine {
-			c, err := BuildLocal(spec, parts, 1)
-			if err != nil {
-				t.Fatal(err)
+	for name, build := range map[string]func(t *testing.T) *Remote{
+		"local": func(t *testing.T) *Remote { return inproc(t, spec, parts, 1, false) },
+		"remote": func(t *testing.T) *Remote {
+			addrs := make([]string, 2)
+			for i := range addrs {
+				w := NewWorker()
+				w.SetQueryWorkers(1)
+				addrs[i] = startWorkerService(t, w)
 			}
-			return c
-		}},
-		{"remote", func(t *testing.T) trackedEngine {
-			r, err := BuildRemote(spec, parts, startScanCappedWorkers(t, 2, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { r.Close() })
-			return r
-		}},
-	}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			batched, single := eng.build(t), eng.build(t)
+			return remoteOn(t, spec, parts, addrs)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			batched, single := build(t), build(t)
 			if _, _, err := batched.SearchBatch(ctx, qpts, 7, QueryOptions{}); err != nil {
 				t.Fatal(err)
 			}
@@ -722,10 +654,10 @@ func assertReportCovers(t *testing.T, label string, rep QueryReport, sel []int, 
 	}
 }
 
-// TestRemoteReportsExactComputations: both engines fold the
-// per-partition refine counts (on the wire, QueryReply.Refined) into
-// QueryReport.ExactComputations — probe-budgeted waves included — and
-// every report partitions its selection into probed, pruned and
+// TestRemoteReportsExactComputations: in process and over the wire the
+// engine folds the per-partition refine counts (QueryReply.Refined)
+// into QueryReport.ExactComputations — probe-budgeted waves included —
+// and every report partitions its selection into probed, pruned and
 // skipped partitions.
 func TestRemoteReportsExactComputations(t *testing.T) {
 	ds, local, remote := remotePair(t, 200, 6, 2)
@@ -733,7 +665,7 @@ func TestRemoteReportsExactComputations(t *testing.T) {
 	all := []int{0, 1, 2, 3, 4, 5}
 	for _, eng := range []struct {
 		name string
-		e    trackedEngine
+		e    *Remote
 	}{{"local", local}, {"remote", remote}} {
 		for _, opt := range []QueryOptions{{}, {ProbeBudget: 2}, {ProbeBudget: 2, BestEffort: true}, {Partitions: []int{4, 1}}} {
 			label := fmt.Sprintf("%s budget=%d best-effort=%v partitions=%v", eng.name, opt.ProbeBudget, opt.BestEffort, opt.Partitions)

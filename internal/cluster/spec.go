@@ -97,8 +97,8 @@ type IndexSpec struct {
 	// each partition is built on this many distinct workers, and the
 	// driver fails queries over between them (failover.go). 0 or 1
 	// means no replication; BuildRemote rejects a factor exceeding
-	// the worker count. The in-process engine ignores it — there is
-	// no worker to lose.
+	// the worker count. BuildInProcess ignores it — its one worker
+	// holds a single copy.
 	Replicas int
 
 	// DFT knobs.

@@ -7,7 +7,7 @@ import (
 )
 
 // Online index maintenance. Insert, Delete, and Upsert work
-// identically on local and remote engines: the driver routes each new
+// identically on local and remote indexes: the driver routes each new
 // trajectory to a partition (mirroring the build-time partitioning
 // strategy) and tracks ownership, so deletes hit only the owning
 // partition. Mutations are snapshot-isolated against queries — a
@@ -22,9 +22,9 @@ import (
 // folds the overlay back into the trie. Use WithAutoCompact for a
 // threshold-triggered policy, or CompactNow to force it.
 //
-// Failure contract: a mutation that returns a context error on the
-// remote engine has an unknown outcome — the worker may have applied
-// it after the driver stopped waiting. Recovery is built in: online
+// Failure contract: a mutation that returns a context error has an
+// unknown outcome — the worker may have applied it after the driver
+// stopped waiting. Recovery is built in: online
 // routing is a pure function of the trajectory, so retrying the same
 // Insert reaches the same partition and fails with a duplicate-id
 // error if the original did land (retrying as Upsert is idempotent),
@@ -88,7 +88,7 @@ func (x *Index) noteGens(g cluster.Gens) {
 	x.genMu.Lock()
 	defer x.genMu.Unlock()
 	if x.gens == nil {
-		x.gens = make([]uint64, x.eng.exec().NumPartitions())
+		x.gens = make([]uint64, x.eng.NumPartitions())
 	}
 	for pid, gen := range g {
 		if pid < 0 {
@@ -129,7 +129,7 @@ func (x *Index) Insert(ctx context.Context, trs []*Trajectory, opts ...MutateOpt
 		return nil
 	}
 	mc := applyMutateOptions(opts)
-	gens, err := x.eng.exec().Insert(ctx, trs, mc.cluster())
+	gens, err := x.eng.Insert(ctx, trs, mc.cluster())
 	x.noteGens(gens)
 	return translate(err)
 }
@@ -145,7 +145,7 @@ func (x *Index) Delete(ctx context.Context, ids []int, opts ...MutateOption) (in
 		return 0, nil
 	}
 	mc := applyMutateOptions(opts)
-	removed, gens, err := x.eng.exec().Delete(ctx, ids, mc.cluster())
+	removed, gens, err := x.eng.Delete(ctx, ids, mc.cluster())
 	x.noteGens(gens)
 	return removed, translate(err)
 }
@@ -163,7 +163,7 @@ func (x *Index) Upsert(ctx context.Context, trs []*Trajectory, opts ...MutateOpt
 		return nil
 	}
 	mc := applyMutateOptions(opts)
-	gens, err := x.eng.exec().Upsert(ctx, trs, mc.cluster())
+	gens, err := x.eng.Upsert(ctx, trs, mc.cluster())
 	x.noteGens(gens)
 	return translate(err)
 }
@@ -174,7 +174,7 @@ func (x *Index) CompactNow(ctx context.Context) error {
 	if x.closed.Load() {
 		return ErrClosed
 	}
-	gens, err := x.eng.exec().Compact(ctx, nil)
+	gens, err := x.eng.Compact(ctx, nil)
 	x.noteGens(gens)
 	return translate(err)
 }

@@ -11,9 +11,10 @@
 // query. Six similarity measures are supported: Hausdorff, Frechet,
 // DTW, LCSS, EDR, and ERP.
 //
-// One Index type fronts both deployments — in-process partitions
-// (Build) and TCP worker processes (BuildRemote) — behind the same
-// context-aware query surface:
+// One Index type fronts both deployments — partitions on one worker
+// inside this process (Build) and on TCP worker processes
+// (BuildRemote) — with one engine behind the same context-aware query
+// surface:
 //
 //	idx, err := repose.Build(trajectories, repose.Options{Measure: repose.Hausdorff})
 //	results, err := idx.Search(ctx, query, 10)
@@ -154,7 +155,8 @@ type Options struct {
 	// LayoutPointer). WithLayout sets it as a build option.
 	Layout Layout
 
-	// Workers caps build/query parallelism (default GOMAXPROCS).
+	// Workers caps the concurrent partition scans of Build's
+	// in-process worker (default GOMAXPROCS).
 	Workers int
 
 	// Seed drives pivot selection, sampling, and random
@@ -166,29 +168,31 @@ type Options struct {
 	// and queries fail over between them when a worker dies (see the
 	// README's "Fault tolerance" section). 0 or 1 disables
 	// replication; BuildRemote rejects a factor above the worker
-	// count. Ignored by the in-process engine. WithReplication sets
-	// it as a build option.
+	// count. Build ignores it: its one in-process worker holds a
+	// single copy. WithReplication sets it as a build option.
 	Replication int
 
-	// Failover tunes the remote engine's failure handling (circuit
+	// Failover tunes the remote deployment's failure handling (circuit
 	// breaker threshold, probe cadence, per-attempt timeout, hedging).
-	// Zero fields take defaults; ignored by the in-process engine.
+	// Zero fields take defaults; Build ignores it — with one worker
+	// there is no replica to fail over to.
 	Failover FailoverConfig
 
-	// RebalanceInterval, when positive, runs the remote engine's load
-	// rebalancer on this cadence in the background: whenever one
-	// worker's cumulative scan load exceeds 1.5x the least-loaded
+	// RebalanceInterval, when positive, runs the load rebalancer of a
+	// BuildRemote index on this cadence in the background: whenever
+	// one worker's cumulative scan load exceeds 1.5x the least-loaded
 	// worker's, the hottest movable partition migrates there with no
-	// read downtime (see Index.Rebalance). Ignored by the in-process
-	// engine. WithAutoRebalance sets it as a build option.
+	// read downtime (see Index.Rebalance). Build ignores it: a local
+	// index has one worker, so there is nowhere to move a partition.
+	// WithAutoRebalance sets it as a build option.
 	RebalanceInterval time.Duration
 
-	// DurableDir, when set, backs every partition of the in-process
-	// engine with a disk store (checkpoint + write-ahead log) under
-	// this directory, recoverable later with OpenDurable. Mutations
-	// then return only after their log record is fsynced. Ignored by
-	// BuildRemote — workers persist via repose-worker -data-dir.
-	// WithDurableDir sets it as a build option.
+	// DurableDir, when set, backs every partition of Build's
+	// in-process worker with a disk store (checkpoint + write-ahead
+	// log) under this directory, recoverable later with OpenDurable.
+	// Mutations then return only after their log record is fsynced.
+	// Ignored by BuildRemote — workers persist via repose-worker
+	// -data-dir. WithDurableDir sets it as a build option.
 	DurableDir string
 }
 
@@ -226,7 +230,7 @@ func WithFailover(fc FailoverConfig) BuildOption {
 	return func(o *Options) { o.Failover = fc }
 }
 
-// WithAutoRebalance runs the remote engine's load rebalancer every
+// WithAutoRebalance runs a remote index's load rebalancer every
 // interval in the background (see Options.RebalanceInterval):
 //
 //	idx, err := repose.BuildRemote(ds, repose.Options{}, addrs, repose.WithAutoRebalance(30*time.Second))
@@ -241,28 +245,22 @@ func WithLayout(l Layout) BuildOption {
 	return func(o *Options) { o.Layout = l }
 }
 
-// Engine is the backend executing an Index's queries. It is a sealed
-// interface with exactly two implementations: the in-process engine
-// (Build) and the TCP remote engine (BuildRemote). Both answer the
-// same query surface identically.
+// Engine names the deployment executing an Index's queries. It is a
+// sealed interface: "local" for Build and OpenDurable, whose
+// partitions live on one worker inside this process, and "remote" for
+// BuildRemote, whose partitions live on TCP worker processes. Both run
+// the same engine, so they answer the same surface identically.
 type Engine interface {
-	// String names the backend: "local" or "remote".
+	// String names the deployment: "local" or "remote".
 	String() string
-	// exec seals the interface and yields the underlying engine.
-	exec() cluster.Engine
+	sealed()
 }
 
-// engineLocal runs all partitions in-process on goroutines.
-type engineLocal struct{ c *cluster.Local }
+// deployment is the one Engine implementation.
+type deployment string
 
-func (e engineLocal) String() string       { return "local" }
-func (e engineLocal) exec() cluster.Engine { return e.c }
-
-// engineRemote queries partitions owned by worker processes over TCP.
-type engineRemote struct{ r *cluster.Remote }
-
-func (e engineRemote) String() string       { return "remote" }
-func (e engineRemote) exec() cluster.Engine { return e.r }
+func (d deployment) String() string { return string(d) }
+func (deployment) sealed()          {}
 
 // Index is a built distributed index. The same query methods work
 // identically whichever Engine backs it. An Index is live: Insert,
@@ -270,7 +268,8 @@ func (e engineRemote) exec() cluster.Engine { return e.r }
 // isolation against concurrent queries (see the package README's
 // "Online updates" section).
 type Index struct {
-	eng    Engine
+	eng    *cluster.Remote
+	kind   deployment
 	region geo.Rect
 	opts   Options
 	closed atomic.Bool
@@ -297,8 +296,8 @@ type Stats struct {
 	// built with.
 	Layout Layout
 	// PartitionIndexBytes is each partition's index footprint, indexed
-	// by partition id; IndexBytes is its sum. On a remote index the
-	// values are the sizes workers declared at build time.
+	// by partition id, as its worker last reported it (after the latest
+	// mutation or compaction); IndexBytes is its sum.
 	PartitionIndexBytes []int
 	// Generations is the current per-partition generation vector, as
 	// returned by Index.Generations.
@@ -354,9 +353,12 @@ func (o Options) spec(ds []*Trajectory, region geo.Rect) cluster.IndexSpec {
 	}
 }
 
-// Build partitions ds and builds one RP-Trie per partition,
-// in-process. Replication options are ignored: the in-process engine
-// has no worker to lose.
+// Build partitions ds and builds one RP-Trie per partition on one
+// worker inside this process, which scans at most Options.Workers
+// partitions at a time. It is the distributed engine with an
+// in-process worker: mutations, SplitPartition and Health work as on a
+// remote index. Replication, failover tuning and auto-rebalancing are
+// ignored: there is one worker, so nothing to fail over to or move.
 func Build(ds []*Trajectory, opts Options, extra ...BuildOption) (*Index, error) {
 	for _, bo := range extra {
 		bo(&opts)
@@ -366,22 +368,17 @@ func Build(ds []*Trajectory, opts Options, extra ...BuildOption) (*Index, error)
 		return nil, err
 	}
 	spec := opts.spec(ds, region)
+	eng, err := cluster.BuildInProcess(spec, parts, opts.Workers, opts.DurableDir)
+	if err != nil {
+		return nil, err
+	}
 	if opts.DurableDir != "" {
-		eng, err := cluster.BuildLocalDurable(spec, parts, opts.Workers, opts.DurableDir)
-		if err != nil {
-			return nil, err
-		}
 		if err := writeManifest(opts.DurableDir, durableManifest{Opts: opts, Region: region, Spec: spec}); err != nil {
 			eng.Close()
 			return nil, err
 		}
-		return &Index{eng: engineLocal{eng}, region: region, opts: opts}, nil
 	}
-	eng, err := cluster.BuildLocal(spec, parts, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{eng: engineLocal{eng}, region: region, opts: opts}, nil
+	return &Index{eng: eng, kind: "local", region: region, opts: opts}, nil
 }
 
 // BuildRemote ships the partitions to the given worker addresses
@@ -407,7 +404,7 @@ func BuildRemote(ds []*Trajectory, opts Options, workers []string, extra ...Buil
 	if opts.Failover != (FailoverConfig{}) {
 		remote.SetFailover(opts.Failover)
 	}
-	x := &Index{eng: engineRemote{remote}, region: region, opts: opts}
+	x := &Index{eng: remote, kind: "remote", region: region, opts: opts}
 	if opts.RebalanceInterval > 0 {
 		x.rebalStop = make(chan struct{})
 		x.rebalWG.Add(1)
@@ -431,61 +428,41 @@ func BuildRemote(ds []*Trajectory, opts Options, workers []string, extra ...Buil
 }
 
 // Health reports per-worker availability: circuit state and how many
-// partition replicas await restore. A local index reports a synthetic
-// single-entry snapshot (addr "local", never down) so health-gated
-// consumers — /healthz endpoints, load balancers — treat both
-// backends identically instead of special-casing a nil slice.
+// partition replicas await restore. A local index reports its one
+// in-process worker (addr "local"), so health-gated consumers —
+// /healthz endpoints, load balancers — treat both deployments alike.
+// A closed index reports every worker down.
 func (x *Index) Health() []WorkerHealth {
-	if er, ok := x.eng.(engineRemote); ok {
-		return er.r.Health()
-	}
-	if x.closed.Load() {
-		return []WorkerHealth{{Addr: "local", Down: true}}
-	}
-	return []WorkerHealth{{Addr: "local"}}
+	return x.eng.Health()
 }
 
-// Rebalance runs one load-rebalancing pass on a remote index: when
-// the hottest worker's cumulative scan load exceeds 1.5x the
-// least-loaded worker's, the hottest movable partition's replica
-// migrates from the former to the latter — snapshot, restore, owner
-// flip — with no read downtime (queries keep scattering throughout;
-// mutations pause for the transfer). The report says whether anything
-// moved. On a local index it returns an empty report: there is only
-// one process to balance.
+// Rebalance runs one load-rebalancing pass: when the hottest worker's
+// cumulative scan load exceeds 1.5x the least-loaded worker's, the
+// hottest movable partition's replica migrates from the former to the
+// latter — snapshot, restore, owner flip — with no read downtime
+// (queries keep scattering throughout; mutations pause for the
+// transfer). The report says whether anything moved. A local index
+// has one worker, so nothing ever moves.
 func (x *Index) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	if x.closed.Load() {
 		return RebalanceReport{}, ErrClosed
 	}
-	er, ok := x.eng.(engineRemote)
-	if !ok {
-		return RebalanceReport{}, nil
-	}
-	rep, err := er.r.Rebalance(ctx)
+	rep, err := x.eng.Rebalance(ctx)
 	return rep, translate(err)
 }
 
 // SplitPartition carves the upper half (by trajectory id) of
 // partition pid into a new partition and returns the new partition's
-// id. The split is online on both backends: the new partition is
-// installed and serving before the moved ids are pruned from the
-// source, and the query merge deduplicates the overlap window, so no
-// concurrent query ever misses or double-counts a trajectory. Only
-// mutable (REPOSE-layout) indexes support it.
+// id. The split is online: the new partition is installed and serving
+// before the moved ids are pruned from the source, and the query merge
+// deduplicates the overlap window, so no concurrent query ever misses
+// or double-counts a trajectory. Only mutable (REPOSE-layout) indexes
+// support it.
 func (x *Index) SplitPartition(ctx context.Context, pid int) (int, error) {
 	if x.closed.Load() {
 		return 0, ErrClosed
 	}
-	var newPid int
-	var err error
-	switch e := x.eng.(type) {
-	case engineRemote:
-		newPid, err = e.r.SplitPartition(ctx, pid)
-	case engineLocal:
-		newPid, err = e.c.SplitPartition(ctx, pid)
-	default:
-		return 0, ErrImmutableIndex
-	}
+	newPid, err := x.eng.SplitPartition(ctx, pid)
 	return newPid, translate(err)
 }
 
@@ -495,10 +472,7 @@ func (x *Index) SplitPartition(ctx context.Context, pid int) (int, error) {
 // WithProbeBudget orders the scatter by. The rebalancer reads the
 // same numbers.
 func (x *Index) LoadStats() []PartitionLoad {
-	if ls, ok := x.eng.exec().(interface{ LoadStats() []PartitionLoad }); ok {
-		return ls.LoadStats()
-	}
-	return nil
+	return x.eng.LoadStats()
 }
 
 // Generations snapshots the per-partition generation vector: entry p
@@ -509,7 +483,7 @@ func (x *Index) LoadStats() []PartitionLoad {
 // mutation call returns — the property that lets an answer cache key
 // on this vector for exact invalidation (see internal/serve).
 func (x *Index) Generations() []uint64 {
-	return x.eng.exec().Generations()
+	return x.eng.Generations()
 }
 
 // prepare validates the dataset and computes the region, normalized
@@ -540,7 +514,7 @@ func partitionDataset(ds []*Trajectory, opts Options, region geo.Rect) ([][]*Tra
 }
 
 // Engine returns the backend executing this index's queries.
-func (x *Index) Engine() Engine { return x.eng }
+func (x *Index) Engine() Engine { return x.kind }
 
 // check runs the validations shared by every query method.
 func (x *Index) check(q []Point) error {
@@ -582,7 +556,7 @@ func (x *Index) Search(ctx context.Context, q *Trajectory, k int, opts ...QueryO
 		return nil, ErrBadK
 	}
 	qc := applyQueryOptions(opts)
-	items, rep, err := x.eng.exec().Search(ctx, q.Points, k, x.clusterOptions(qc))
+	items, rep, err := x.eng.Search(ctx, q.Points, k, x.clusterOptions(qc))
 	if qc.report != nil {
 		*qc.report = rep
 	}
@@ -606,7 +580,7 @@ func (x *Index) SearchSub(ctx context.Context, q *Trajectory, k int, opts ...Que
 	}
 	qc := applyQueryOptions(opts)
 	qc.sub = true
-	items, rep, err := x.eng.exec().Search(ctx, q.Points, k, x.clusterOptions(qc))
+	items, rep, err := x.eng.Search(ctx, q.Points, k, x.clusterOptions(qc))
 	if qc.report != nil {
 		*qc.report = rep
 	}
@@ -624,7 +598,7 @@ func (x *Index) SearchRadius(ctx context.Context, q *Trajectory, radius float64,
 		return nil, ErrBadRadius
 	}
 	qc := applyQueryOptions(opts)
-	items, rep, err := x.eng.exec().SearchRadius(ctx, q.Points, radius, x.clusterOptions(qc))
+	items, rep, err := x.eng.SearchRadius(ctx, q.Points, radius, x.clusterOptions(qc))
 	if qc.report != nil {
 		*qc.report = rep
 	}
@@ -650,7 +624,7 @@ func (x *Index) SearchBatch(ctx context.Context, qs []*Trajectory, k int, opts .
 		qpts[i] = q.Points
 	}
 	qc := applyQueryOptions(opts)
-	items, rep, err := x.eng.exec().SearchBatch(ctx, qpts, k, x.clusterOptions(qc))
+	items, rep, err := x.eng.SearchBatch(ctx, qpts, k, x.clusterOptions(qc))
 	if qc.batchReport != nil {
 		*qc.batchReport = rep
 	}
@@ -659,7 +633,7 @@ func (x *Index) SearchBatch(ctx context.Context, qs []*Trajectory, k int, opts .
 
 // Stats reports index statistics.
 func (x *Index) Stats() Stats {
-	eng := x.eng.exec()
+	eng := x.eng
 	perPart := eng.PartitionIndexBytes()
 	total := 0
 	for _, b := range perPart {
@@ -677,9 +651,11 @@ func (x *Index) Stats() Stats {
 	}
 }
 
-// Close releases the engine's resources; for a remote index, the
-// worker connections (the workers keep running). Queries after Close
-// return ErrClosed. Close is idempotent.
+// Close stops the engine's background health prober and releases its
+// resources: a local index flushes and closes its disk stores, a remote
+// index its worker connections (the workers keep running). An index
+// that is never closed keeps its prober, and with it the index, alive.
+// Queries after Close return ErrClosed. Close is idempotent.
 func (x *Index) Close() error {
 	if x.closed.Swap(true) {
 		return nil
@@ -688,7 +664,7 @@ func (x *Index) Close() error {
 		close(x.rebalStop)
 		x.rebalWG.Wait()
 	}
-	return x.eng.exec().Close()
+	return x.eng.Close()
 }
 
 // Measureless helpers.
