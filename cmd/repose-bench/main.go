@@ -46,9 +46,7 @@ func main() {
 		storJSON   = flag.String("storagejson", "", "run the cold-start benchmark suite (WAL replay vs rebuild vs peer restore) and write JSON results to this path (skips -exp)")
 		memJSON    = flag.String("memjson", "", "run the per-layout memory benchmark (index bytes, snapshot image bytes, search latency) and write JSON results to this path (skips -exp)")
 		memDelta   = flag.Float64("memdelta", 0.01, "grid delta for -memjson; 0 uses the dataset's experiment default (the bench defaults to a fine grid, the regime where index layout matters)")
-		serveJSON  = flag.String("servejson", "", "run the serve-gateway closed-loop load test (cache+coalesce vs cache-off vs mutation-heavy) and write JSON results to this path (skips -exp)")
-		serveDur   = flag.Duration("serveduration", 2*time.Second, "per-phase duration for -servejson and -rebalancejson")
-		serveConc  = flag.Int("serveclients", 16, "closed-loop client count for -servejson")
+		serveDur   = flag.Duration("serveduration", 2*time.Second, "per-phase duration for -rebalancejson")
 		rebalJSON  = flag.String("rebalancejson", "", "run the live-rebalancing skew harness (tail latency before vs after migrating a hot partition) and write JSON results to this path (skips -exp)")
 	)
 	flag.Parse()
@@ -76,13 +74,6 @@ func main() {
 	}
 	if *memJSON != "" {
 		if err := runBenchMemory(*memJSON, *benchData, *scale, *memDelta, *k); err != nil {
-			fmt.Fprintf(os.Stderr, "repose-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveJSON != "" {
-		if err := runServeJSON(*serveJSON, *benchData, *scale, *k, *serveDur, *serveConc); err != nil {
 			fmt.Fprintf(os.Stderr, "repose-bench: %v\n", err)
 			os.Exit(1)
 		}

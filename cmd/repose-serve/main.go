@@ -58,8 +58,6 @@ func main() {
 		rate          = flag.Float64("rate", 0, "per-client sustained requests/second (0 = unlimited)")
 		burst         = flag.Int("burst", 0, "per-client burst size (0 = 2×rate)")
 		cacheEntries  = flag.Int("cache-entries", 4096, "answer cache capacity (-1 disables)")
-		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window (-1ns disables batching)")
-		maxBatch      = flag.Int("max-batch", 32, "dispatch a micro-batch early at this size")
 		queryTimeout  = flag.Duration("query-timeout", 30*time.Second, "per-engine-call deadline")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	)
@@ -101,8 +99,6 @@ func main() {
 		RatePerClient: *rate,
 		Burst:         *burst,
 		CacheEntries:  *cacheEntries,
-		BatchWindow:   *batchWindow,
-		MaxBatch:      *maxBatch,
 		QueryTimeout:  *queryTimeout,
 	})
 

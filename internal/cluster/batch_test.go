@@ -103,9 +103,8 @@ func (gateIndex) SizeBytes() int { return 0 }
 // same scan slots as every other query on the engine. Before the fix a
 // batch ran on private goroutines, so two overlapping batches — or a
 // batch next to a Search — exceeded a Local's scan cap, and a worker's
-// SetQueryWorkers cap did not bound the batched queries the gateway's
-// micro-batcher sends. With one slot, at most one scan may ever be in
-// flight, on a Local and on a Worker.
+// SetQueryWorkers cap did not bound batched queries. With one slot, at
+// most one scan may ever be in flight, on a Local and on a Worker.
 func TestScanCapBoundsBatches(t *testing.T) {
 	const nparts = 4
 	qs := [][]geo.Point{{{X: 1, Y: 1}}, {{X: 2, Y: 2}}, {{X: 3, Y: 3}}}

@@ -16,8 +16,9 @@
 // names. Every query method takes a context — deadlines and
 // cancellations stop partition scans mid-flight; the wire protocol
 // carries per-query ids and deadlines so the driver can abort straggler
-// workers remotely, and an in-process call runs under the driver's
-// context itself.
+// workers remotely, and an in-process call runs under a context derived
+// from the driver's, registered under the same id, so Worker.Cancel
+// stops an attempt the driver gave up on over either caller.
 //
 // The query dataflow is written once (plan.go): a planner — partition
 // selection, re-planning after a concurrent split, the probe budget's

@@ -73,8 +73,9 @@ type FailoverConfig struct {
 	CallTimeout time.Duration
 	// HedgeAfter, when positive, launches a hedged second attempt on
 	// another replica once a worker's answer is this late; whichever
-	// attempt answers first wins and the other is discarded. Only
-	// meaningful with replication. Default off.
+	// attempt answers first wins and the other is discarded (a losing
+	// original is also cancelled). Only meaningful with replication.
+	// Default off.
 	HedgeAfter time.Duration
 }
 
@@ -898,9 +899,11 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryAr
 		case hr := <-hedgeDone:
 			hedgeDone = nil
 			if hr.err == nil {
-				// The backup replica answered first; abandon the slow
-				// original (net/rpc delivers its eventual reply into
-				// the call's buffered channel — nothing leaks).
+				// The backup replica answered first: cancel the slow
+				// original's scan and abandon the call (net/rpc delivers
+				// its eventual reply into the call's buffered channel —
+				// nothing leaks).
+				c.Go("Worker.Cancel", &CancelArgs{ID: args.ID}, &struct{}{}, make(chan *rpc.Call, 1))
 				return hr.replies, true, nil
 			}
 			// Hedge failed; keep waiting for the original.

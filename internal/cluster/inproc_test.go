@@ -15,6 +15,7 @@ import (
 	"repose/internal/geo"
 	"repose/internal/oracle"
 	"repose/internal/rptrie"
+	"repose/internal/topk"
 )
 
 // Deterministic fault tests: the engine over in-process workers whose
@@ -252,5 +253,81 @@ func TestAcksOnlyMoveForward(t *testing.T) {
 	}
 	if got, want := r.PartitionIndexBytes()[0], x.SizeBytes(); got != want {
 		t.Fatalf("driver reports %d index bytes, the worker %d", got, want)
+	}
+}
+
+// stuckIndex is a partition whose top-k scans run until their context
+// ends, then report on ended how it ended. Closing release frees a scan
+// nothing cancels, so a failing test does not hang its cleanup.
+type stuckIndex struct {
+	rptrie.Index
+	ended   chan error
+	release chan struct{}
+}
+
+func (s stuckIndex) SearchContext(ctx context.Context, q []geo.Point, k int, opt rptrie.SearchOptions) ([]topk.Item, error) {
+	select {
+	case <-ctx.Done():
+	case <-s.release:
+	}
+	s.ended <- ctx.Err()
+	return nil, ctx.Err()
+}
+
+// TestAbandonedAttemptStopsScanning: an in-process query attempt the
+// driver gives up on — it timed out, or a hedge on the other replica
+// answered first — stops scanning with a context error, and the worker
+// forgets it. The attempt used to scan under the driver's own context,
+// so the Worker.Cancel a timeout fires found nothing registered, and a
+// winning hedge did not cancel the original at all.
+func TestAbandonedAttemptStopsScanning(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		fo       FailoverConfig
+		wantErr  bool
+	}{
+		{"timeout", 1, FailoverConfig{FailThreshold: 100, ProbeInterval: time.Hour, CallTimeout: 200 * time.Millisecond}, true},
+		{"hedge", 2, FailoverConfig{FailThreshold: 100, ProbeInterval: time.Hour, HedgeAfter: 50 * time.Millisecond}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, parts, spec := testWorld(t, 120, 2)
+			spec.Replicas = tc.replicas
+			r, plans := scriptedEngine(t, spec, parts, tc.replicas)
+			r.SetFailover(tc.fo)
+			// Partition 0's first replica takes the attempt. The timeout
+			// and the hedge delay leave it ample time to start scanning.
+			w := plans[r.owners[0][0]].w
+			w.mu.Lock()
+			stuck := stuckIndex{Index: w.indexes[0].(rptrie.Index), ended: make(chan error, 1), release: make(chan struct{})}
+			w.mu.Unlock()
+			w.swap(0, stuck)
+			t.Cleanup(func() { close(stuck.release) })
+
+			_, _, err := r.Search(context.Background(), ds[0].Points, 5, QueryOptions{Partitions: []int{0}})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("search: %v, want error %v", err, tc.wantErr)
+			}
+			select {
+			case err := <-stuck.ended:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("abandoned scan ended with %v, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the abandoned attempt is still scanning")
+			}
+			for deadline := time.Now().Add(2 * time.Second); ; {
+				w.mu.Lock()
+				n := len(w.inflight)
+				w.mu.Unlock()
+				if n == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d queries left registered on the worker", n)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -107,6 +107,9 @@ func (c *Local) wave(ctx context.Context, req *QueryArgs) (QueryReply, error) {
 	w := &waveRun{ctx: ctx, c: c, req: req, rep: newQueryReply(req),
 		opt: QueryOptions{NoPivots: req.NoPivots, RefineWorkers: req.RefineWorkers, MinGens: req.MinGens, Refine: req.Refine}}
 	w.errs = make([]error, len(w.rep.Nanos))
+	if req.Kind == KindTopK {
+		w.stats = make([]rptrie.SearchStats, len(w.errs))
+	}
 	w.start = time.Now()
 	for t := range w.errs {
 		// Don't queue behind other queries' scans once cancelled: a
@@ -143,6 +146,7 @@ type waveRun struct {
 	start time.Time
 	rep   QueryReply
 	errs  []error
+	stats []rptrie.SearchStats // per top-k task; one allocation per wave
 	wg    sync.WaitGroup
 }
 
@@ -161,9 +165,8 @@ func (w *waveRun) task(t int) {
 	t0 := time.Now()
 	switch w.req.Kind {
 	case KindTopK:
-		var stats rptrie.SearchStats
-		w.rep.Lists[t], w.errs[t] = searchOne(w.ctx, gpid, idx, q, w.req.K, w.opt, &stats, w.req.shared.hs[qi])
-		w.rep.Refined[t] = int64(stats.ExactComputations)
+		w.rep.Lists[t], w.errs[t] = searchOne(w.ctx, gpid, idx, q, w.req.K, w.opt, &w.stats[t], w.req.shared.hs[qi])
+		w.rep.Refined[t] = int64(w.stats[t].ExactComputations)
 	case KindBound:
 		w.rep.Bounds[t], w.errs[t] = boundOne(w.ctx, gpid, idx, q, w.opt)
 	case KindRadius:

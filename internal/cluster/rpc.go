@@ -157,9 +157,10 @@ type QueryArgs struct {
 	Refine        rptrie.RefineSpec
 
 	// An in-process worker receives the driver's own context and
-	// result heaps (one per top-k query, see Local.wave): its scans stop
-	// when the query's context ends and prune against the driver's
-	// threshold. Unexported, neither crosses the wire.
+	// result heaps (one per top-k query, see Local.wave): its scans run
+	// under a context derived from ctx (Worker.queryContext) and prune
+	// against the driver's threshold. Unexported, neither crosses the
+	// wire.
 	ctx    context.Context
 	shared *heapSet
 }
@@ -635,16 +636,23 @@ func (w *Worker) queryView(subset []int) (*Local, []int, error) {
 	return v, pids, nil
 }
 
-// queryContext derives the query's context from the wire header and
-// registers it for Worker.Cancel. The returned stop func must be
-// called when the query finishes.
-func (w *Worker) queryContext(h QueryHeader) (context.Context, func()) {
+// queryContext derives the query's context and registers it for
+// Worker.Cancel under the header ID. An in-process call derives it from
+// the driver's context, which already carries the query's deadline; a
+// call over the wire starts from the header's budget. Either way the
+// driver's Cancel ends the scan of an attempt it gave up on. The caller
+// passes the returned cancel func to endQuery when the query finishes.
+func (w *Worker) queryContext(args *QueryArgs) (context.Context, context.CancelFunc) {
+	h := args.QueryHeader
 	var ctx context.Context
 	var cancel context.CancelFunc
-	if h.BudgetNanos != 0 {
+	switch {
+	case args.ctx != nil:
+		ctx, cancel = context.WithCancel(args.ctx)
+	case h.BudgetNanos != 0:
 		// A non-positive budget yields an already-expired context.
 		ctx, cancel = context.WithTimeout(context.Background(), time.Duration(h.BudgetNanos))
-	} else {
+	default:
 		ctx, cancel = context.WithCancel(context.Background())
 	}
 	if h.ID != 0 {
@@ -659,14 +667,17 @@ func (w *Worker) queryContext(h QueryHeader) (context.Context, func()) {
 		}
 		w.mu.Unlock()
 	}
-	return ctx, func() {
-		if h.ID != 0 {
-			w.mu.Lock()
-			delete(w.inflight, h.ID)
-			w.mu.Unlock()
-		}
-		cancel()
+	return ctx, cancel
+}
+
+// endQuery unregisters the finished query id and releases its context.
+func (w *Worker) endQuery(id uint64, cancel context.CancelFunc) {
+	if id != 0 {
+		w.mu.Lock()
+		delete(w.inflight, id)
+		w.mu.Unlock()
 	}
+	cancel()
 }
 
 // Cancel aborts the in-flight query with args.ID. An id not yet
@@ -697,9 +708,9 @@ func (w *Worker) Cancel(args *CancelArgs, _ *struct{}) error {
 
 // Query answers one wave of partition-local work over the selected
 // partitions this worker owns: Local.wave on the worker's view, under
-// the worker's scan cap. An in-process call runs under the driver's
-// context and prunes against its result heaps; a call over the wire
-// gets a context from its header (cancellable by Worker.Cancel) and
+// the worker's scan cap, cancellable by Worker.Cancel. An in-process
+// call derives its context from the driver's and prunes against its
+// result heaps; a call over the wire gets a context from its header and
 // fresh heaps per top-k query.
 func (w *Worker) Query(args *QueryArgs, reply *QueryReply) error {
 	if err := checkVersion(args.Version); err != nil {
@@ -709,11 +720,8 @@ func (w *Worker) Query(args *QueryArgs, reply *QueryReply) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := args.ctx, func() {}
-	if ctx == nil {
-		ctx, stop = w.queryContext(args.QueryHeader)
-	}
-	defer stop()
+	ctx, cancel := w.queryContext(args)
+	defer w.endQuery(args.ID, cancel)
 	args.Partitions = pids
 	*reply, err = view.wave(ctx, args)
 	return err

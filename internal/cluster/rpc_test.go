@@ -374,8 +374,8 @@ func TestWorkerCancelRPC(t *testing.T) {
 	if err := w.Cancel(&CancelArgs{ID: 12345}, &struct{}{}); err != nil {
 		t.Fatalf("unknown id: %v", err)
 	}
-	ctx, stop := w.queryContext(QueryHeader{ID: 7})
-	defer stop()
+	ctx, cancel := w.queryContext(&QueryArgs{QueryHeader: QueryHeader{ID: 7}})
+	defer cancel()
 	if ctx.Err() != nil {
 		t.Fatal("fresh query context should be live")
 	}
@@ -385,7 +385,7 @@ func TestWorkerCancelRPC(t *testing.T) {
 	if !errors.Is(ctx.Err(), context.Canceled) {
 		t.Errorf("query context not cancelled: %v", ctx.Err())
 	}
-	stop()
+	w.endQuery(7, cancel)
 	w.mu.Lock()
 	n := len(w.inflight)
 	w.mu.Unlock()
@@ -398,8 +398,8 @@ func TestWorkerCancelRPC(t *testing.T) {
 	if err := w.Cancel(&CancelArgs{ID: 9}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	early, stopEarly := w.queryContext(QueryHeader{ID: 9})
-	defer stopEarly()
+	early, cancelEarly := w.queryContext(&QueryArgs{QueryHeader: QueryHeader{ID: 9}})
+	defer cancelEarly()
 	if !errors.Is(early.Err(), context.Canceled) {
 		t.Errorf("early-cancelled query context: %v", early.Err())
 	}

@@ -564,8 +564,8 @@ func TestDTWPathBoundCountGate(t *testing.T) {
 // partitions like a single one, in process and over TCP. Before the fix
 // the in-process SearchBatch recorded nothing, and the remote one could
 // not — its reply merged each worker's partitions into one list — so
-// micro-batched gateway traffic was invisible to LoadStats, the
-// learned probe order, and the rebalancer.
+// batched traffic was invisible to LoadStats, the learned probe order,
+// and the rebalancer.
 func TestSearchBatchFeedsLoadTracker(t *testing.T) {
 	ds, parts, spec := testWorld(t, 250, 6)
 	queries := dataset.Queries(ds, 5, 17)

@@ -97,12 +97,6 @@ func (q query) equal(o query) bool {
 		slices.Equal(q.pts, o.pts)
 }
 
-// batchable reports whether the query may ride the top-k
-// micro-batcher: only plain whole-trajectory top-k queries do.
-func (q query) batchable() bool {
-	return q.kind == kindTopK && !q.sub && !q.window
-}
-
 // cacheEntry is one cached answer: the query, the generation vector
 // it was computed under (its floor — see doc.go), and the results.
 type cacheEntry struct {

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"context"
 	"slices"
 	"sync"
-	"time"
 
 	"repose"
 )
@@ -68,142 +66,3 @@ func (g *flightGroup) complete(c *call, genHash uint64, items []repose.Result, e
 	c.items, c.err = items, err
 	close(c.done)
 }
-
-// batchJob is one top-k query waiting in a micro-batch window.
-type batchJob struct {
-	pts   []repose.Point
-	done  chan struct{}
-	items []repose.Result
-	err   error
-}
-
-// pendingBatch collects concurrent distinct top-k queries with the
-// same k into one SearchBatch scatter.
-type pendingBatch struct {
-	jobs     []*batchJob
-	launched bool
-	timer    *time.Timer
-}
-
-// batcher turns bursts of concurrent distinct top-k queries into
-// SearchBatch calls: the first arrival for a given k opens a window;
-// queries arriving within it join the batch, which dispatches when
-// the window elapses or MaxBatch members are waiting. A solo query
-// pays at most the window in added latency; under load the window is
-// always full of ride-alongs and the engine's batch scheduler
-// amortizes the scatter.
-type batcher struct {
-	be       Backend
-	window   time.Duration
-	maxBatch int
-	baseCtx  context.Context
-	timeout  time.Duration
-	m        *metrics
-
-	mu      sync.Mutex
-	pending map[int]*pendingBatch // by k
-	wg      sync.WaitGroup        // in-flight dispatches, for drain
-}
-
-func newBatcher(be Backend, window time.Duration, maxBatch int, baseCtx context.Context, timeout time.Duration, m *metrics) *batcher {
-	return &batcher{
-		be: be, window: window, maxBatch: maxBatch,
-		baseCtx: baseCtx, timeout: timeout, m: m,
-		pending: make(map[int]*pendingBatch),
-	}
-}
-
-// search runs one top-k query through the micro-batcher, blocking
-// until its batch completes or ctx is cancelled (the batch itself
-// keeps running for the other members; see dispatch).
-func (b *batcher) search(ctx context.Context, pts []repose.Point, k int) ([]repose.Result, error) {
-	job := &batchJob{pts: pts, done: make(chan struct{})}
-
-	b.mu.Lock()
-	p := b.pending[k]
-	if p == nil {
-		p = &pendingBatch{}
-		b.pending[k] = p
-		p.timer = time.AfterFunc(b.window, func() { b.fire(k, p) })
-	}
-	p.jobs = append(p.jobs, job)
-	full := b.maxBatch > 0 && len(p.jobs) >= b.maxBatch
-	if full {
-		p.timer.Stop()
-		b.launchLocked(k, p)
-	}
-	b.mu.Unlock()
-
-	select {
-	case <-job.done:
-		return job.items, job.err
-	case <-ctx.Done():
-		// The caller gives up; the batch still completes and its
-		// results feed the cache and any co-batched requests.
-		return nil, ctx.Err()
-	}
-}
-
-// fire is the window-timer path into launchLocked.
-func (b *batcher) fire(k int, p *pendingBatch) {
-	b.mu.Lock()
-	b.launchLocked(k, p)
-	b.mu.Unlock()
-}
-
-// launchLocked dispatches a pending batch exactly once (timer fire
-// and batch-full can race) and opens the slot for the next window.
-// Caller holds b.mu.
-func (b *batcher) launchLocked(k int, p *pendingBatch) {
-	if p.launched {
-		return
-	}
-	p.launched = true
-	if b.pending[k] == p {
-		delete(b.pending, k)
-	}
-	jobs := p.jobs
-	b.wg.Add(1)
-	go b.dispatch(jobs, k)
-}
-
-// dispatch executes one batch on the server's base context, detached
-// from any single member's request context: a member disconnecting
-// must not cancel work the rest of the batch shares.
-func (b *batcher) dispatch(jobs []*batchJob, k int) {
-	defer b.wg.Done()
-	b.m.batches.Add(1)
-	b.m.batchedQueries.Add(int64(len(jobs)))
-
-	ctx := b.baseCtx
-	if b.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.timeout)
-		defer cancel()
-	}
-
-	if len(jobs) == 1 {
-		// No ride-alongs: skip the batch machinery.
-		items, err := b.be.Search(ctx, &repose.Trajectory{Points: jobs[0].pts}, k)
-		jobs[0].items, jobs[0].err = items, err
-		close(jobs[0].done)
-		return
-	}
-
-	qs := make([]*repose.Trajectory, len(jobs))
-	for i, j := range jobs {
-		qs[i] = &repose.Trajectory{Points: j.pts}
-	}
-	res, err := b.be.SearchBatch(ctx, qs, k)
-	for i, j := range jobs {
-		if err != nil {
-			j.err = err
-		} else {
-			j.items = res[i]
-		}
-		close(j.done)
-	}
-}
-
-// drain waits for all in-flight batch dispatches.
-func (b *batcher) drain() { b.wg.Wait() }

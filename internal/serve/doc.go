@@ -7,10 +7,10 @@
 //   - a sharded LRU answer cache keyed by (query, k, kind,
 //     generation vector),
 //   - request coalescing: singleflight for identical in-flight
-//     queries, and micro-batching of concurrent distinct top-k
-//     queries into one SearchBatch scatter,
+//     queries,
 //   - bounded-worker-pool admission control with queue-depth
 //     rejection (429 + Retry-After when the queue is full),
+//   - one engine call per admitted miss, bounded by QueryTimeout,
 //
 // plus operational endpoints: GET /healthz (Index.Health), GET
 // /metrics (expvar counters: queue depth, cache hit/miss/
@@ -69,7 +69,5 @@
 // singleflight key is the cache key, generation vector included: a
 // follower only joins a leader whose vector equals its own, and the
 // leader's answer floor (3) therefore covers every acknowledged
-// mutation each follower observed. Micro-batched queries each carry
-// their own pre-read vector and are cached under it; the shared
-// SearchBatch scatter runs after every member's vector was read.
+// mutation each follower observed.
 package serve

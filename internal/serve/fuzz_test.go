@@ -26,7 +26,7 @@ func FuzzGatewayRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	gw := New(idx, Config{MaxConcurrent: 2, CacheEntries: 16, BatchWindow: 100 * time.Microsecond})
+	gw := New(idx, Config{MaxConcurrent: 2, CacheEntries: 16})
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -109,7 +109,7 @@ func (h *histogram) String() string {
 // metrics is one Server's counter set. Counters are expvar.Int so
 // they compose with the standard expvar machinery, but they live on
 // the Server rather than the process-global registry: two servers in
-// one process (tests, the A/B load generator) must not collide.
+// one process (tests) must not collide.
 type metrics struct {
 	searchRequests expvar.Int
 	radiusRequests expvar.Int
@@ -124,9 +124,7 @@ type metrics struct {
 	cacheInvalidations expvar.Int
 	cacheEvictions     expvar.Int
 
-	coalesced      expvar.Int
-	batches        expvar.Int
-	batchedQueries expvar.Int
+	coalesced expvar.Int
 
 	queueDepth atomic.Int64 // waiting for an admission slot
 	active     atomic.Int64 // holding an admission slot
@@ -165,8 +163,6 @@ func (m *metrics) snapshot(cacheEntries int) map[string]any {
 		},
 		"coalesce": map[string]any{
 			"coalesced_requests": m.coalesced.Value(),
-			"batches":            m.batches.Value(),
-			"batched_queries":    m.batchedQueries.Value(),
 			"ratio":              ratio,
 		},
 		"latency_us": map[string]any{

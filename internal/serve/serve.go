@@ -22,7 +22,6 @@ type Backend interface {
 	Search(ctx context.Context, q *repose.Trajectory, k int, opts ...repose.QueryOption) ([]repose.Result, error)
 	SearchSub(ctx context.Context, q *repose.Trajectory, k int, opts ...repose.QueryOption) ([]repose.Result, error)
 	SearchRadius(ctx context.Context, q *repose.Trajectory, radius float64, opts ...repose.QueryOption) ([]repose.Result, error)
-	SearchBatch(ctx context.Context, qs []*repose.Trajectory, k int, opts ...repose.QueryOption) ([][]repose.Result, error)
 	Generations() []uint64
 	Health() []repose.WorkerHealth
 	Stats() repose.Stats
@@ -50,14 +49,6 @@ type Config struct {
 	// rounded up to a power of two; default 16.
 	CacheEntries int
 	CacheShards  int
-
-	// BatchWindow is how long the first top-k arrival waits for
-	// ride-alongs before its micro-batch dispatches; 0 means the
-	// default 2ms, negative disables batching (every query runs
-	// solo). MaxBatch dispatches a window early once that many
-	// queries are waiting; default 32.
-	BatchWindow time.Duration
-	MaxBatch    int
 
 	// MaxK rejects unreasonable k values (400); default 1000.
 	// DefaultK applies when a search request omits k; default 10.
@@ -89,12 +80,6 @@ func (c *Config) applyDefaults() {
 	if c.CacheShards <= 0 {
 		c.CacheShards = 16
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.MaxK <= 0 {
 		c.MaxK = 1000
 	}
@@ -120,7 +105,6 @@ type Server struct {
 	limiter *rateLimiter
 	cache   *answerCache
 	flights *flightGroup
-	batch   *batcher
 
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
@@ -132,8 +116,7 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// New builds a Server over be. The returned server owns background
-// work (micro-batch dispatches); call Shutdown to release it.
+// New builds a Server over be. Call Shutdown to drain it.
 func New(be Backend, cfg Config) *Server {
 	cfg.applyDefaults()
 	s := &Server{be: be, cfg: cfg}
@@ -142,9 +125,6 @@ func New(be Backend, cfg Config) *Server {
 	s.cache = newCache(cfg.CacheEntries, cfg.CacheShards, &s.m)
 	s.flights = newFlightGroup()
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	if cfg.BatchWindow > 0 {
-		s.batch = newBatcher(be, cfg.BatchWindow, cfg.MaxBatch, s.baseCtx, cfg.QueryTimeout, &s.m)
-	}
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/search", method(http.MethodPost, s.handleSearch))
@@ -171,9 +151,9 @@ func method(m string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Shutdown drains the server: new query requests get 503, in-flight
-// requests (and the micro-batches they ride in) run to completion,
-// bounded by ctx. Afterwards the base context is cancelled so nothing
-// can start engine work through this server again.
+// requests run to completion, bounded by ctx. Afterwards the base
+// context is cancelled so nothing can start engine work through this
+// server again.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -182,9 +162,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		if s.batch != nil {
-			s.batch.drain()
-		}
 		close(done)
 	}()
 	var err error
@@ -378,11 +355,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	q.sig = q.signature()
 	s.answer(w, r, q, start, &s.m.searchLatency, func(ctx context.Context) ([]repose.Result, error) {
-		// Refined queries run solo: the micro-batcher coalesces only
-		// plain whole-trajectory top-k work.
-		if s.batch != nil && q.batchable() {
-			return s.batch.search(ctx, pts, req.K)
-		}
 		tr := &repose.Trajectory{Points: pts}
 		var opts []repose.QueryOption
 		if q.window {
@@ -435,7 +407,8 @@ func (s *Server) handleRadius(w http.ResponseWriter, r *http.Request) {
 // answer drives a parsed query through cache → coalescing →
 // admission → execution and writes the response. exec runs the
 // engine call; it receives a context detached from the client
-// connection (coalesced followers and batch members share it).
+// connection (coalesced followers share it) and bounded by
+// QueryTimeout.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query, start time.Time, lat *histogram, exec func(context.Context) ([]repose.Result, error)) {
 	// Read the generation vector BEFORE the cache lookup: the hit
 	// condition is exact equality with the entry's vector, which is
@@ -482,13 +455,9 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, q query, start t
 
 	// Execute on the server's base context so a leader's client
 	// disconnecting cannot kill work its followers share.
-	ctx := s.baseCtx
-	if s.batch == nil || !q.batchable() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.QueryTimeout)
 	items, err := exec(ctx)
+	cancel()
 	s.adm.release()
 
 	if leader {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ import (
 
 // fakeBackend is an instrumented Backend for unit tests: canned
 // results, a controllable generation vector, and an optional gate
-// that blocks Search until released.
+// that blocks every engine call until released.
 type fakeBackend struct {
 	mu      sync.Mutex
 	gens    []uint64
@@ -26,10 +27,9 @@ type fakeBackend struct {
 	searchCalls atomic.Int64
 	subCalls    atomic.Int64
 	radiusCalls atomic.Int64
-	batchCalls  atomic.Int64
 
-	entered chan struct{} // receives one token per Search/SearchBatch entry
-	gate    chan struct{} // when non-nil, Search blocks until closed
+	entered chan struct{} // receives one token per engine call
+	gate    chan struct{} // when non-nil, engine calls block until closed
 }
 
 func newFakeBackend() *fakeBackend {
@@ -45,22 +45,32 @@ func (f *fakeBackend) result(q *repose.Trajectory) []repose.Result {
 	return []repose.Result{{ID: len(q.Points), Dist: q.Points[0].X}}
 }
 
-func (f *fakeBackend) Search(ctx context.Context, q *repose.Trajectory, k int, opts ...repose.QueryOption) ([]repose.Result, error) {
-	f.searchCalls.Add(1)
+// enter announces an engine call and waits at the gate, if any.
+func (f *fakeBackend) enter(ctx context.Context) error {
 	f.entered <- struct{}{}
 	if f.gate != nil {
 		select {
 		case <-f.gate:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
+	}
+	return nil
+}
+
+func (f *fakeBackend) Search(ctx context.Context, q *repose.Trajectory, k int, opts ...repose.QueryOption) ([]repose.Result, error) {
+	f.searchCalls.Add(1)
+	if err := f.enter(ctx); err != nil {
+		return nil, err
 	}
 	return f.result(q), nil
 }
 
 func (f *fakeBackend) SearchSub(ctx context.Context, q *repose.Trajectory, k int, opts ...repose.QueryOption) ([]repose.Result, error) {
 	f.subCalls.Add(1)
-	f.entered <- struct{}{}
+	if err := f.enter(ctx); err != nil {
+		return nil, err
+	}
 	// Segment answers carry a matched range, unlike whole-trajectory
 	// ones — lets tests assert the start/end passthrough.
 	res := f.result(q)
@@ -72,24 +82,15 @@ func (f *fakeBackend) SearchSub(ctx context.Context, q *repose.Trajectory, k int
 
 func (f *fakeBackend) SearchRadius(ctx context.Context, q *repose.Trajectory, radius float64, opts ...repose.QueryOption) ([]repose.Result, error) {
 	f.radiusCalls.Add(1)
+	if err := f.enter(ctx); err != nil {
+		return nil, err
+	}
 	return f.result(q), nil
 }
 
-func (f *fakeBackend) SearchBatch(ctx context.Context, qs []*repose.Trajectory, k int, opts ...repose.QueryOption) ([][]repose.Result, error) {
-	f.batchCalls.Add(1)
-	f.entered <- struct{}{}
-	if f.gate != nil {
-		select {
-		case <-f.gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	out := make([][]repose.Result, len(qs))
-	for i, q := range qs {
-		out[i] = f.result(q)
-	}
-	return out, nil
+// calls counts every engine call the backend answered or started.
+func (f *fakeBackend) calls() int64 {
+	return f.searchCalls.Load() + f.subCalls.Load() + f.radiusCalls.Load()
 }
 
 func (f *fakeBackend) Generations() []uint64 {
@@ -124,13 +125,11 @@ func (f *fakeBackend) Stats() repose.Stats {
 	}
 }
 
-// noBatch disables micro-batching and caching so tests exercise one
-// layer at a time.
+// bareConfig disables caching so tests exercise one layer at a time.
 func bareConfig() Config {
 	return Config{
 		MaxConcurrent: 8,
 		CacheEntries:  -1,
-		BatchWindow:   -1,
 	}
 }
 
@@ -516,43 +515,121 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestMicroBatching pins the batcher: concurrent distinct top-k
-// queries inside one window run as a single SearchBatch scatter.
-func TestMicroBatching(t *testing.T) {
-	be := newFakeBackend()
-	cfg := bareConfig()
-	cfg.BatchWindow = 100 * time.Millisecond // wide, so all three land in it
-	cfg.MaxBatch = 8
-	s, ts := newTestServer(t, be, cfg)
+// TestEngineCallsSavedByCacheAndCoalescing: on one request mix —
+// concurrent duplicates, then sequential repeats — the cache and
+// request coalescing together make strictly fewer engine calls than
+// coalescing alone (CacheEntries < 0), and every request gets the same
+// answer either way.
+func TestEngineCallsSavedByCacheAndCoalescing(t *testing.T) {
+	run := func(cacheEntries int) (int64, [][]resultJSON) {
+		be := newFakeBackend()
+		be.gate = make(chan struct{})
+		cfg := bareConfig()
+		cfg.CacheEntries = cacheEntries
+		s, ts := newTestServer(t, be, cfg)
 
-	const n = 3
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			resp, ans, err := searchReq(ts, float64(10+i), 3, 2, nil)
+		// Concurrent duplicates: two groups of four identical queries
+		// held at the engine until every follower joined its leader.
+		dups := []float64{20, 20, 20, 20, 21, 21, 21, 21}
+		answers := make([][]resultJSON, len(dups))
+		var wg sync.WaitGroup
+		for i, x := range dups {
+			wg.Add(1)
+			go func(i int, x float64) {
+				defer wg.Done()
+				resp, ans, err := searchReq(ts, x, 3, 2, nil)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("duplicate %d: status=%v err=%v", i, resp, err)
+					return
+				}
+				answers[i] = ans.Results
+			}(i, x)
+		}
+		<-be.entered
+		<-be.entered
+		for i := 0; s.m.coalesced.Value() != int64(len(dups)-2); i++ {
+			if i > 5000 {
+				t.Fatalf("followers joined = %d, want %d", s.m.coalesced.Value(), len(dups)-2)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(be.gate)
+		wg.Wait()
+
+		// Sequential repeats, including the duplicates' queries.
+		for _, x := range []float64{1, 2, 1, 3, 2, 1, 20, 21} {
+			resp, ans, err := searchReq(ts, x, 3, 2, nil)
 			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status=%v err=%v", i, resp, err)
-				return
+				t.Fatalf("repeat of %v: status=%v err=%v", x, resp, err)
 			}
-			// Each distinct query must get its own answer back.
-			if want := float64(10 + i); len(ans.Results) != 1 || ans.Results[0].Distance != want {
-				t.Errorf("request %d: results %v, want distance %v", i, ans.Results, want)
-			}
-		}(i)
+			answers = append(answers, ans.Results)
+		}
+		return be.calls(), answers
 	}
-	wg.Wait()
+	cached, cachedAnswers := run(64)
+	uncached, uncachedAnswers := run(-1)
+	if cached >= uncached {
+		t.Errorf("engine calls with the cache %d, without %d: want strictly fewer", cached, uncached)
+	}
+	for i := range cachedAnswers {
+		if !slices.Equal(cachedAnswers[i], uncachedAnswers[i]) {
+			t.Errorf("request %d: cached run answered %v, uncached %v", i, cachedAnswers[i], uncachedAnswers[i])
+		}
+	}
+}
 
-	if got := be.batchCalls.Load(); got != 1 {
-		t.Errorf("SearchBatch calls = %d, want 1", got)
+// TestQueryTimeout: every route bounds its engine call by
+// Config.QueryTimeout. Plain top-k, subtrajectory, windowed and radius
+// requests to an engine that never answers each get a 500 once the
+// timeout passes, and Shutdown leaves no goroutine behind.
+func TestQueryTimeout(t *testing.T) {
+	base := leakcheck.Base()
+	be := newFakeBackend()
+	be.gate = make(chan struct{}) // never opens
+	cfg := bareConfig()
+	cfg.QueryTimeout = 50 * time.Millisecond
+	s := New(be, cfg)
+	ts := httptest.NewServer(s.Handler())
+
+	pts := [][2]float64{{1, 0}, {1, 1}, {1, 2}}
+	window := map[string]int64{"from": 0, "to": 9}
+	for _, tc := range []struct {
+		name, path string
+		body       map[string]any
+	}{
+		{"top-k", "/search", map[string]any{"points": pts, "k": 2}},
+		{"sub", "/search", map[string]any{"points": pts, "k": 2, "sub": true}},
+		{"windowed", "/search", map[string]any{"points": pts, "k": 2, "window": window}},
+		{"radius", "/radius", map[string]any{"points": pts, "radius": 1}},
+	} {
+		start := time.Now()
+		resp, _, err := postJSON(ts, tc.path, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("%s: status %d, want 500", tc.name, resp.StatusCode)
+		}
+		if elapsed < cfg.QueryTimeout || elapsed > 5*time.Second {
+			t.Errorf("%s: answered after %v, want shortly after the %v timeout", tc.name, elapsed, cfg.QueryTimeout)
+		}
 	}
-	if got := be.searchCalls.Load(); got != 0 {
-		t.Errorf("solo Search calls = %d, want 0 (all batched)", got)
+	if got := be.calls(); got != 4 {
+		t.Errorf("engine calls = %d, want 4", got)
 	}
-	if got := s.m.batchedQueries.Value(); got != n {
-		t.Errorf("batchedQueries = %d, want %d", got, n)
+	if got := s.m.errors.Value(); got != 4 {
+		t.Errorf("errors = %d, want 4", got)
 	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	ts.Close()
+	leakcheck.Settle(t, base)
 }
 
 // TestDrain pins graceful shutdown: Shutdown waits for in-flight

@@ -74,7 +74,7 @@ func sameItems(got []resultJSON, want []topk.Item) bool {
 // every reachable index state is a recorded post-mutation state).
 // The mutator snapshots the brute-force oracle's answer set after
 // every mutation, keyed by the generation it produced. Every served
-// answer — cached, coalesced, batched, or fresh — must be
+// answer — cached, coalesced, or fresh — must be
 // bit-identical to the oracle at some generation between the
 // answer's pinned floor (its reported generation vector) and the
 // authoritative generation at response receipt. A served answer
@@ -91,7 +91,6 @@ func TestServeOracleStress(t *testing.T) {
 	gw := New(idx, Config{
 		MaxConcurrent: 4,
 		CacheEntries:  256,
-		BatchWindow:   500 * time.Microsecond,
 		QueryTimeout:  30 * time.Second,
 	})
 	ts := httptest.NewServer(gw.Handler())
@@ -278,7 +277,7 @@ func TestServeMultiPartitionPhased(t *testing.T) {
 	}
 	defer idx.Close()
 
-	gw := New(idx, Config{MaxConcurrent: 4, CacheEntries: 64, BatchWindow: -1})
+	gw := New(idx, Config{MaxConcurrent: 4, CacheEntries: 64})
 	ts := httptest.NewServer(gw.Handler())
 	defer ts.Close()
 	defer gw.Shutdown(context.Background())
