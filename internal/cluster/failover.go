@@ -73,8 +73,8 @@ type FailoverConfig struct {
 	CallTimeout time.Duration
 	// HedgeAfter, when positive, launches a hedged second attempt on
 	// another replica once a worker's answer is this late; whichever
-	// attempt answers first wins and the other is discarded (a losing
-	// original is also cancelled). Only meaningful with replication.
+	// attempt answers first wins and the other is discarded and
+	// cancelled. Only meaningful with replication.
 	// Default off.
 	HedgeAfter time.Duration
 }
@@ -797,10 +797,10 @@ func (r *Remote) fire(ctx context.Context, dst []fireResult, groups []group, exc
 
 // fireGroup calls one group, hedged when snapshot is set.
 func (r *Remote) fireGroup(ctx context.Context, g group, snapshot exclusions, req *QueryArgs) fireResult {
-	var hedge func() ([]QueryReply, error)
+	var hedge func(context.Context) ([]QueryReply, error)
 	if snapshot != nil {
-		hedge = func() ([]QueryReply, error) {
-			return r.hedgeAttempt(ctx, g.slot, g.pids, snapshot, req)
+		hedge = func(hctx context.Context) ([]QueryReply, error) {
+			return r.hedgeAttempt(hctx, g.slot, g.pids, snapshot, req)
 		}
 	}
 	replies, hedged, err := r.callGroup(ctx, g.slot, g.pids, req, hedge)
@@ -835,8 +835,10 @@ var donePool = sync.Pool{New: func() any { return make(chan *rpc.Call, 1) }}
 
 // callGroup sends req to one worker for its assigned partitions,
 // honoring the per-attempt timeout, the query context (with the
-// cancel-grace protocol), and an optional hedge.
-func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryArgs, hedge func() ([]QueryReply, error)) (replies []QueryReply, hedged bool, err error) {
+// cancel-grace protocol), and an optional hedge. The hedge runs under a
+// context derived from ctx that is cancelled when callGroup returns, so
+// a hedge that lost to the original stops scanning.
+func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryArgs, hedge func(context.Context) ([]QueryReply, error)) (replies []QueryReply, hedged bool, err error) {
 	s := r.slots[si]
 	c := s.get()
 	if c == nil {
@@ -889,11 +891,14 @@ func (r *Remote) callGroup(ctx context.Context, si int, pids []int, req *QueryAr
 			}
 			return reply, false, nil
 		case <-hedgeC:
-			hedgeC = nil
+			hedgeC = nil // this case runs at most once
+			// Returning stops a hedge still running: it lost.
+			hctx, stopHedge := context.WithCancel(ctx)
+			defer stopHedge()
 			ch := make(chan hedgeResult, 1)
 			hedgeDone = ch
 			go func() {
-				replies, err := hedge()
+				replies, err := hedge(hctx)
 				ch <- hedgeResult{replies: replies, err: err}
 			}()
 		case hr := <-hedgeDone:

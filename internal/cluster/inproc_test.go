@@ -331,3 +331,37 @@ func TestAbandonedAttemptStopsScanning(t *testing.T) {
 		})
 	}
 }
+
+// TestLosingHedgeStopsScanning: when the original attempt answers
+// after its hedge was launched but before the hedge did, the hedge's
+// scan is cancelled rather than left to run to its end. The original's
+// reply is held back past HedgeAfter; the other replica's partition
+// scans until its context ends.
+func TestLosingHedgeStopsScanning(t *testing.T) {
+	ds, parts, spec := testWorld(t, 120, 2)
+	spec.Replicas = 2
+	r, plans := scriptedEngine(t, spec, parts, 2)
+	r.SetFailover(FailoverConfig{FailThreshold: 100, ProbeInterval: time.Hour, HedgeAfter: 10 * time.Millisecond})
+	plans[r.owners[0][0]].set(queryMethod, delayCall)
+	w := plans[r.owners[0][1]].w
+	w.mu.Lock()
+	stuck := stuckIndex{Index: w.indexes[0].(rptrie.Index), ended: make(chan error, 1), release: make(chan struct{})}
+	w.mu.Unlock()
+	w.swap(0, stuck)
+	t.Cleanup(func() { close(stuck.release) })
+
+	q := ds[0].Points
+	got, _, err := r.Search(context.Background(), q, 5, QueryOptions{Partitions: []int{0}})
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	assertBitIdentical(t, "original won", 0, got, oracle.TopK(spec.Measure, spec.Params, parts[0], q, 5))
+	select {
+	case err := <-stuck.ended:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("losing hedge ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the losing hedge is still scanning")
+	}
+}

@@ -488,32 +488,39 @@ func TestSharedTopKCountGate(t *testing.T) {
 	}
 }
 
-// dtwChainStats searches 48 queries over the T-drive 1/256 fixture under
-// DTW, 8 partitions one by one (Workers: 1, no shared heap), and sums
-// the walks' statistics. The counts repeat bit for bit.
-func dtwChainStats(t *testing.T) rptrie.SearchStats {
+// walkStats searches 48 queries over the T-drive 1/256 fixture under
+// m, 8 partitions one by one (Workers: 1), and sums the walks'
+// statistics. With shared, each query's scans share one result heap.
+// The counts repeat bit for bit.
+func walkStats(t *testing.T, m dist.Measure, shared bool) rptrie.SearchStats {
 	t.Helper()
 	tdrive, err := dataset.ByName("T-drive", 1.0/256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	ds, parts, spec := sharedWorld(t, tdrive, dist.DTW, dataset.DefaultDelta("T-drive"), 8, 5)
+	ds, parts, spec := sharedWorld(t, tdrive, m, dataset.DefaultDelta("T-drive"), 8, 5)
 	c, err := BuildLocal(spec, parts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum rptrie.SearchStats
 	for _, q := range dataset.Queries(ds, 48, 1) {
+		var heap *rptrie.SharedTopK
+		if shared {
+			heap = rptrie.NewSharedTopK(10)
+		}
 		for _, idx := range c.Indexes() {
 			var st rptrie.SearchStats
-			if _, err := idx.(*rptrie.Trie).SearchContext(ctx, q.Points, 10, rptrie.SearchOptions{Stats: &st}); err != nil {
+			if _, err := idx.(*rptrie.Trie).SearchContext(ctx, q.Points, 10, rptrie.SearchOptions{Stats: &st, Shared: heap}); err != nil {
 				t.Fatal(err)
 			}
 			sum.NodesExpanded += st.NodesExpanded
 			sum.ChainSteps += st.ChainSteps
 			sum.LeavesRefined += st.LeavesRefined
 			sum.ExactComputations += st.ExactComputations
+			sum.EntriesPushed += st.EntriesPushed
+			sum.EarlyCuts += st.EarlyCuts
 		}
 	}
 	return sum
@@ -526,7 +533,7 @@ func dtwChainStats(t *testing.T) rptrie.SearchStats {
 // links walked in place. The leaves refined and the exact distance
 // computations are pinned, so any change to the refinement order shows.
 func TestChainWalkCountGate(t *testing.T) {
-	sum := dtwChainStats(t)
+	sum := walkStats(t, dist.DTW, false)
 	descended := sum.NodesExpanded + sum.ChainSteps
 	t.Logf("%d nodes expanded of %d descended through (%.2f)", sum.NodesExpanded, descended, float64(sum.NodesExpanded)/float64(descended))
 	if float64(sum.NodesExpanded) > 0.40*float64(descended) {
@@ -548,7 +555,7 @@ func TestChainWalkCountGate(t *testing.T) {
 // no more than their 345,787 trie nodes.
 func TestDTWPathBoundCountGate(t *testing.T) {
 	const cellSumExact, cellSumDescended = 26182, 345787
-	sum := dtwChainStats(t)
+	sum := walkStats(t, dist.DTW, false)
 	descended := sum.NodesExpanded + sum.ChainSteps
 	t.Logf("%d exact computations (%.2f of the cell-min sums'), %d nodes descended through (%.2f)",
 		sum.ExactComputations, float64(sum.ExactComputations)/cellSumExact, descended, float64(descended)/cellSumDescended)
@@ -557,6 +564,30 @@ func TestDTWPathBoundCountGate(t *testing.T) {
 	}
 	if descended > cellSumDescended {
 		t.Fatalf("%d nodes descended through, want ≤ %d", descended, cellSumDescended)
+	}
+}
+
+// TestEarlyCutCountGate is the deterministic form of the cheap-bounds-
+// first walk's claim, on the T-drive 1/256 fixture under Hausdorff: 8
+// partitions searched one after another, each query sharing one result
+// heap across them. The walk descends, queues, refines and computes
+// exactly what it did when every child forked and extended its bound
+// state before its bounds were read — the counts are pinned — and at
+// least 0.80 of the 22,564 children that walk rejected are now cut on
+// their pivot or one-cell bound before any bound state is built.
+func TestEarlyCutCountGate(t *testing.T) {
+	sum := walkStats(t, dist.Hausdorff, true)
+	t.Logf("%+v", sum)
+	// Recorded on the walk that forked and extended every child first.
+	want := rptrie.SearchStats{NodesExpanded: 8431, ChainSteps: 35300, EntriesPushed: 14870, LeavesRefined: 2336, ExactComputations: 2483}
+	got := sum
+	got.EarlyCuts = 0
+	if got != want {
+		t.Fatalf("walk counts %+v, want %+v: cutting early changed what the walk does", got, want)
+	}
+	const rejected = 22564
+	if float64(sum.EarlyCuts) < 0.80*rejected {
+		t.Fatalf("%d children cut before their bound state was built, want ≥ 0.80 × %d", sum.EarlyCuts, rejected)
 	}
 }
 

@@ -583,6 +583,46 @@ func (b *PathBounder) LBo(meta NodeMeta) float64 {
 	return 0
 }
 
+// PeekLBo returns a lower bound on LBo(meta), for every meta, of the
+// path extended by the grid cell with z-value z — without extending
+// it. It reads the cell's memoized entry (computing it on first sight,
+// as ExtendZ would) and nothing else, so a caller can reject a child
+// before paying for a Fork and an ExtendZ. Why it never exceeds the
+// extended path's LBo, with e the cell's entry:
+//
+//   - Hausdorff and Frechet: extending sets maxCellMin to
+//     max(maxCellMin, e.min), and every case of LBo takes the max of
+//     maxCellMin with further terms.
+//   - DTW: at depth 0 the new column is the prefix sums of e's
+//     distances, each at least e.min, and LBo reads one of its entries.
+//     Deeper, every new entry is d[i] + reach, where d[i] ≥ e.min and
+//     reach is an old entry (≥ colMin) or an earlier new entry (≥
+//     colMin + e.min ≥ colMin, by induction). Rounded addition is
+//     monotone in each argument, so every new entry — the minimum and
+//     the last entry LBo reads alike — is at least the rounded
+//     colMin + e.min returned here.
+//   - LCSS, EDR, ERP: 0.
+//
+// With an empty query there is no column to extend, and the bound is 0.
+// PeekLBo is a whole-trajectory bound: it does not bound LBoSub.
+func (b *PathBounder) PeekLBo(z uint64) float64 {
+	qb := b.qb
+	if len(qb.q) == 0 {
+		return 0
+	}
+	switch qb.m {
+	case Hausdorff, Frechet:
+		return max(b.maxCellMin, qb.cell(z, false, grid.Cell{}).min)
+	case DTW:
+		cmin := qb.cell(z, false, grid.Cell{}).min
+		if b.depth == 0 {
+			return cmin
+		}
+		return b.colMin + cmin
+	}
+	return 0
+}
+
 // LBoSub computes the one-side bound for segment (subtrajectory)
 // queries: for every member trajectory t of the subtree described by
 // meta and every nonempty contiguous segment seg of t,

@@ -44,6 +44,11 @@ const quickDTWCount = 2000
 // exceeds the exact distance — the node-bound half of the
 // admissibility contract documented in doc.go. The trajectory stands
 // for a subtree member whose path passes through every prefix node.
+//
+// Along the same paths, PeekLBo(z) taken before ExtendZ(z) never
+// exceeds LBo afterwards, bit for bit, for the member's own next cell
+// and for a random cell of the grid, incomplete and complete, from
+// depth 0 on.
 func TestBounderAdmissibleQuick(t *testing.T) {
 	check := func(measures []Measure) func(seed int64, bitsRaw uint8) bool {
 		return func(seed int64, bitsRaw uint8) bool {
@@ -58,10 +63,17 @@ func TestBounderAdmissibleQuick(t *testing.T) {
 			for _, m := range measures {
 				exact := Distance(m, q, tr, testParams)
 				b := NewBounder(m, q, g.HalfDiagonal(), testParams)
+				pb := NewQueryBounds(m, q, g, testParams, false).Root()
 				meta := NodeMeta{MinLen: len(tr), MaxLen: len(tr)}
 				for i, z := range zs {
-					b.Extend(g.CellByZ(z))
 					meta.MaxDepthBelow = len(zs) - 1 - i
+					stray := g.CellOf(geo.Point{X: rng.Float64() * 8, Y: rng.Float64() * 8}).Z
+					fork := pb.Fork()
+					checkPeek(t, m, fork, stray, meta, i)
+					fork.Release()
+					checkPeek(t, m, pb, z, meta, i)
+
+					b.Extend(g.CellByZ(z))
 					if lb := b.LBo(meta); lb > exact+1e-9 {
 						t.Fatalf("%v: depth %d/%d LBo %v > exact %v", m, i+1, len(zs), lb, exact)
 					}
@@ -75,6 +87,22 @@ func TestBounderAdmissibleQuick(t *testing.T) {
 	}
 	if err := quick.Check(check([]Measure{DTW}), &quick.Config{MaxCount: quickDTWCount}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkPeek extends b by z after peeking at it, and fails unless the
+// peek is at most the extended path's LBo under meta and under meta
+// made complete. depth is b's depth before the extension.
+func checkPeek(t *testing.T, m Measure, b *PathBounder, z uint64, meta NodeMeta, depth int) {
+	t.Helper()
+	peek := b.PeekLBo(z)
+	b.ExtendZ(z)
+	complete := meta
+	complete.MaxDepthBelow = 0
+	for _, nm := range []NodeMeta{meta, complete} {
+		if lb := b.LBo(nm); peek > lb {
+			t.Fatalf("%v: depth %d, cell %d, below %d: PeekLBo %v > LBo %v after the extension", m, depth, z, nm.MaxDepthBelow, peek, lb)
+		}
 	}
 }
 

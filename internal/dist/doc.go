@@ -68,9 +68,15 @@
 // is written out on LBo. It does not carry over to LCSS, EDR or ERP,
 // which match each point of a run one to one.
 //
+// [PathBounder.PeekLBo] is a cheaper bound on a bound: it bounds the
+// LBo a path would have after one more Extend, from that cell's
+// memoized entry alone, so a search can reject a child before it forks
+// and extends the path for it.
+//
 // The contract is enforced by tests: bound_test.go checks bounder
 // bounds against exact distances along randomly generated trie paths
-// (TestBounderAdmissibleQuick, TestLeafBoundAdmissibleQuick), and
+// (TestBounderAdmissibleQuick, which also holds PeekLBo under the LBo
+// it peeks at, and TestLeafBoundAdmissibleQuick), and
 // dist_test.go checks the DistanceBounded early-abandon contract
 // (TestDistanceBoundedContractQuick). The end-to-end guarantee — no
 // admissible bound ever evicts a true top-k result — is exercised by

@@ -232,16 +232,16 @@ func (r Rect) Margin() float64 {
 // DistPoint returns the minimum Euclidean distance from p to r
 // (0 when p is inside r).
 func (r Rect) DistPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
+	dx := max(0, r.Min.X-p.X, p.X-r.Max.X)
+	dy := max(0, r.Min.Y-p.Y, p.Y-r.Max.Y)
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // DistRect returns the minimum Euclidean distance between r and s
 // (0 when they intersect).
 func (r Rect) DistRect(s Rect) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-s.Max.X, s.Min.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-s.Max.Y, s.Min.Y-r.Max.Y))
+	dx := max(0, r.Min.X-s.Max.X, s.Min.X-r.Max.X)
+	dy := max(0, r.Min.Y-s.Max.Y, s.Min.Y-r.Max.Y)
 	return math.Sqrt(dx*dx + dy*dy)
 }
 

@@ -328,3 +328,66 @@ func TestEnclosingSquareProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// mathMaxDistPoint and mathMaxDistRect are DistPoint and DistRect as
+// written with math.Max, the reference the builtin-max kernels must
+// match bit for bit.
+func mathMaxDistPoint(r Rect, p Point) float64 {
+	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
+	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
+	return math.Sqrt(dx*dx + dy*dy)
+}
+
+func mathMaxDistRect(r, s Rect) float64 {
+	dx := math.Max(0, math.Max(r.Min.X-s.Max.X, s.Min.X-r.Max.X))
+	dy := math.Max(0, math.Max(r.Min.Y-s.Max.Y, s.Min.Y-r.Max.Y))
+	return math.Sqrt(dx*dx + dy*dy)
+}
+
+// TestRectDistBitIdentical: DistPoint and DistRect return exactly the
+// bits of their math.Max forms — on random inputs, and on signed
+// zeros, points on the boundary, and degenerate (point and segment)
+// rectangles.
+func TestRectDistBitIdentical(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	coords := []float64{negZero, 0, 1, -1, 0.5, 2, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e300, -1e300}
+	var rects []Rect
+	var points []Point
+	for _, a := range coords {
+		for _, b := range coords {
+			points = append(points, Point{a, b})
+		}
+	}
+	for _, lo := range coords {
+		for _, hi := range coords {
+			if lo <= hi {
+				rects = append(rects,
+					Rect{Min: Point{lo, lo}, Max: Point{hi, hi}},
+					Rect{Min: Point{lo, 0}, Max: Point{hi, 0}},   // segment
+					Rect{Min: Point{lo, hi}, Max: Point{lo, hi}}) // point
+			}
+		}
+	}
+	for _, r := range rects {
+		for _, p := range points {
+			if got, want := r.DistPoint(p), mathMaxDistPoint(r, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v.DistPoint(%+v) = %v, math.Max form %v", r, p, got, want)
+			}
+		}
+		for _, s := range rects {
+			if got, want := r.DistRect(s), mathMaxDistRect(r, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v.DistRect(%+v) = %v, math.Max form %v", r, s, got, want)
+			}
+		}
+	}
+	f := func(x0, y0, w, h, px, py float64) bool {
+		r := Rect{Min: Point{x0, y0}, Max: Point{x0 + math.Abs(w), y0 + math.Abs(h)}}
+		p := Point{px, py}
+		s := Rect{Min: p, Max: Point{px + math.Abs(h), py + math.Abs(w)}}
+		return math.Float64bits(r.DistPoint(p)) == math.Float64bits(mathMaxDistPoint(r, p)) &&
+			math.Float64bits(r.DistRect(s)) == math.Float64bits(mathMaxDistRect(r, s))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -105,6 +105,7 @@ type SearchStats struct {
 	LeavesRefined     int // leaf entries popped and refined
 	ExactComputations int // full distance computations on trajectories
 	EntriesPushed     int // queue insertions
+	EarlyCuts         int // children rejected before their bound state was forked or extended
 }
 
 // searchNode abstracts trie navigation so the pointer layout and the
@@ -287,7 +288,7 @@ func (s *searcher) boundWalk(root searchNode, q []geo.Point, stats *SearchStats)
 	pq := &sc.pq
 	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params, s.subseq)
 	s.chainBudget = boundBudget
-	s.expand(root, sc.qb.Root(), pq, &sc.res, dqp, stats)
+	s.expand(root, sc.qb.Root(), root.pivotLB(dqp), pq, &sc.res, dqp, stats)
 	for pq.len() > 0 {
 		if s.cancelled() {
 			return 0, s.err()
@@ -301,7 +302,7 @@ func (s *searcher) boundWalk(root searchNode, q []geo.Point, stats *SearchStats)
 		}
 		stats.NodesExpanded++
 		s.chainBudget = boundBudget - spent - 1
-		s.expand(e.n, e.b, pq, &sc.res, dqp, stats)
+		s.expand(e.n, e.b, e.lbp, pq, &sc.res, dqp, stats)
 	}
 	// Queue drained without reaching a leaf: nothing is indexed.
 	return math.Inf(1), nil
@@ -452,7 +453,7 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 	pq := &sc.pq
 	sc.qb.Reset(s.cfg.Measure, q, s.cfg.Grid, s.cfg.Params, s.subseq)
 	s.chainBudget = math.MaxInt
-	s.expand(root, sc.qb.Root(), pq, results, dqp, &stats)
+	s.expand(root, sc.qb.Root(), root.pivotLB(dqp), pq, results, dqp, &stats)
 
 	for pq.len() > 0 {
 		if s.cancelled() {
@@ -475,25 +476,31 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 			continue
 		}
 		stats.NodesExpanded++
-		s.expand(e.n, e.b, pq, results, dqp, &stats)
+		s.expand(e.n, e.b, e.lbp, pq, results, dqp, &stats)
 	}
 	return results.AppendResults(dst), stats, nil
 }
 
 // expand pushes n's leaf entry (if any) and child entries whose
-// bounds do not already exceed the current threshold. A child that is a
-// link — no payload, one child — is not pushed: its bound state is
-// extended down the chain in place and the node where the walk stops is
-// pushed instead, or nothing once the bound reaches the threshold (see
-// "Chains are walked, not queued" in doc.go). expand consumes the bound
-// state b: either a child entry takes ownership of it or it is released
-// back to the arena.
-func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, results *topk.Heap, dqp []float64, stats *SearchStats) {
+// bounds do not already exceed the current threshold. lbp is n's pivot
+// bound, carried from where n was queued. A child is first tested on
+// its cheap bounds — its pivot bound and its path bound extended by the
+// child's cell alone — and only a child that passes both forks and
+// extends bound state (see "Cheap bounds first" in doc.go). A child
+// that is a link — no payload, one child — is not pushed: its bound
+// state is extended down the chain in place and the node where the
+// walk stops is pushed instead, or nothing once the bound reaches the
+// threshold (see "Chains are walked, not queued"). expand consumes the
+// bound state b: either a child entry takes ownership of it or it is
+// released back to the arena.
+func (s *searcher) expand(n searchNode, b *dist.PathBounder, lbp float64, pq *entryQueue, results *topk.Heap, dqp []float64, stats *SearchStats) {
 	sc := s.sc
 	dk := s.threshold(results)
-	lbp := n.pivotLB(dqp)
 
-	if lv, ok := n.leafView(); ok {
+	// A leaf's bound is at least lbp (a segment bound at least 0, and
+	// lbp is 0 there), so lbp ≥ dk rejects it without its costlier
+	// terms.
+	if lv, ok := n.leafView(); ok && lbp < dk {
 		lb := lbp
 		if s.subseq {
 			// Segment scoring: only the segment bound is admissible
@@ -504,9 +511,9 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 				NodeMeta: dist.NodeMeta{MinLen: lv.minLen, MaxLen: lv.maxLen},
 				Dmax:     lv.dmax,
 			}
-			lb = math.Max(lb, b.LBtBounded(meta, dk, &sc.ds))
+			lb = max(lb, b.LBtBounded(meta, dk, &sc.ds))
 		} else {
-			lb = math.Max(lb, b.LBo(n.meta()))
+			lb = max(lb, b.LBo(n.meta()))
 		}
 		if lb < dk {
 			pq.push(lb, entry{n: n})
@@ -521,6 +528,16 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 	}
 	owned := false // whether a pushed child entry took ownership of b
 	for i, ce := range children {
+		// Every node of a chain has the child's member set, so the
+		// child's pivot bound holds down the whole walk. (A segment
+		// refiner has no query pivots: lbp and clbp are 0.)
+		clbp := max(lbp, ce.n.pivotLB(dqp))
+		if clbp >= dk || (!s.subseq && b.PeekLBo(ce.z) >= dk) {
+			// nodeLB would be at least either value: rejected below
+			// all the same, so skip the fork and the extension.
+			stats.EarlyCuts++
+			continue
+		}
 		var cb *dist.PathBounder
 		last := i == len(children)-1
 		if last {
@@ -532,12 +549,7 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 		}
 		cb.ExtendZ(ce.z)
 
-		// Every node of a chain has the child's member set, so the
-		// child's pivot bound holds down the whole walk.
-		cn, clbp := ce.n, lbp
-		if !s.subseq {
-			clbp = math.Max(lbp, cn.pivotLB(dqp))
-		}
+		cn := ce.n
 		lb := s.nodeLB(cn, cb, clbp)
 		for lb < dk && s.chainBudget > 0 {
 			next, ok := cn.only()
@@ -551,7 +563,7 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 			lb = s.nodeLB(cn, cb, clbp)
 		}
 		if lb < dk {
-			pq.push(lb, entry{n: cn, b: cb})
+			pq.push(lb, entry{n: cn, b: cb, lbp: clbp})
 			stats.EntriesPushed++
 			owned = owned || last
 		} else if !last {
@@ -570,7 +582,7 @@ func (s *searcher) nodeLB(n searchNode, b *dist.PathBounder, lbp float64) float6
 	if s.subseq {
 		return b.LBoSub(n.meta())
 	}
-	return math.Max(b.LBo(n.meta()), lbp)
+	return max(b.LBo(n.meta()), lbp)
 }
 
 // scanDelta refines every pending insert exactly, threshold-cut like
@@ -749,11 +761,13 @@ func (a *atomicFloat64) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 func (a *atomicFloat64) Load() float64   { return math.Float64frombits(a.bits.Load()) }
 
 // entry is the payload of one queued element: a trie node with the
-// bound state of its root path, or — b nil — a terminal node whose
-// payload awaits refinement (its leafView is taken when it is popped).
+// bound state of its root path and its pivot bound lbp, or — b nil — a
+// terminal node whose payload awaits refinement (its leafView is taken
+// when it is popped).
 type entry struct {
-	n searchNode
-	b *dist.PathBounder
+	n   searchNode
+	b   *dist.PathBounder
+	lbp float64
 }
 
 // queueItem is what the heap orders and moves: 16 bytes, while the
